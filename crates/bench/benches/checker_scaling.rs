@@ -9,7 +9,8 @@
 //! in `O × C`.
 //!
 //! The `parallel` section measures the work-pool checker
-//! (`check_completeness_jobs` / `check_consistency_jobs`) on a 64-operation
+//! (`check_completeness_with_config` / `check_consistency_with_config` with
+//! `CheckConfig::jobs(n)`) on a 64-operation
 //! synthetic spec at 1 vs 4 workers and prints the speedup. On a machine
 //! with ≥4 cores the combined speedup is expected (and asserted) to be
 //! ≥2×; on smaller machines the numbers are reported but not enforced,
@@ -17,7 +18,10 @@
 
 use adt_bench::harness::Group;
 use adt_bench::workloads::synthetic_spec as synthetic;
-use adt_check::{check_completeness, check_completeness_jobs, check_consistency_jobs, ProbeConfig};
+use adt_check::{
+    check_completeness, check_completeness_with_config, check_consistency_with_config,
+    CheckConfig, ProbeConfig,
+};
 
 fn main() {
     let group = Group::new("checker_scaling");
@@ -49,9 +53,10 @@ fn main() {
         ..ProbeConfig::default()
     };
     let check_all = |jobs: usize| {
-        let comp = check_completeness_jobs(&spec, jobs);
+        let config = CheckConfig::jobs(jobs);
+        let comp = check_completeness_with_config(&spec, &config);
         assert!(comp.is_sufficiently_complete());
-        let cons = check_consistency_jobs(&spec, &probe, jobs);
+        let cons = check_consistency_with_config(&spec, &probe, &config);
         (comp.coverage().len(), cons.pairs_checked())
     };
     let seq = group.bench("parallel/64ops_jobs1", || check_all(1));

@@ -948,7 +948,7 @@ mod tests {
         fn sample_report() -> BenchReport {
             let mut r = BenchReport::new("full");
             r.benchmarks.push(row("rewrite_queue", "front/128", 5_000));
-            r.benchmarks.push(row("memoization", "queries_memo/32", 900));
+            r.benchmarks.push(row("memoization", "queries_plain/32", 900));
             r.benchmarks[1].before_ns = Some(2_700);
             r
         }

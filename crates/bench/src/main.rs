@@ -2,7 +2,8 @@
 //! committed `BENCH_rewrite.json`.
 //!
 //! Measures a curated subset of the `benches/` workloads (memoization,
-//! rewrite_queue, checker_scaling — all deterministic, seed 7) and emits
+//! rewrite_queue, checker_scaling, session_reuse, retry_ladder — all
+//! deterministic, seed 7) and emits
 //! the medians as machine-readable JSON. CI runs this with `--quick
 //! --baseline BENCH_rewrite.json` to catch >2× regressions; the
 //! committed baseline itself is produced with `--merge-before` so it
@@ -19,7 +20,9 @@ use std::time::Duration;
 use adt_bench::harness::Group;
 use adt_bench::report::{regressions, BenchRecord, BenchReport};
 use adt_bench::workloads::{queue_term, synthetic_spec};
-use adt_check::{check_completeness_jobs, check_consistency_jobs, ProbeConfig};
+use adt_check::{
+    check_completeness_with_config, check_consistency_with_config, CheckConfig, ProbeConfig,
+};
 use adt_core::{Deadline, Session, Supervisor};
 use adt_rewrite::Rewriter;
 use adt_structures::specs::queue_spec;
@@ -108,8 +111,10 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     let spec = queue_spec();
     let sig = spec.sig();
 
-    // memoization: the overhead case (one FRONT over a fresh cache) and
-    // the amortized case (32 alternating observers over one shared state).
+    // memoization: one FRONT over a long queue, and 32 alternating
+    // observers over one shared state. The group keeps its name so the
+    // rows stay comparable with earlier reports; each normalization runs
+    // cold, with only its own run-local cache.
     {
         let g = group("memoization");
         let n = 128;
@@ -123,15 +128,6 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             g.bench(&format!("single_plain/{n}"), || {
                 plain.normalize(std::hint::black_box(&front)).expect("normalizes")
             }),
-        );
-        push(
-            "memoization",
-            &format!("single_memo/{n}"),
-            g.bench_batched(
-                &format!("single_memo/{n}"),
-                || Rewriter::new(&spec).with_fuel(1_000_000_000).memoizing(),
-                |rw| rw.normalize(std::hint::black_box(&front)).expect("normalizes"),
-            ),
         );
 
         let queries = 32;
@@ -151,20 +147,6 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
                     .map(|t| plain.normalize(std::hint::black_box(t)).expect("normalizes").size())
                     .sum::<usize>()
             }),
-        );
-        push(
-            "memoization",
-            &format!("queries_memo/{queries}"),
-            g.bench_batched(
-                &format!("queries_memo/{queries}"),
-                || Rewriter::new(&spec).with_fuel(1_000_000_000).memoizing(),
-                |rw| {
-                    observations
-                        .iter()
-                        .map(|t| rw.normalize(std::hint::black_box(t)).expect("normalizes").size())
-                        .sum::<usize>()
-                },
-            ),
         );
     }
 
@@ -228,9 +210,11 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
                 "checker_scaling",
                 &format!("parallel/64ops_jobs{jobs}"),
                 g.bench(&format!("parallel/64ops_jobs{jobs}"), || {
-                    let comp = check_completeness_jobs(std::hint::black_box(&big), jobs);
+                    let config = CheckConfig::jobs(jobs);
+                    let comp =
+                        check_completeness_with_config(std::hint::black_box(&big), &config);
                     assert!(comp.is_sufficiently_complete());
-                    let cons = check_consistency_jobs(&big, &probe, jobs);
+                    let cons = check_consistency_with_config(&big, &probe, &config);
                     (comp.coverage().len(), cons.pairs_checked())
                 }),
             );
@@ -239,7 +223,7 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
 
     // session_reuse: the same batch of observer checks run N times — once
     // against a single long-lived session (the CLI/REPL shape: the first
-    // check warms the arena, memo and nf cache for the other N-1), and
+    // check warms the arena and nf-cache for the other N-1), and
     // once with a fresh session built per check. The shared row carries
     // the fresh median as its `before_ns`, so the committed JSON records
     // the reuse speedup directly.

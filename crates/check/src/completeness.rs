@@ -433,14 +433,25 @@ fn analyze_op(spec: &Spec, op: OpId, case_budget: usize) -> OpAnalysis {
 /// missing constructor cases are enumerated (up to an internal bound of 64
 /// witnesses per operation, which no sane specification approaches).
 ///
-/// Runs on the calling thread; see [`check_completeness_jobs`] for the
-/// parallel variant (whose report is identical apart from timing stats).
+/// Runs on the calling thread; see [`check_completeness_with_config`]
+/// for the parallel variant (whose report is identical apart from timing
+/// stats).
 pub fn check_completeness(spec: &Spec) -> CompletenessReport {
-    check_completeness_jobs(spec, 1)
+    check_completeness_with_config(spec, &CheckConfig::default())
 }
 
-/// [`check_completeness`] with the per-operation analysis fanned out
-/// across `jobs` worker threads (`0` = every available core).
+/// [`check_completeness_with_config`] on a [`Session`]'s specification.
+/// The analysis is pattern arithmetic and normalizes nothing, so the
+/// session's counters are left as they were and the report is the same
+/// as the session-less call's.
+pub fn check_completeness_session(session: &Session, config: &CheckConfig) -> CompletenessReport {
+    check_completeness_with_config(session.spec(), config)
+}
+
+/// [`check_completeness`] under an explicit [`CheckConfig`]: worker
+/// count (`0` = every available core), fuel budget (a cap on case
+/// partitions examined per operation), and an optional fault-injection
+/// plan.
 ///
 /// The expensive phase — pattern-matrix construction and missing-case
 /// enumeration — is independent per operation and runs in parallel. The
@@ -449,38 +460,12 @@ pub fn check_completeness(spec: &Spec) -> CompletenessReport {
 /// operation-declaration order. The report is therefore *identical* to the
 /// sequential one, byte for byte, at any job count; only
 /// [`CompletenessReport::stats`] timings differ.
-pub fn check_completeness_jobs(spec: &Spec, jobs: usize) -> CompletenessReport {
-    check_completeness_with_config(spec, &CheckConfig::jobs(jobs))
-}
-
-/// [`check_completeness`] under an explicit [`CheckConfig`]: worker
-/// count, fuel budget (a cap on case partitions examined per operation),
-/// and an optional fault-injection plan.
 ///
 /// Robustness contract: a panicking analysis worker surfaces as
 /// [`Coverage::Failed`] for its operation only, an exhausted budget as
 /// [`Coverage::Exhausted`] — neither can take down the run or disturb
 /// any other operation's verdict.
 pub fn check_completeness_with_config(spec: &Spec, config: &CheckConfig) -> CompletenessReport {
-    completeness_impl(spec, config, None)
-}
-
-/// [`check_completeness_with_config`] running inside a [`Session`]: the
-/// analysis itself is pure pattern arithmetic (the pool's work items are
-/// already ids — the derived [`OpId`]s), but every materialized witness
-/// term is additionally interned into the session arena, so downstream
-/// consumers (consistency probing over the prompts, the differential
-/// harness, the CLI) hold handles into one workspace instead of private
-/// copies. The report is byte-identical to the fresh-spec variant.
-pub fn check_completeness_session(session: &Session, config: &CheckConfig) -> CompletenessReport {
-    completeness_impl(session.spec(), config, Some(session))
-}
-
-fn completeness_impl(
-    spec: &Spec,
-    config: &CheckConfig,
-    session: Option<&Session>,
-) -> CompletenessReport {
     let derived: Vec<OpId> = spec.derived_ops().collect();
     let armed = match &config.faults {
         Some(faults) => faults.arm("completeness", derived.len()),
@@ -625,14 +610,6 @@ fn completeness_impl(
         };
         let missing: Vec<Term> = materialize_cases(&analysis.missing_cases, &mut sig);
         let frontier: Vec<Term> = materialize_cases(&analysis.frontier_cases, &mut sig);
-        if let Some(session) = session {
-            // Witnesses emit ids too: intern each into the session arena
-            // (hash-consed, so shared structure across witnesses costs
-            // nothing) for id-holding consumers downstream.
-            for witness in missing.iter().chain(frontier.iter()) {
-                session.intern(witness);
-            }
-        }
 
         let exhausted = !frontier.is_empty() || analysis.frontier_truncated > 0;
         coverage.push(OpCoverage {

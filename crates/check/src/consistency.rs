@@ -16,11 +16,10 @@
 //!    particular value combinations.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use adt_core::{
     display, match_pattern, DetRng, EngineError, ExhaustionCause, Fuel, FuelSpent, Interrupt, OpId,
-    Session, Signature, SortId, Spec, Term, TermId,
+    Session, Signature, SortId, Spec, Term,
 };
 use adt_rewrite::{
     classify_superposition, superpositions, CriticalPair, PairStatus, RewriteError, Rewriter,
@@ -262,33 +261,37 @@ fn distinguishable(sig: &Signature, a: &Term, b: &Term) -> bool {
 }
 
 /// Checks the consistency of a specification with the default probe
-/// configuration.
+/// configuration, on the calling thread.
 pub fn check_consistency(spec: &Spec) -> ConsistencyReport {
-    check_consistency_with(spec, &ProbeConfig::default())
+    check_consistency_with_config(spec, &ProbeConfig::default(), &CheckConfig::default())
 }
 
-/// Checks the consistency of a specification on the calling thread. See
-/// [`check_consistency_jobs`] for the parallel variant (whose report is
-/// identical apart from timing stats).
-pub fn check_consistency_with(spec: &Spec, probe: &ProbeConfig) -> ConsistencyReport {
-    check_consistency_jobs(spec, probe, 1)
+/// [`check_consistency_with_config`] on a [`Session`]'s specification,
+/// with the check's probe normalizations and rewrite steps folded into
+/// the session counters. The report is the same as the session-less
+/// call's: no cache is shared with the session, so how warm the session
+/// is cannot change a verdict.
+pub fn check_consistency_session(
+    session: &Session,
+    probe: &ProbeConfig,
+    config: &CheckConfig,
+) -> ConsistencyReport {
+    let report = check_consistency_with_config(session.spec(), probe, config);
+    session.note_normalizations(report.probes_run as u64, report.stats.rewrite_steps);
+    report
 }
 
-/// [`check_consistency_with`] with both phases fanned out across `jobs`
-/// worker threads (`0` = every available core).
+/// Checks the consistency of a specification under a [`ProbeConfig`]
+/// and a full [`CheckConfig`]: worker count, resource budget, retry
+/// ladder, supervision, and (for harnesses testing the engine itself) a
+/// fault-injection plan.
 ///
 /// Determinism: superpositions are enumerated sequentially (their order
 /// defines the contradiction list order) and only *classified* in
 /// parallel; probe terms are sampled sequentially from the seeded RNG and
-/// only *normalized* in parallel. Both merges restore input order, so the
-/// report is byte-identical to the sequential one at any job count.
-pub fn check_consistency_jobs(spec: &Spec, probe: &ProbeConfig, jobs: usize) -> ConsistencyReport {
-    check_consistency_with_config(spec, probe, &CheckConfig::jobs(jobs))
-}
-
-/// [`check_consistency_jobs`] with a full [`CheckConfig`]: worker count,
-/// resource budget, and (for harnesses testing the engine itself) a
-/// fault-injection plan.
+/// only *normalized* in parallel. Both merges restore input order, and no
+/// cache outlives one normalization, so the report is a function of
+/// (spec, probe, budget) alone — byte-identical at any job count.
 ///
 /// Robustness guarantees:
 ///
@@ -302,38 +305,6 @@ pub fn check_consistency_with_config(
     spec: &Spec,
     probe: &ProbeConfig,
     config: &CheckConfig,
-) -> ConsistencyReport {
-    consistency_impl(spec, probe, config, None)
-}
-
-/// [`check_consistency_with_config`] running inside a [`Session`]: both
-/// phases' rewriters share the session's cross-run memo (facts learned
-/// joining one pair speed up every probe, and persist for later checks),
-/// and probe terms are interned into the session arena so the worker pool
-/// ships [`TermId`]s instead of trees.
-///
-/// Sharing the memo with the pair phase's *extended* rewriter is sound:
-/// [`superpositions`] extends the signature with renamed variables only,
-/// so every operation keeps its index and structural hashes agree.
-/// Reports are byte-identical to [`check_consistency_with_config`]
-/// whenever no probe's exhaustion is fuel-marginal (warm memo facts can
-/// only reduce the steps a normalization spends, which at a tight budget
-/// can turn an `Exhausted` verdict into a normal form); deliberately
-/// tiny-budget rewriters — the exhaust-fault path — therefore never carry
-/// the memo.
-pub fn check_consistency_session(
-    session: &Session,
-    probe: &ProbeConfig,
-    config: &CheckConfig,
-) -> ConsistencyReport {
-    consistency_impl(session.spec(), probe, config, Some(session))
-}
-
-fn consistency_impl(
-    spec: &Spec,
-    probe: &ProbeConfig,
-    config: &CheckConfig,
-    session: Option<&Session>,
 ) -> ConsistencyReport {
     let jobs = config.jobs;
     let faults = config.faults.clone().unwrap_or_default();
@@ -389,17 +360,10 @@ fn consistency_impl(
     } else {
         ArmedFaults::none()
     };
-    let mut ext_rw = Rewriter::new(&set.spec)
+    let ext_rw = Rewriter::new(&set.spec)
         .with_budget(config.fuel)
         .supervised(supervisor.clone());
-    if let Some(session) = session {
-        // Vars-only signature extension: op indices (and so structural
-        // hashes) agree with the session's, so sharing its memo is sound.
-        ext_rw = ext_rw.with_memo(Arc::clone(session.memo()));
-    }
-    // Deliberately memo-less (not a clone of `ext_rw`): the tiny budget
-    // exists to *exhaust* sabotaged items, and a warm memo hit would hand
-    // back the normal form without spending a single step.
+    // The tiny budget exists to *exhaust* sabotaged items.
     let tiny_pair_rw = Rewriter::new(&set.spec).with_budget(Fuel::steps(1));
     // One rewriter per retry rung, budgets escalating geometrically.
     // Retrying *inside* the worker keeps every item's final verdict a
@@ -411,13 +375,8 @@ fn consistency_impl(
                 .ladder(config.fuel)
                 .into_iter()
                 .map(|(rung, fuel)| {
-                    let mut rw = Rewriter::new(&set.spec)
-                        .with_budget(fuel)
-                        .supervised(supervisor.clone());
-                    if let Some(session) = session {
-                        rw = rw.with_memo(Arc::clone(session.memo()));
-                    }
-                    (rung, rw)
+                    let rw = Rewriter::new(&set.spec).with_budget(fuel);
+                    (rung, rw.supervised(supervisor.clone()))
                 })
                 .collect()
         })
@@ -515,13 +474,9 @@ fn consistency_impl(
 
     // Phase 2: randomized ground probing — sequential sampling (the RNG
     // stream is one deterministic sequence), parallel normalization.
-    let mut rw = Rewriter::new(spec)
+    let rw = Rewriter::new(spec)
         .with_budget(config.fuel)
         .supervised(supervisor.clone());
-    if let Some(session) = session {
-        rw = rw.with_memo(Arc::clone(session.memo()));
-    }
-    // Memo-less for the same reason as `tiny_pair_rw` above.
     let tiny_rw = Rewriter::new(spec).with_budget(Fuel::steps(1));
     let probe_ladder: Vec<(u32, Rewriter<'_>)> = config
         .retry
@@ -530,13 +485,8 @@ fn consistency_impl(
                 .ladder(config.fuel)
                 .into_iter()
                 .map(|(rung, fuel)| {
-                    let mut ladder_rw = Rewriter::new(spec)
-                        .with_budget(fuel)
-                        .supervised(supervisor.clone());
-                    if let Some(session) = session {
-                        ladder_rw = ladder_rw.with_memo(Arc::clone(session.memo()));
-                    }
-                    (rung, ladder_rw)
+                    let rw = Rewriter::new(spec).with_budget(fuel);
+                    (rung, rw.supervised(supervisor.clone()))
                 })
                 .collect()
         })
@@ -558,72 +508,47 @@ fn consistency_impl(
     } else {
         ArmedFaults::none()
     };
-    // The whole per-item policy (fault pinning, supervisor poll, retry
-    // ladder) in one closure shared by both pool modes below.
-    let probe_one = |idx: usize, term: &Term| -> Probed {
-        probe_faults.on_item(idx);
-        if probe_faults.exhausts(idx) {
-            // Rung 0, always: see the pair phase.
-            return Probed {
-                out: probe_divergence(&tiny_rw, spec.sig(), term),
-                rung: 0,
-            };
-        }
-        if let Some(kind) = supervisor.interrupted() {
-            return Probed {
-                out: ProbeOutcome::stopped(kind),
-                rung: 0,
-            };
-        }
-        let mut out = probe_divergence(&rw, spec.sig(), term);
-        let mut rung = 0;
-        for (r, ladder_rw) in &probe_ladder {
-            if !retryable_probe(&out) {
-                break;
+    let probe_run = run_isolated(
+        jobs,
+        &probe_terms,
+        |idx, term| {
+            probe_faults.on_item(idx);
+            if probe_faults.exhausts(idx) {
+                // Rung 0, always: see the pair phase.
+                return Probed {
+                    out: probe_divergence(&tiny_rw, spec.sig(), term),
+                    rung: 0,
+                };
             }
-            rung = *r;
-            let next = probe_divergence(ladder_rw, spec.sig(), term);
-            out = ProbeOutcome {
-                steps: out.steps + next.steps,
-                ..next
-            };
-        }
-        Probed { out, rung }
-    };
-    let probe_run = match session {
-        // Session mode: the pool ships interned ids — workers materialize
-        // their own term from the shared arena (an exact round-trip, so
-        // verdict strings match the tree-shipping path byte for byte).
-        Some(session) => {
-            let probe_ids: Vec<TermId> = probe_terms.iter().map(|t| session.intern(t)).collect();
-            run_isolated(
-                jobs,
-                &probe_ids,
-                |idx, &id| probe_one(idx, &session.term(id)),
-                |idx, &id| {
-                    format!(
-                        "probe #{idx} ({})",
-                        display::term(spec.sig(), &session.term(id))
-                    )
-                },
-            )
-        }
-        None => run_isolated(
-            jobs,
-            &probe_terms,
-            |idx, term| probe_one(idx, term),
-            |idx, term| format!("probe #{idx} ({})", display::term(spec.sig(), term)),
-        ),
-    };
+            if let Some(kind) = supervisor.interrupted() {
+                return Probed {
+                    out: ProbeOutcome::stopped(kind),
+                    rung: 0,
+                };
+            }
+            let mut out = probe_divergence(&rw, spec.sig(), term);
+            let mut rung = 0;
+            for (r, ladder_rw) in &probe_ladder {
+                if !retryable_probe(&out) {
+                    break;
+                }
+                rung = *r;
+                let next = probe_divergence(ladder_rw, spec.sig(), term);
+                out = ProbeOutcome {
+                    steps: out.steps + next.steps,
+                    ..next
+                };
+            }
+            Probed { out, rung }
+        },
+        |idx, term| format!("probe #{idx} ({})", display::term(spec.sig(), term)),
+    );
     stats.absorb(&probe_run.busy, probe_run.elapsed, probes_run);
     stats.probes_run = probes_run;
     for (idx, outcome) in probe_run.results.into_iter().enumerate() {
         match outcome {
             ItemOutcome::Done(Probed { out, rung }) => {
                 stats.rewrite_steps += out.steps;
-                if let Some(session) = session {
-                    session.note_normalization(out.steps);
-                }
                 if rung > 0 {
                     stats.retries.push(retry_note(
                         &format!(
@@ -974,8 +899,8 @@ mod tests {
             max_depth: 4,
             seed: 7,
         };
-        let r1 = check_consistency_with(&spec, &cfg);
-        let r2 = check_consistency_with(&spec, &cfg);
+        let r1 = check_consistency_with_config(&spec, &cfg, &CheckConfig::default());
+        let r2 = check_consistency_with_config(&spec, &cfg, &CheckConfig::default());
         assert_eq!(r1.probes_run(), r2.probes_run());
         assert_eq!(r1.verdict(), r2.verdict());
     }
@@ -984,8 +909,8 @@ mod tests {
     fn parallel_report_matches_sequential() {
         for spec in [consistent_spec(), inconsistent_spec()] {
             let cfg = ProbeConfig::default();
-            let seq = check_consistency_jobs(&spec, &cfg, 1);
-            let par = check_consistency_jobs(&spec, &cfg, 4);
+            let seq = check_consistency_with_config(&spec, &cfg, &CheckConfig::jobs(1));
+            let par = check_consistency_with_config(&spec, &cfg, &CheckConfig::jobs(4));
             assert_eq!(seq.verdict(), par.verdict());
             assert_eq!(seq.contradictions(), par.contradictions());
             assert_eq!(seq.pairs_checked(), par.pairs_checked());

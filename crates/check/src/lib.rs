@@ -61,13 +61,12 @@ pub use classify::{classification_warnings, infer_constructors};
 pub use config::{CheckConfig, RetryFuel};
 pub use fault::{ArmedFaults, FaultSpec};
 pub use completeness::{
-    check_completeness, check_completeness_jobs, check_completeness_session,
-    check_completeness_with_config, CompletenessReport, Coverage, OpCoverage, PatternNote,
+    check_completeness, check_completeness_session, check_completeness_with_config,
+    CompletenessReport, Coverage, OpCoverage, PatternNote,
 };
 pub use consistency::{
-    check_consistency, check_consistency_jobs, check_consistency_session, check_consistency_with,
-    check_consistency_with_config, ConsistencyReport, ConsistencyVerdict, Contradiction,
-    ExhaustedProbe, ProbeConfig,
+    check_consistency, check_consistency_session, check_consistency_with_config,
+    ConsistencyReport, ConsistencyVerdict, Contradiction, ExhaustedProbe, ProbeConfig,
 };
 pub use parallel::{CheckFailure, CheckStats, ItemOutcome};
 pub use lint::{

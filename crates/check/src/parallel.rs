@@ -137,9 +137,8 @@ where
 ///
 /// The `AssertUnwindSafe` is justified: a panicked chunk's partial
 /// results are discarded wholesale and its items retried from scratch,
-/// and the only state shared across attempts — the rewriter's sharded
-/// memo — recovers poisoned shards explicitly (`PoisonError::into_inner`)
-/// and only ever caches context-free facts.
+/// and the checkers' rewriters keep no cache across attempts: every
+/// normalization builds and drops its own arena and cache.
 pub fn run_isolated<T, R, W, L>(jobs: usize, items: &[T], work: W, label: L) -> PoolRun<ItemOutcome<R>>
 where
     T: Sync,

@@ -69,7 +69,7 @@ pub const USAGE: &str = "usage:
             [--checkpoint FILE] [--faults PLAN] <file.adt>
                                        parse and run the mechanical checks
                                        (--jobs 0 = all cores; --stats prints
-                                       worker/probe and session arena/memo
+                                       worker/probe and session arena/cache
                                        telemetry; --fuel caps
                                        rewrite steps per work item; --deadline
                                        bounds the whole run by wall clock,
@@ -278,9 +278,8 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
                 "--checkpoint cannot be combined with --faults\n{USAGE}"
             ));
         }
-        // The fault harness injects tiny fuel budgets on purpose; a warm
-        // memo would rescue exhaust-faulted items, so it runs spec-based
-        // with fresh rewriters rather than against the session.
+        // The fault harness compares faulted runs with a fault-free one
+        // and reports that comparison instead of the usual verdicts.
         return cmd_check_faults(spec, plan, &config);
     }
 
@@ -667,7 +666,7 @@ fn cmd_eval(session: &Session, term_src: &str, trace: bool) -> Outcome {
         match rw.normalize_full(&term) {
             Ok(norm) => {
                 session.record_nf(id, session.intern(&norm.term));
-                session.note_normalization(norm.steps);
+                session.note_normalizations(1, norm.steps);
                 Outcome::ok(format!(
                     "{}   ({} step(s))\n",
                     display::term(sig, &norm.term),
@@ -811,7 +810,8 @@ end
         assert!(out.output.contains("stats: 4 job(s)"), "{}", out.output);
         assert!(out.output.contains("utilization"), "{}", out.output);
         assert!(out.output.contains("stats: session arena"), "{}", out.output);
-        assert!(out.output.contains("stats: session memo"), "{}", out.output);
+        assert!(out.output.contains("normalization(s)"), "{}", out.output);
+        assert!(!out.output.contains("memo"), "{}", out.output);
         let _ = fs::remove_file(path);
     }
 
@@ -1115,10 +1115,9 @@ end
     fn check_retry_ladder_reports_rescued_rungs_in_stats() {
         // Starve the checker (--fuel 2) and let the ladder escalate: items
         // that exhausted their first budget come back rescued, and --stats
-        // names the rung that saved each one. Sequential only — at tiny
-        // budgets a concurrently warmed memo can legitimately rescue an
-        // item at rung 0, so cross-job telemetry is compared on the
-        // divergent spec below instead.
+        // names the rung that saved each one. Every item's ladder depends
+        // only on the item and its budgets, so the telemetry is the same
+        // on a re-run and at any --jobs.
         let path = fixture("retry", QUEUE);
         let cmd = args(&[
             "check",
@@ -1136,13 +1135,16 @@ end
         assert!(!lines.is_empty(), "{}", out.output);
         // Re-running the same command reproduces the same ladder telemetry.
         assert_eq!(lines, retry_stat_lines(&run(&cmd).output));
+        let mut parallel = cmd.clone();
+        parallel.splice(1..1, ["--jobs".to_owned(), "4".to_owned()]);
+        assert_eq!(lines, retry_stat_lines(&run(&parallel).output));
         let _ = fs::remove_file(path);
     }
 
     #[test]
     fn check_retry_ladder_telemetry_is_identical_across_job_counts() {
-        // A genuinely divergent operation can never be rescued — no memo
-        // warmth or scheduling changes that — so the rung telemetry must be
+        // A genuinely divergent operation can never be rescued — no
+        // scheduling changes that — so the rung telemetry must be
         // byte-identical at any --jobs.
         let path = fixture("retryloop", LOOP);
         let mut per_jobs = Vec::new();

@@ -34,10 +34,10 @@ const REPL_HELP: &str = "commands:
   :check                run the completeness and consistency checkers
   :vars                 list bound session variables
   :axioms               list the specification's axioms
-  :stats                show session arena/memo telemetry
+  :stats                show session arena/cache telemetry
   :deadline <dur>|off   bound every later line by wall clock (500ms, 2s, 1m);
                         work stopped at the deadline reports UNDETERMINED
-  :reset                drop the session (bindings, arena and memo)
+  :reset                drop the session (bindings, arena and cache)
   :help                 this text
   :quit                 leave
 ";
@@ -48,7 +48,7 @@ enum ReplAction {
     Continue,
     /// Leave the REPL.
     Quit,
-    /// Drop the session (arena, memo, bindings) and start a fresh one.
+    /// Drop the session (arena, cache, bindings) and start a fresh one.
     Reset,
 }
 
@@ -56,9 +56,9 @@ enum ReplAction {
 /// commands executed (used by tests; the binary ignores it).
 ///
 /// One [`Session`] lives for the whole REPL lifetime: every line's
-/// rewriter borrows its compiled rules and shares its memo, so normal
-/// forms derived on one line stay warm for the next. `:reset` is the
-/// explicit way to drop that state.
+/// rewriter borrows its compiled rules, and terms and their normal forms
+/// are interned into its arena. `:reset` is the explicit way to drop
+/// that state.
 ///
 /// # Errors
 ///
@@ -139,8 +139,8 @@ fn dispatch(
         Some(budget) => Supervisor::none().with_deadline(Deadline::after(budget)),
         None => Supervisor::none(),
     };
-    // Cheap per line (a rule-set clone); the memo behind it is the
-    // session's, so rewrites on earlier lines keep paying off here.
+    // Cheap per line (a rule-set clone). Each line is normalized cold,
+    // so its reply — step count included — is the same on any line.
     let rw = Rewriter::for_session(session).supervised(supervisor.clone());
     if let Some(rest) = line.strip_prefix(':') {
         let (cmd, arg) = match rest.split_once(char::is_whitespace) {
@@ -151,7 +151,7 @@ fn dispatch(
             "quit" | "q" => return Ok(ReplAction::Quit),
             "help" | "h" => reply.push_str(REPL_HELP),
             "reset" => {
-                reply.push_str("session reset: bindings, arena and memo dropped\n");
+                reply.push_str("session reset: bindings, arena and cache dropped\n");
                 return Ok(ReplAction::Reset);
             }
             "stats" => reply.push_str(&session.stats().render()),
@@ -312,7 +312,7 @@ fn dispatch(
         let term = parse_in_env(spec, env, term_src.trim())?;
         match rw.normalize_full(&term) {
             Ok(norm) => {
-                session.note_normalization(norm.steps);
+                session.note_normalizations(1, norm.steps);
                 let _ = writeln!(reply, "{name} = {}", display::term(spec.sig(), &norm.term));
                 env.insert(name.to_owned(), norm.term);
             }
@@ -327,7 +327,7 @@ fn dispatch(
     match rw.normalize_full(&term) {
         Ok(norm) => {
             session.record_nf(session.intern(&term), session.intern(&norm.term));
-            session.note_normalization(norm.steps);
+            session.note_normalizations(1, norm.steps);
             let _ = writeln!(
                 reply,
                 "{}   ({} step(s))",
@@ -487,20 +487,15 @@ end
     #[test]
     fn session_persists_across_lines_and_stats_sees_it() {
         // Two evaluations plus telemetry: the session counts both, and
-        // the second run of the same term hits the memo warmed by the
-        // first — the whole point of keeping one session per REPL.
+        // the repeated line replies exactly as the first did — step count
+        // included, since no cache carries work from one line to the next.
         let out = drive("FRONT(ADD(NEW, A))\nFRONT(ADD(NEW, A))\n:stats\n:quit\n");
         assert!(out.contains("stats: session arena"), "{out}");
         assert!(out.contains("2 normalization(s)"), "{out}");
-        let memo_line = out
-            .lines()
-            .find(|l| l.contains("stats: session memo"))
-            .expect("stats prints a memo line");
-        let cross_run = memo_line
-            .split("nf-cache")
-            .next()
-            .expect("memo line has a cross-run half");
-        assert!(!cross_run.contains(" 0 hit(s)"), "{memo_line}");
+        let replies: Vec<&str> = out.lines().filter(|l| l.contains("step(s))")).collect();
+        assert_eq!(replies.len(), 2, "{out}");
+        assert_eq!(replies[0], replies[1], "{out}");
+        assert!(!replies[0].contains("(0 step(s))"), "{out}");
     }
 
     #[test]

@@ -22,11 +22,7 @@
 //! produced them and are meaningless anywhere else. They must never be
 //! serialized, compared across arenas, or stored in any artifact that
 //! outlives the arena — anything that crosses an arena boundary does so as
-//! a reconstructed [`Term`] ([`TermArena::to_term`]). The
-//! [`TermArena::structural_hash`], by contrast, is a pure function of term
-//! *structure* (the same term hashes identically in every arena and every
-//! process), which is what lets an arena-agnostic cache key its entries by
-//! hash and confirm candidates with [`TermArena::term_eq`].
+//! a reconstructed [`Term`] ([`TermArena::to_term`]).
 //!
 //! The arena is append-only and unsynchronized by design: engines create
 //! one arena per normalization run, keeping the hot path free of locks,
@@ -222,15 +218,6 @@ impl TermArena {
     #[inline]
     pub fn depth(&self, id: TermId) -> u32 {
         self.meta[id.index()].depth
-    }
-
-    /// A deterministic hash of the denoted term's *structure*. Equal terms
-    /// hash equally in every arena and every process, so the hash (unlike
-    /// the id) may key caches that outlive this arena. O(1): cached at
-    /// interning time.
-    #[inline]
-    pub fn structural_hash(&self, id: TermId) -> u64 {
-        self.meta[id.index()].hash
     }
 
     fn meta_of(&self, node: &TermNode) -> Meta {
@@ -538,27 +525,6 @@ mod tests {
             assert_eq!(arena.is_ground(id), t.is_ground(), "{t:?}");
             assert_eq!(arena.depth(id) as usize, t.depth(), "{t:?}");
         }
-    }
-
-    #[test]
-    fn structural_hash_is_arena_independent() {
-        let sig = sig();
-        let t = chain(&sig, 5);
-        let u = sig.apply("FRONT", vec![chain(&sig, 5)]).unwrap();
-        let mut arena1 = TermArena::new();
-        let mut arena2 = TermArena::new();
-        // Intern in different orders so the raw ids differ.
-        let id_t1 = arena1.intern(&t);
-        let id_u1 = arena1.intern(&u);
-        let id_u2 = arena2.intern(&u);
-        let id_t2 = arena2.intern(&t);
-        assert_eq!(arena1.structural_hash(id_t1), arena2.structural_hash(id_t2));
-        assert_eq!(arena1.structural_hash(id_u1), arena2.structural_hash(id_u2));
-        assert_ne!(
-            arena1.structural_hash(id_t1),
-            arena1.structural_hash(id_u1),
-            "distinct terms should (in practice) hash differently"
-        );
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub use ids::{OpId, SortId, VarId};
 pub use matching::{match_pattern, match_pattern_at_root};
 pub use rng::DetRng;
 pub use rules::{Rule, RuleSet};
-pub use session::{Session, SessionStats, ShardedMemo};
+pub use session::{Session, SessionStats};
 pub use signature::{OpInfo, Signature, SortInfo, VarInfo};
 pub use spec::{Spec, SpecBuilder};
 pub use subst::Subst;

@@ -1,15 +1,15 @@
-//! One interned workspace from DSL to CLI: [`Session`], the sharded
-//! normal-form memo it owns, and the [`SessionStats`] observability
+//! One interned workspace from DSL to CLI: [`Session`], the id-keyed
+//! normal-form cache it owns, and the [`SessionStats`] observability
 //! choke point.
 //!
 //! The pipeline used to re-create its world on every call: each
 //! completeness item, consistency probe, and verification pass built its
 //! own rewriter, re-compiled the axioms into rules, and re-interned terms
-//! into a throwaway arena. A [`Session`] owns all of that shared state
+//! into a throwaway arena. A [`Session`] owns the state worth sharing
 //! once — the [`Spec`] (and so the [`Signature`]), the compiled
-//! [`RuleSet`], a long-lived hash-consing [`TermArena`], the cross-run
-//! [`ShardedMemo`], and a session-level normal-form cache — and every
-//! layer borrows it instead of rebuilding it.
+//! [`RuleSet`], a long-lived hash-consing [`TermArena`], and a
+//! session-level normal-form cache — and every layer borrows it instead
+//! of rebuilding it.
 //!
 //! # Id-boundary rules
 //!
@@ -22,23 +22,10 @@
 //! [`Term`] from an id is always allowed (it is how anything escapes the
 //! session); storing a foreign arena's ids in the session — or session
 //! ids in any artifact that outlives the session — never is.
-//!
-//! # Memo-soundness rule
-//!
-//! The [`ShardedMemo`] is keyed by the arena-independent structural hash
-//! of a ground term, which bakes in [`crate::OpId`] *indices*. Sharing
-//! one memo between two rewriters is therefore sound only when their
-//! rule sets agree and their signatures assign the same indices to the
-//! same operations: extending a signature with **variables only** (case
-//! splits, superposition renamings) preserves both, while minting new
-//! operations (induction skolem constants) or adding rules (induction
-//! hypotheses) does not. Passes that extend the signature with
-//! operations must keep private, memo-less rewriters.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 use crate::arena::{TermArena, TermId};
 use crate::rules::RuleSet;
@@ -46,181 +33,22 @@ use crate::signature::Signature;
 use crate::spec::Spec;
 use crate::term::Term;
 
-/// Number of lock shards in the memo table. Sixteen keeps contention low
-/// for every worker-pool width this workspace uses while costing only a
-/// few hundred bytes when idle.
-const MEMO_SHARDS: usize = 16;
-
-/// Passes an already-mixed `u64` key through unchanged: the memo is keyed
-/// by [`TermArena::structural_hash`] values, which are well scrambled by
-/// construction, so SipHash on top would only add latency to every probe.
-#[derive(Default)]
-struct PassthroughHasher(u64);
-
-impl Hasher for PassthroughHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PassthroughHasher only hashes u64 keys");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0 = i;
-    }
-}
-
-type MemoShard = HashMap<u64, Vec<(Term, Term)>, BuildHasherDefault<PassthroughHasher>>;
-
-/// A sharded, mutex-guarded normal-form cache.
-///
-/// Entries are keyed by the *arena-independent* structural hash of a
-/// ground term ([`TermArena::structural_hash`]), with hash collisions
-/// resolved by structural comparison against the stored key. Keys and
-/// values are stored as plain [`Term`]s, never as arena ids: ids are
-/// arena-local and the cache outlives every run (and is shared across
-/// worker threads), so terms are re-derived at the cache boundary.
-///
-/// Entries are distributed across a fixed number of independent
-/// `Mutex<HashMap>` shards by hash, so concurrent normalizations from a
-/// worker pool mostly lock disjoint shards. The cache stores only
-/// context-free facts (ground term → normal form), so any interleaving of
-/// insertions yields the same lookups — sharing one memo across threads
-/// cannot change results. See the module docs for when sharing one memo
-/// across *rewriters* is sound.
-///
-/// Hit/miss totals are counted with relaxed atomics; they are telemetry
-/// (surfaced through [`SessionStats`]) and never affect results.
-#[derive(Debug, Default)]
-pub struct ShardedMemo {
-    shards: Vec<Mutex<MemoShard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ShardedMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        ShardedMemo {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| Mutex::new(MemoShard::default()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, hash: u64) -> &Mutex<MemoShard> {
-        &self.shards[(hash as usize) % MEMO_SHARDS]
-    }
-
-    /// Looks up the cached normal form of the term `id` denotes in
-    /// `arena`, confirming hash candidates structurally.
-    pub fn get(&self, arena: &TermArena, id: TermId) -> Option<Term> {
-        let hash = arena.structural_hash(id);
-        let guard = self
-            .shard(hash)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let found = guard
-            .get(&hash)
-            .and_then(|bucket| bucket.iter().find(|(key, _)| arena.term_eq(id, key)))
-            .map(|(_, nf)| nf.clone());
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Records `id → nf` (both re-derived as [`Term`]s at this boundary).
-    pub fn insert(&self, arena: &TermArena, id: TermId, nf: TermId) {
-        let hash = arena.structural_hash(id);
-        let key = arena.to_term(id);
-        let value = arena.to_term(nf);
-        let mut guard = self
-            .shard(hash)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let bucket = guard.entry(hash).or_default();
-        // Another worker may have raced us to the same fact; the check
-        // and the push happen under one shard lock, so buckets never
-        // hold duplicate keys.
-        if !bucket.iter().any(|(existing, _)| existing == &key) {
-            bucket.push((key, value));
-        }
-    }
-
-    /// Total cached facts across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Whether the memo holds no facts.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookup hits so far (telemetry; relaxed ordering).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup misses so far (telemetry; relaxed ordering).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
-impl Clone for ShardedMemo {
-    fn clone(&self) -> Self {
-        ShardedMemo {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| {
-                    Mutex::new(
-                        s.lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .clone(),
-                    )
-                })
-                .collect(),
-            hits: AtomicU64::new(self.hits()),
-            misses: AtomicU64::new(self.misses()),
-        }
-    }
-}
-
 /// A snapshot of a session's observability counters.
 ///
 /// Everything here is *telemetry*: two runs of the same checks produce
-/// identical reports but different stats (memo hits depend on what ran
-/// before). Report comparisons must never include these figures.
+/// identical reports but different stats (nf-cache hits depend on what
+/// ran before). Report comparisons must never include these figures.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Distinct terms interned into the session arena.
     pub interned_terms: usize,
     /// Approximate bytes held by the session arena.
     pub arena_bytes: usize,
-    /// Cross-run memo lookup hits.
+    /// Always zero: kept for readers of the former cross-run memo's
+    /// counters, which no longer exists.
     pub memo_hits: u64,
-    /// Cross-run memo lookup misses.
+    /// Always zero, like [`SessionStats::memo_hits`].
     pub memo_misses: u64,
-    /// Facts currently in the cross-run memo.
-    pub memo_entries: usize,
     /// Session-level normal-form cache hits (id-keyed; the cheapest path).
     pub nf_cache_hits: u64,
     /// Normalizations routed through the session.
@@ -237,31 +65,22 @@ impl SessionStats {
             self.interned_terms, self.arena_bytes
         );
         out.push_str(&format!(
-            "stats: session memo {} entr{}, {} hit(s) / {} miss(es), nf-cache {} hit(s)\n",
-            self.memo_entries,
-            if self.memo_entries == 1 { "y" } else { "ies" },
-            self.memo_hits,
-            self.memo_misses,
-            self.nf_cache_hits
-        ));
-        out.push_str(&format!(
-            "stats: session {} normalization(s), {} rewrite step(s)\n",
-            self.normalizations, self.rewrite_steps
+            "stats: session {} normalization(s), {} rewrite step(s), nf-cache {} hit(s)\n",
+            self.normalizations, self.rewrite_steps, self.nf_cache_hits
         ));
         out
     }
 }
 
 /// One long-lived engine workspace: the specification, its compiled
-/// rules, a shared hash-consing term arena, the cross-run memo, and a
-/// session-level normal-form cache, plus the counters behind
-/// [`SessionStats`].
+/// rules, a shared hash-consing term arena, and a session-level
+/// normal-form cache, plus the counters behind [`SessionStats`].
 ///
 /// A session is `Sync`: the arena sits behind an `RwLock` that is taken
-/// only at API boundaries (interning in, materializing out), the memo is
-/// internally sharded, and the counters are atomics — the evaluation hot
-/// path itself never touches any session lock (engines run on their own
-/// run-local arenas and consult the shared memo between runs).
+/// only at API boundaries (interning in, materializing out), the
+/// normal-form cache behind a `Mutex`, and the counters are atomics —
+/// the evaluation hot path itself never touches any session lock
+/// (engines run on their own run-local arenas).
 ///
 /// ```
 /// use adt_core::{Session, SpecBuilder, Term};
@@ -284,7 +103,6 @@ pub struct Session {
     spec: Spec,
     rules: RuleSet,
     arena: RwLock<TermArena>,
-    memo: Arc<ShardedMemo>,
     /// Session-id → session-id normal forms, for terms normalized through
     /// the session API. Sound because entries are only recorded by
     /// engines running the session's own rule set.
@@ -302,7 +120,6 @@ impl Session {
             spec,
             rules,
             arena: RwLock::new(TermArena::new()),
-            memo: Arc::new(ShardedMemo::new()),
             nf_cache: Mutex::new(HashMap::new()),
             nf_hits: AtomicU64::new(0),
             normalizations: AtomicU64::new(0),
@@ -323,12 +140,6 @@ impl Session {
     /// The compiled rule set (the specification's axioms).
     pub fn rules(&self) -> &RuleSet {
         &self.rules
-    }
-
-    /// The cross-run normal-form memo. Clone the `Arc` to share it with a
-    /// rewriter — see the module docs for when that is sound.
-    pub fn memo(&self) -> &Arc<ShardedMemo> {
-        &self.memo
     }
 
     /// Interns a term into the session arena (write lock; boundary only).
@@ -375,9 +186,8 @@ impl Session {
     }
 
     /// Records `id → nf` in the session normal-form cache. Only engines
-    /// running the session's own rule set may call this (see the module
-    /// docs); a normal form is its own normal form, so `nf → nf` is
-    /// recorded too.
+    /// running the session's own rule set may call this; a normal form is
+    /// its own normal form, so `nf → nf` is recorded too.
     pub fn record_nf(&self, id: TermId, nf: TermId) {
         let mut guard = self
             .nf_cache
@@ -387,9 +197,10 @@ impl Session {
         guard.insert(nf, nf);
     }
 
-    /// Folds one normalization's step count into the session counters.
-    pub fn note_normalization(&self, steps: u64) {
-        self.normalizations.fetch_add(1, Ordering::Relaxed);
+    /// Folds `count` normalizations and the rewrite steps they took into
+    /// the session counters.
+    pub fn note_normalizations(&self, count: u64, steps: u64) {
+        self.normalizations.fetch_add(count, Ordering::Relaxed);
         self.rewrite_steps.fetch_add(steps, Ordering::Relaxed);
     }
 
@@ -399,9 +210,8 @@ impl Session {
         SessionStats {
             interned_terms: arena.len(),
             arena_bytes: arena.approx_bytes(),
-            memo_hits: self.memo.hits(),
-            memo_misses: self.memo.misses(),
-            memo_entries: self.memo.len(),
+            memo_hits: 0,
+            memo_misses: 0,
             nf_cache_hits: self.nf_hits.load(Ordering::Relaxed),
             normalizations: self.normalizations.load(Ordering::Relaxed),
             rewrite_steps: self.rewrite_steps.load(Ordering::Relaxed),
@@ -457,36 +267,14 @@ mod tests {
     }
 
     #[test]
-    fn memo_counts_hits_and_misses() {
-        let memo = ShardedMemo::new();
-        let mut arena = TermArena::new();
-        let spec = tiny_spec();
-        let zero = spec.sig().apply("ZERO", vec![]).unwrap();
-        let t = spec.sig().apply("IS_ZERO?", vec![zero]).unwrap();
-        let id = arena.intern(&t);
-        let nf = arena.intern(&spec.sig().tt());
-        assert_eq!(memo.get(&arena, id), None);
-        memo.insert(&arena, id, nf);
-        assert_eq!(memo.get(&arena, id), Some(spec.sig().tt()));
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.misses(), 1);
-        assert_eq!(memo.len(), 1);
-        assert!(!memo.is_empty());
-        // Cloning preserves both facts and counters.
-        let copy = memo.clone();
-        assert_eq!(copy.len(), 1);
-        assert_eq!(copy.hits(), 1);
-    }
-
-    #[test]
-    fn stats_render_mentions_arena_and_memo() {
+    fn stats_render_mentions_arena_and_counters() {
         let session = Session::new(tiny_spec());
         let zero = session.sig().apply("ZERO", vec![]).unwrap();
         session.intern(&zero);
-        session.note_normalization(7);
+        session.note_normalizations(1, 7);
         let text = session.stats().render();
         assert!(text.contains("session arena 1 term(s)"), "{text}");
-        assert!(text.contains("session memo"), "{text}");
-        assert!(text.contains("7 rewrite step(s)"), "{text}");
+        assert!(!text.contains("memo"), "{text}");
+        assert!(text.contains("1 normalization(s), 7 rewrite step(s)"), "{text}");
     }
 }

@@ -14,8 +14,8 @@
 //!   merging, and nonlinear pattern occurrences cost a `u32` compare
 //!   instead of a tree walk;
 //! * **O(1) groundness and depth** — both are computed once per node at
-//!   interning time and cached, so the memo probe and the instantiation
-//!   shortcut read a bit instead of traversing;
+//!   interning time and cached, so the instantiation shortcut and the
+//!   depth bound read a field instead of traversing;
 //! * **allocation-free sharing** — a rule's contractum reuses the ids of
 //!   the matched subject fragments outright; no subtree is ever copied
 //!   to be substituted.
@@ -30,18 +30,18 @@
 //! # The session surface
 //!
 //! A [`Session`] owns the cross-check shared state (spec, compiled rules,
-//! a long-lived arena, the sharded memo). [`Rewriter::for_session`] builds
-//! a rewriter that *borrows* all of it, and the id-native entry points
+//! a long-lived arena, an id-keyed normal-form cache).
+//! [`Rewriter::for_session`] builds a rewriter that *borrows* it, and the
+//! id-native entry points
 //! ([`normalize_id`], [`normalize_ids`], [`Rewriter::normalize_id`])
 //! accept and return session [`TermId`]s, so callers can hold interned
 //! handles end-to-end and only materialize trees when a report needs one.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use adt_core::{
-    ExhaustionCause, Fuel, FuelSpent, OpId, Session, ShardedMemo, SortId, Spec, Supervisor, Term,
-    TermArena, TermId, TermNode, VarId,
+    ExhaustionCause, Fuel, FuelSpent, OpId, Session, SortId, Spec, Supervisor, Term, TermArena,
+    TermId, TermNode, VarId,
 };
 
 use crate::error::RewriteError;
@@ -255,13 +255,6 @@ pub struct Rewriter<'a> {
     spec: &'a Spec,
     rules: RuleSet,
     budget: Fuel,
-    /// The cross-run ground-term memo ([`adt_core::ShardedMemo`] — it
-    /// lives in `adt-core` so a [`Session`] can own it). Held behind an
-    /// `Arc`: cloning a memoizing rewriter *shares* the memo (clones are
-    /// how callers derive same-rules variants, e.g. with a different
-    /// budget, and facts stay valid across those), and
-    /// [`Rewriter::for_session`] shares the session's memo the same way.
-    memo: Option<Arc<ShardedMemo>>,
     /// Cooperative supervision (deadline/cancellation), polled by every
     /// normalization this rewriter runs. Inert by default.
     supervisor: Supervisor,
@@ -427,7 +420,6 @@ impl<'a> Rewriter<'a> {
             spec,
             rules: RuleSet::from_spec(spec),
             budget: Fuel::default(),
-            memo: None,
             supervisor: Supervisor::none(),
         }
     }
@@ -439,60 +431,17 @@ impl<'a> Rewriter<'a> {
             spec,
             rules,
             budget: Fuel::default(),
-            memo: None,
             supervisor: Supervisor::none(),
         }
     }
 
-    /// Creates a rewriter that borrows a [`Session`]'s world: its spec,
-    /// a copy of its compiled rules, and (shared, not copied) its
-    /// cross-run memo. This is the constructor that makes
-    /// [`Rewriter::normalize_id`] eligible to record into the session's
-    /// normal-form cache — the rules are the session's by construction.
+    /// Creates a rewriter that borrows a [`Session`]'s world: its spec
+    /// and a copy of its compiled rules. This is the constructor that
+    /// makes [`Rewriter::normalize_id`] eligible to record into the
+    /// session's normal-form cache — the rules are the session's by
+    /// construction.
     pub fn for_session(session: &'a Session) -> Self {
-        Rewriter {
-            spec: session.spec(),
-            rules: session.rules().clone(),
-            budget: Fuel::default(),
-            memo: Some(Arc::clone(session.memo())),
-            supervisor: Supervisor::none(),
-        }
-    }
-
-    /// Attaches an existing cross-run memo (shared, not copied).
-    ///
-    /// Sharing a memo between rewriters is sound only when their rule
-    /// sets agree and their signatures assign the same [`OpId`] indices
-    /// to the same operations (the memo is keyed by structural hashes,
-    /// which bake in op indices). Extending a signature with variables
-    /// only preserves both; minting operations or adding rules does not.
-    #[must_use]
-    pub fn with_memo(mut self, memo: Arc<ShardedMemo>) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Enables ground-subterm memoization: the normal form of every
-    /// ground subterm encountered is cached for the lifetime of this
-    /// rewriter (across `normalize` calls).
-    ///
-    /// Sound because ground normalization is context-independent; the
-    /// cache is bypassed under contextual assumptions and while tracing
-    /// (a memo hit would hide derivation steps). Turns the quadratic
-    /// re-derivation pattern of observers like `FRONT` into near-linear
-    /// work — measured by the `memoization` benchmark.
-    ///
-    /// The cache is a sharded, mutex-guarded map keyed by the
-    /// arena-independent structural hash, so a memoizing rewriter is
-    /// `Sync`: the parallel checking engine shares one rewriter (and one
-    /// cache) across its worker threads, and facts learned in one run's
-    /// arena are found from every other run. Clones of a memoizing
-    /// rewriter share the same memo (see [`Rewriter::with_memo`] for the
-    /// sharing rules).
-    #[must_use]
-    pub fn memoizing(mut self) -> Self {
-        self.memo = Some(Arc::new(ShardedMemo::new()));
-        self
+        Rewriter::with_rules(session.spec(), session.rules().clone())
     }
 
     /// Replaces the step budget (number of reduction steps allowed per
@@ -573,19 +522,19 @@ impl<'a> Rewriter<'a> {
     /// The session's id-keyed normal-form cache is consulted first (a
     /// hit costs one map probe, no evaluation, and no fuel); on a miss
     /// the term is materialized under the session's read lock, run
-    /// through the ordinary hot path — a run-local arena plus the
-    /// session's shared cross-run memo, if this rewriter carries it —
-    /// and the normal form is interned back and recorded, along with
-    /// the step count, in the session's counters.
+    /// through the ordinary hot path on a run-local arena, and the
+    /// normal form is interned back and recorded, along with the step
+    /// count, in the session's counters.
     ///
     /// **Contract:** this rewriter's rules must equal the session's
     /// (guaranteed by [`Rewriter::for_session`]); otherwise the recorded
     /// normal forms would poison the session cache for every other
     /// caller. Budgets may differ: a successful normal form is the same
     /// under any budget that reaches it. Conversely, a caller relying on
-    /// exhaustion at a *tiny* budget (fault injection) must not route
-    /// through the session — a cache or memo hit would return the normal
-    /// form without spending the fuel the caller expects to run out.
+    /// exhaustion at a *tiny* budget must not route through the session
+    /// — a cache hit returns the normal form without spending the fuel
+    /// the caller expects to run out. The checkers therefore never
+    /// consult this cache.
     ///
     /// # Errors
     ///
@@ -598,7 +547,7 @@ impl<'a> Rewriter<'a> {
         let (norm, _) = self.run(&term, None, &[])?;
         let nf = session.intern(&norm.term);
         session.record_nf(id, nf);
-        session.note_normalization(norm.steps);
+        session.note_normalizations(1, norm.steps);
         Ok(nf)
     }
 
@@ -608,10 +557,9 @@ impl<'a> Rewriter<'a> {
     /// [`Rewriter::normalize`] — terms are interned and rewritten by id,
     /// not tree-walked — so traced and untraced runs reach the same
     /// normal form by construction. What tracing changes is caching: a
-    /// cache or memo hit would deliver a normal form *without* the
-    /// derivation steps the trace exists to record, so traced runs skip
-    /// both the run cache and the cross-run memo and re-derive every
-    /// reduction.
+    /// cache hit would deliver a normal form *without* the derivation
+    /// steps the trace exists to record, so traced runs skip the run
+    /// cache and re-derive every reduction.
     ///
     /// # Errors
     ///
@@ -627,8 +575,8 @@ impl<'a> Rewriter<'a> {
     /// Assumptions are interned into the same run-local arena as the
     /// subject term, and evaluation runs on the identical id-native hot
     /// path as [`Rewriter::normalize`]. Subterms evaluated under a
-    /// non-empty assumption context are excluded from the run cache and
-    /// the cross-run memo: a normal form that is only valid because
+    /// non-empty assumption context are excluded from the run cache: a
+    /// normal form that is only valid because
     /// `ISSAME?(id, id1) = true` was assumed must not be replayed in a
     /// context where it wasn't. The reference-engine counterpart is
     /// [`Rewriter::normalize_under_reference`].
@@ -659,10 +607,10 @@ impl<'a> Rewriter<'a> {
     ///
     /// Every normalization inside the proof search runs on the shared
     /// run-local arena hot path (see [`Rewriter::normalize_under`] for
-    /// how assumption contexts interact with the caches), so the proof a
-    /// memoizing or session-backed rewriter finds is identical to a
-    /// plain one's — the caches can change how much work is repeated,
-    /// never which [`Proof`] comes back.
+    /// how assumption contexts interact with the run cache), so the
+    /// proof a session-backed rewriter finds is identical to a plain
+    /// one's — the cache can change how much work is repeated, never
+    /// which [`Proof`] comes back.
     ///
     /// # Errors
     ///
@@ -746,12 +694,12 @@ impl<'a> Rewriter<'a> {
         asms: &Assumptions,
     ) -> Result<TermId> {
         st.enter(&self.budget)?;
-        let result = self.eval_memo(cx, id, st, asms);
+        let result = self.eval_cached(cx, id, st, asms);
         st.exit();
         result
     }
 
-    fn eval_memo(
+    fn eval_cached(
         &self,
         cx: &mut RunCx,
         id: TermId,
@@ -760,35 +708,16 @@ impl<'a> Rewriter<'a> {
     ) -> Result<TermId> {
         // Evaluation outside assumption contexts and traces is
         // context-free, so its results are stable for the whole run:
-        // consult the run-local cache first (two array reads), then the
-        // cross-run memo for ground applications. The run cache is what
-        // makes innermost rewriting near-linear here — without it, every
-        // step re-walks the entire already-normalized portion of the
-        // term looking for redexes that cannot exist.
+        // consult the run-local cache first (two array reads). The cache
+        // is what makes innermost rewriting near-linear here — without
+        // it, every step re-walks the entire already-normalized portion
+        // of the term looking for redexes that cannot exist.
         let cacheable = asms.is_empty() && !st.tracing();
         if cacheable {
             if let Some(nf) = cx.cached_nf(id) {
                 return Ok(nf);
             }
         }
-        // Ground-subterm memoization (see `memoizing`): only applications
-        // are worth caching. Groundness is a cached bit, so the probe
-        // costs one hash lookup instead of a tree walk.
-        let memo_key = match &self.memo {
-            Some(memo)
-                if cacheable
-                    && matches!(cx.arena.node(id), TermNode::App(_, _))
-                    && cx.arena.is_ground(id) =>
-            {
-                if let Some(hit) = memo.get(&cx.arena, id) {
-                    let nf = cx.arena.intern(&hit);
-                    cx.record_nf(id, nf);
-                    return Ok(nf);
-                }
-                Some(id)
-            }
-            _ => None,
-        };
         let result = self.eval_loop(cx, id, st, asms)?;
         if cacheable {
             cx.record_nf(id, result);
@@ -796,9 +725,6 @@ impl<'a> Rewriter<'a> {
             // spares the no-op walk when the result id resurfaces as an
             // argument elsewhere.
             cx.record_nf(result, result);
-        }
-        if let (Some(memo), Some(key)) = (&self.memo, memo_key) {
-            memo.insert(&cx.arena, key, result);
         }
         Ok(result)
     }
@@ -1035,7 +961,7 @@ fn first_stuck_cond(term: &Term) -> Option<&Term> {
 }
 
 /// Normalizes a session-interned term with a rewriter borrowed from the
-/// session (its rules, its memo, the default budget), returning the
+/// session (its rules, the default budget), returning the
 /// session id of the normal form.
 ///
 /// Convenience wrapper over [`Rewriter::for_session`] +
@@ -1472,61 +1398,6 @@ mod tests {
     }
 
     #[test]
-    fn memoizing_rewriter_agrees_with_the_plain_one() {
-        let spec = queue_spec();
-        let plain = Rewriter::new(&spec);
-        let memo = Rewriter::new(&spec).memoizing();
-        // A mix of ground and symbolic terms.
-        let qv = Term::Var(spec.sig().find_var("q").unwrap());
-        let iv = Term::Var(spec.sig().find_var("i").unwrap());
-        let mut ground = q(&spec, "NEW", vec![]);
-        for name in ["A", "B", "C", "A", "B"] {
-            ground = q(&spec, "ADD", vec![ground, q(&spec, name, vec![])]);
-        }
-        let samples = vec![
-            q(&spec, "FRONT", vec![ground.clone()]),
-            q(
-                &spec,
-                "REMOVE",
-                vec![q(&spec, "REMOVE", vec![ground.clone()])],
-            ),
-            q(&spec, "IS_EMPTY?", vec![ground.clone()]),
-            q(&spec, "FRONT", vec![q(&spec, "ADD", vec![qv, iv])]),
-            q(&spec, "REMOVE", vec![q(&spec, "NEW", vec![])]),
-        ];
-        for t in &samples {
-            assert_eq!(plain.normalize(t).unwrap(), memo.normalize(t).unwrap());
-        }
-        // The cache persists across calls: a second normalization of the
-        // big ground term takes zero steps.
-        let again = memo
-            .normalize_full(&q(&spec, "FRONT", vec![ground]))
-            .unwrap();
-        assert_eq!(again.steps, 0);
-    }
-
-    #[test]
-    fn memoization_skips_assumption_contexts() {
-        // A memoizing rewriter must still be correct for prove_equal,
-        // which normalizes under assumptions.
-        let spec = queue_spec();
-        let rw = Rewriter::new(&spec).memoizing();
-        let qv = Term::Var(spec.sig().find_var("q").unwrap());
-        let iv = Term::Var(spec.sig().find_var("i").unwrap());
-        let lhs = q(
-            &spec,
-            "FRONT",
-            vec![q(&spec, "ADD", vec![qv.clone(), iv.clone()])],
-        );
-        let rhs = Term::ite(
-            q(&spec, "IS_EMPTY?", vec![qv.clone()]),
-            iv,
-            q(&spec, "FRONT", vec![qv]),
-        );
-        assert!(rw.prove_equal(&lhs, &rhs, 4).unwrap().is_proved());
-    }
-
-    #[test]
     fn deep_ground_terms_exhaust_depth_instead_of_overflowing() {
         // Before `Fuel::default` carried a depth bound, normalizing a
         // deep enough ground term recursed off the native stack and
@@ -1617,7 +1488,7 @@ mod tests {
     }
 
     #[test]
-    fn session_memo_is_shared_across_for_session_rewriters() {
+    fn session_nf_cache_is_shared_across_for_session_rewriters() {
         let spec = queue_spec();
         let session = Session::new(spec.clone());
         let mut ground = q(&spec, "NEW", vec![]);
@@ -1625,16 +1496,25 @@ mod tests {
             ground = q(&spec, "ADD", vec![ground, q(&spec, name, vec![])]);
         }
         let front = q(&spec, "FRONT", vec![ground]);
-        // Warm the session memo through one borrowed rewriter…
+        let id = session.intern(&front);
+        // Warm the session nf-cache through one borrowed rewriter…
         let warm = Rewriter::for_session(&session);
-        let want = warm.normalize(&front).unwrap();
-        // …then a *fresh* borrowed rewriter sees the warm facts: the
-        // second run answers from the memo in zero steps.
-        let cold = Rewriter::for_session(&session);
-        let norm = cold.normalize_full(&front).unwrap();
-        assert_eq!(norm.term, want);
-        assert_eq!(norm.steps, 0, "cross-rewriter memo hit");
-        assert!(session.stats().memo_hits > 0);
+        let want = warm.normalize_id(&session, id).unwrap();
+        let before = session.stats();
+        // …then a *fresh* borrowed rewriter finds the recorded normal
+        // form by id, without evaluating.
+        let fresh = Rewriter::for_session(&session);
+        assert_eq!(fresh.normalize_id(&session, id).unwrap(), want);
+        let after = session.stats();
+        assert_eq!(after.nf_cache_hits, before.nf_cache_hits + 1);
+        assert_eq!(after.normalizations, before.normalizations);
+        // Tree normalization keeps no state between runs: it pays the
+        // same steps every time.
+        let first = fresh.normalize_full(&front).unwrap();
+        let second = fresh.normalize_full(&front).unwrap();
+        assert_eq!(session.term(want), first.term);
+        assert!(first.steps > 0);
+        assert_eq!(first.steps, second.steps);
     }
 
     #[test]

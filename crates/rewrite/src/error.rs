@@ -158,9 +158,9 @@ mod tests {
     #[test]
     fn engine_errors_convert() {
         let e: RewriteError = EngineError::LockPoisoned {
-            what: "memo shard".into(),
+            what: "session arena".into(),
         }
         .into();
-        assert!(e.to_string().contains("memo shard"));
+        assert!(e.to_string().contains("session arena"));
     }
 }

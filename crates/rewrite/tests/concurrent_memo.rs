@@ -1,10 +1,11 @@
-//! Thread-safety stress tests for the sharded rewrite memo: many threads
-//! normalizing through one shared memoizing [`Rewriter`] must produce
-//! exactly the normal forms the sequential engine produces, with no
-//! deadlock — the property the parallel checking engine relies on when it
-//! shares a rewriter across its worker pool.
+//! Thread-safety stress tests for the shared rewrite state: many threads
+//! normalizing through one shared [`Rewriter`], or through one shared
+//! [`Session`] and its id-keyed normal-form cache, must produce exactly
+//! the normal forms the sequential engine produces, with no deadlock —
+//! the property the parallel checking engine relies on when it shares a
+//! rewriter across its worker pool.
 
-use adt_core::DetRng;
+use adt_core::{DetRng, Session};
 use adt_rewrite::Rewriter;
 use adt_structures::specs::{queue_spec, symboltable_spec};
 
@@ -30,7 +31,7 @@ fn concurrent_normalization_matches_sequential_normal_forms() {
     let sig = spec.sig();
 
     // A workload with heavy shared structure: observers over overlapping
-    // queue states, so threads race on the same memo entries.
+    // queue states.
     let mut rng = DetRng::new(0xC0_FFEE);
     let mut terms = Vec::new();
     for _ in 0..48 {
@@ -41,23 +42,22 @@ fn concurrent_normalization_matches_sequential_normal_forms() {
         terms.push(sig.apply(op, vec![state]).unwrap());
     }
 
-    // Sequential ground truth from a plain (unmemoized) rewriter.
+    // Sequential ground truth.
     let plain = Rewriter::new(&spec).with_fuel(1_000_000_000);
     let expected: Vec<_> = terms.iter().map(|t| plain.normalize(t).unwrap()).collect();
 
-    // One shared memoizing rewriter, hammered from 8 threads, each
-    // walking the whole term list in a different order.
-    let memo = Rewriter::new(&spec).with_fuel(1_000_000_000).memoizing();
+    // The same rewriter, hammered from 8 threads, each walking the whole
+    // term list in a different order.
     std::thread::scope(|scope| {
         for offset in 0..8 {
-            let memo = &memo;
+            let plain = &plain;
             let terms = &terms;
             let expected = &expected;
             scope.spawn(move || {
                 for round in 0..3 {
                     for k in 0..terms.len() {
                         let idx = (k * (offset + 1) + round * 7) % terms.len();
-                        let nf = memo.normalize(&terms[idx]).unwrap();
+                        let nf = plain.normalize(&terms[idx]).unwrap();
                         assert_eq!(nf, expected[idx], "term {idx} from thread {offset}");
                     }
                 }
@@ -67,12 +67,12 @@ fn concurrent_normalization_matches_sequential_normal_forms() {
 }
 
 #[test]
-fn concurrent_symboltable_queries_share_one_memo() {
+fn concurrent_symboltable_queries_share_one_session() {
     let spec = symboltable_spec();
     let sig = spec.sig();
 
-    // One deep state, many observers — the access pattern the memo is
-    // for: every thread's RETRIEVE shares the state's subterms.
+    // One deep state, many observers: every thread interns the same
+    // queries into the session arena and races on its nf-cache entries.
     let mut state = sig.apply("INIT", vec![]).unwrap();
     let attr = sig.apply("ATTR_1", vec![]).unwrap();
     let idents = ["ID_X", "ID_Y", "ID_Z"];
@@ -93,26 +93,34 @@ fn concurrent_symboltable_queries_share_one_memo() {
     let plain = Rewriter::new(&spec).with_fuel(1_000_000_000);
     let expected: Vec<_> = queries.iter().map(|t| plain.normalize(t).unwrap()).collect();
 
-    let memo = Rewriter::new(&spec).with_fuel(1_000_000_000).memoizing();
+    let session = Session::new(spec.clone());
+    let rw = Rewriter::for_session(&session).with_fuel(1_000_000_000);
     std::thread::scope(|scope| {
         for _ in 0..8 {
-            let memo = &memo;
+            let (session, rw) = (&session, &rw);
             let queries = &queries;
             let expected = &expected;
             scope.spawn(move || {
                 for _ in 0..4 {
                     for (q, want) in queries.iter().zip(expected) {
-                        assert_eq!(&memo.normalize(q).unwrap(), want);
+                        let nf = rw.normalize_id(session, session.intern(q)).unwrap();
+                        assert_eq!(&session.term(nf), want);
                     }
                 }
             });
         }
     });
+    let stats = session.stats();
+    assert_eq!(
+        stats.nf_cache_hits + stats.normalizations,
+        (8 * 4 * queries.len()) as u64,
+        "every lookup is either a hit or one normalization"
+    );
 }
 
 #[test]
-fn memoized_results_stay_correct_after_concurrent_warmup() {
-    // After the concurrent phase has filled the cache, single-threaded
+fn session_results_stay_correct_after_concurrent_warmup() {
+    // After the concurrent phase has filled the nf-cache, single-threaded
     // reads must still agree with the plain engine (no torn entries).
     let spec = queue_spec();
     let sig = spec.sig();
@@ -123,13 +131,16 @@ fn memoized_results_stay_correct_after_concurrent_warmup() {
     let plain = Rewriter::new(&spec).with_fuel(1_000_000_000);
     let want = plain.normalize(&front).unwrap();
 
-    let memo = Rewriter::new(&spec).with_fuel(1_000_000_000).memoizing();
+    let session = Session::new(spec.clone());
+    let rw = Rewriter::for_session(&session).with_fuel(1_000_000_000);
+    let id = session.intern(&front);
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let memo = &memo;
-            let front = &front;
-            scope.spawn(move || memo.normalize(front).unwrap());
+            let (session, rw) = (&session, &rw);
+            scope.spawn(move || rw.normalize_id(session, id).unwrap());
         }
     });
-    assert_eq!(memo.normalize(&front).unwrap(), want);
+    let hits = session.stats().nf_cache_hits;
+    assert_eq!(session.term(rw.normalize_id(&session, id).unwrap()), want);
+    assert_eq!(session.stats().nf_cache_hits, hits + 1);
 }

@@ -5,9 +5,9 @@
 //! hand-written expected values anywhere:
 //!
 //! * **checker vs. checker** — the parallel checking engine
-//!   ([`check_completeness_jobs`], [`check_consistency_jobs`]) must
-//!   produce *byte-identical* reports to the sequential one at any job
-//!   count. Parallelism is an implementation detail; any divergence is a
+//!   ([`check_completeness_with_config`] and
+//!   [`check_consistency_with_config`] at `jobs > 1`) must produce
+//!   *byte-identical* reports to the sequential one at any job count. Parallelism is an implementation detail; any divergence is a
 //!   merge-order bug.
 //! * **rewriter vs. model** — for bounded ground terms `t` over the
 //!   signature (constructor arguments under every operation root), a
@@ -19,10 +19,10 @@
 //!   while a LIFO model is caught on the first `FRONT(ADD(ADD(…)))`.
 
 use adt_check::{
-    check_completeness_session, check_completeness_with_config, check_consistency_session,
-    check_consistency_with_config, CheckConfig, CompletenessReport, ConsistencyReport, ProbeConfig,
+    check_completeness_with_config, check_consistency_with_config, CheckConfig,
+    CompletenessReport, ConsistencyReport, ProbeConfig,
 };
-use adt_core::{display, Fuel, Session, Spec, Supervisor};
+use adt_core::{display, Fuel, Spec, Supervisor};
 use adt_rewrite::{RewriteError, Rewriter};
 
 use crate::eval::eval_ground;
@@ -143,41 +143,6 @@ pub fn differential_spec_check(spec: &Spec, cfg: &DifferentialConfig) -> Differe
     }
 }
 
-/// [`differential_spec_check`] against a shared [`Session`]: all four
-/// checker runs (sequential and parallel, completeness and consistency)
-/// borrow the session's arena and memo, so the comparison also exercises
-/// the warm-cache path — the parallel run sees every fact the sequential
-/// run derived.
-///
-/// The reports must still match byte-for-byte: memoized facts are
-/// context-free and can only shorten a derivation, never change a normal
-/// form. The one caveat is inherited from [`check_consistency_session`]:
-/// a probe whose exhaustion is fuel-marginal could normalize on the warm
-/// second run after giving up on the cold first one. At the default fuel
-/// on the shipped specifications no probe is marginal.
-pub fn differential_spec_check_session(
-    session: &Session,
-    cfg: &DifferentialConfig,
-) -> DifferentialReport {
-    let seq_cfg = CheckConfig::jobs(1)
-        .with_fuel(cfg.fuel)
-        .with_supervisor(cfg.supervisor.clone());
-    let par_cfg = CheckConfig::jobs(cfg.jobs)
-        .with_fuel(cfg.fuel)
-        .with_supervisor(cfg.supervisor.clone());
-    let comp_seq = check_completeness_session(session, &seq_cfg);
-    let comp_par = check_completeness_session(session, &par_cfg);
-    let cons_seq = check_consistency_session(session, &cfg.probe, &seq_cfg);
-    let cons_par = check_consistency_session(session, &cfg.probe, &par_cfg);
-    DifferentialReport {
-        spec: session.spec().name().to_owned(),
-        terms_tested: 0,
-        checker_diffs: diff_reports(&comp_seq, &comp_par, &cons_seq, &cons_par),
-        mismatches: Vec::new(),
-        interrupted: 0,
-    }
-}
-
 fn diff_reports(
     comp_seq: &CompletenessReport,
     comp_par: &CompletenessReport,
@@ -248,62 +213,6 @@ pub fn differential_check(
         let rendered = display::term(sig, t).to_string();
         let nf = match rw.normalize(t) {
             Ok(nf) => nf,
-            Err(RewriteError::Interrupted { .. }) => {
-                report.interrupted += 1;
-                continue;
-            }
-            Err(e) => {
-                report.mismatches.push(OracleMismatch {
-                    term: rendered,
-                    normal_form: "<none>".to_owned(),
-                    detail: format!("normalization failed: {e}"),
-                });
-                continue;
-            }
-        };
-        let direct = eval_ground(model, t);
-        let via_nf = eval_ground(model, &nf);
-        let sort = t.sort(sig).expect("generated terms are well-sorted");
-        if !model.values_equal(sort, &direct, &via_nf) {
-            report.mismatches.push(OracleMismatch {
-                term: rendered,
-                normal_form: display::term(sig, &nf).to_string(),
-                detail: format!("direct value {direct:?} vs normal-form value {via_nf:?}"),
-            });
-        }
-    }
-    report.terms_tested = terms.len();
-    report
-}
-
-/// [`differential_check`] against a shared [`Session`]: the checker runs
-/// go through [`differential_spec_check_session`], and the
-/// rewriter-vs-model oracle normalizes through the session's id surface
-/// ([`Rewriter::normalize_id`]), so every generated term is interned
-/// once and its normal form lands in the session's NF cache for later
-/// checks.
-///
-/// The model must implement the session's specification. The interned
-/// ids never leave this function — session ids are session-local, and
-/// the report carries rendered terms only.
-pub fn differential_check_session(
-    session: &Session,
-    model: &(dyn Model + Sync),
-    cfg: &DifferentialConfig,
-) -> DifferentialReport {
-    let spec = model.spec();
-    let mut report = differential_spec_check_session(session, cfg);
-
-    let sig = spec.sig();
-    let rw = Rewriter::for_session(session)
-        .with_budget(cfg.fuel)
-        .supervised(cfg.supervisor.clone());
-    let terms = enumerate_terms(sig, cfg.max_arg_depth, cfg.cap_per_op);
-    for t in &terms {
-        let rendered = display::term(sig, t).to_string();
-        let id = session.intern(t);
-        let nf = match rw.normalize_id(session, id) {
-            Ok(nf_id) => session.term(nf_id),
             Err(RewriteError::Interrupted { .. }) => {
                 report.interrupted += 1;
                 continue;
@@ -414,35 +323,5 @@ mod tests {
         let report = differential_spec_check(&spec, &DifferentialConfig::default());
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.terms_tested, 0);
-    }
-
-    #[test]
-    fn session_differential_agrees_with_fresh_runs() {
-        let spec = nat_spec();
-        let model = correct_model(&spec);
-        let cfg = DifferentialConfig::default();
-        let fresh = differential_check(&model, &cfg);
-
-        let session = Session::new(spec.clone());
-        let shared = differential_check_session(&session, &model, &cfg);
-        assert!(shared.passed(), "{}", shared.render());
-        assert_eq!(shared.terms_tested, fresh.terms_tested);
-        let stats = session.stats();
-        assert!(stats.normalizations > 0, "{stats:?}");
-        assert!(stats.interned_terms > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn session_differential_still_catches_the_boundary_bug() {
-        let spec = nat_spec();
-        let model = saturating_model(&spec);
-        let session = Session::new(spec.clone());
-        let report = differential_check_session(&session, &model, &DifferentialConfig::default());
-        assert!(!report.passed());
-        assert!(
-            report.mismatches.iter().any(|m| m.term.contains("PRED")),
-            "{}",
-            report.render()
-        );
     }
 }

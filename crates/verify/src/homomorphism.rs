@@ -16,7 +16,7 @@
 //! ring-buffer example), the comparison is always made in the *abstract*
 //! domain.
 
-use adt_core::{display, Session, Spec, Term};
+use adt_core::{display, Spec, Term};
 use adt_rewrite::Rewriter;
 
 use crate::eval::eval_ground;
@@ -123,36 +123,6 @@ pub fn check_representation(
     cfg: &RepCheckConfig<'_>,
 ) -> RepCheckReport {
     let rw = Rewriter::new(model.spec()).with_fuel(cfg.fuel);
-    check_representation_with(&rw, model, phi, cfg)
-}
-
-/// [`check_representation`] with the rewriter borrowing a shared
-/// [`Session`]'s compiled rules and memo, so normal forms computed here
-/// stay warm for every later check against the same session (and vice
-/// versa).
-///
-/// The session must have been built over the same specification the
-/// model implements: the memo is keyed by structural hashes, which bake
-/// in operation indices, so mixing signatures would cross facts between
-/// unrelated terms. The report is identical to a fresh
-/// [`check_representation`] run — a warm memo changes how fast a normal
-/// form is found, never which one.
-pub fn check_representation_session(
-    session: &Session,
-    model: &dyn Model,
-    phi: &dyn Fn(&MValue) -> Term,
-    cfg: &RepCheckConfig<'_>,
-) -> RepCheckReport {
-    let rw = Rewriter::for_session(session).with_fuel(cfg.fuel);
-    check_representation_with(&rw, model, phi, cfg)
-}
-
-fn check_representation_with(
-    rw: &Rewriter<'_>,
-    model: &dyn Model,
-    phi: &dyn Fn(&MValue) -> Term,
-    cfg: &RepCheckConfig<'_>,
-) -> RepCheckReport {
     let spec: &Spec = model.spec();
     let sig = spec.sig();
 
@@ -318,28 +288,6 @@ mod tests {
         let report = check_representation(&model, &phi, &cfg);
         assert!(report.passed(), "{}", report.summary());
         assert!(report.terms_skipped > 0);
-    }
-
-    #[test]
-    fn session_check_agrees_with_fresh_and_warms_the_memo() {
-        let spec = nat_spec();
-        let model = int_model(&spec, false);
-        let phi = int_phi(&spec);
-        let fresh = check_representation(&model, &phi, &RepCheckConfig::default());
-
-        let session = Session::new(spec.clone());
-        let shared = check_representation_session(&session, &model, &phi, &RepCheckConfig::default());
-        assert_eq!(shared.mismatches, fresh.mismatches);
-        assert_eq!(shared.terms_checked, fresh.terms_checked);
-        assert_eq!(shared.terms_skipped, fresh.terms_skipped);
-        // The ground facts derived here live in the session's memo now.
-        let stats = session.stats();
-        assert!(stats.memo_entries > 0, "{stats:?}");
-
-        // A second run over the same session is answered from the memo.
-        let rerun = check_representation_session(&session, &model, &phi, &RepCheckConfig::default());
-        assert_eq!(rerun.mismatches, fresh.mismatches);
-        assert!(session.stats().memo_hits > 0);
     }
 
     #[test]

@@ -133,14 +133,12 @@ pub fn prove_by_induction(
 /// [`prove_by_induction`] over goals interned in a shared [`Session`].
 ///
 /// The goal sides arrive as ids into the session's arena and are
-/// materialized exactly once at this boundary. Unlike the other verify
-/// passes, the per-case rewriters deliberately do **not** share the
-/// session's memo: every constructor case extends the specification with
-/// induction-hypothesis *rules* (and skolem constructors), and a normal
-/// form memoized under the base rules may reduce further once an
-/// induction hypothesis is available — a shared memo would hand back
-/// stale normal forms. The session contributes the id boundary and the
-/// shared arena here, not the cache.
+/// materialized exactly once at this boundary. The per-case rewriters
+/// never consult the session's normal-form cache: every constructor case
+/// extends the specification with induction-hypothesis *rules* (and
+/// skolem constructors), under which a normal form recorded for the base
+/// rules may reduce further. The session contributes the id boundary,
+/// not the cache.
 ///
 /// # Errors
 ///

@@ -38,13 +38,11 @@
 //!   analysis, optionally restricted by an assumption such as Assumption 1
 //!   ("an identifier is never added to an empty symbol table").
 //!
-//! Every pass also has a `_session` variant that runs against a shared
-//! [`adt_core::Session`], so normal forms derived by one check warm the
-//! memo for the next ([`check_representation_session`],
-//! [`verify_obligation_session`], [`differential_check_session`]) — or,
-//! where memo sharing would be unsound because the pass extends the rule
-//! set, at least crosses the id boundary without rebuilding terms
-//! ([`prove_by_induction_session`]).
+//! Every pass takes a [`adt_core::Spec`] and keeps no cache between
+//! normalizations, so its verdict depends only on the specification, the
+//! terms and the budget. [`prove_by_induction_session`] is the one pass
+//! with a [`adt_core::Session`] entry point, for the REPL, which holds
+//! its goals as session ids.
 //!
 //! See the `representation_proof` and `conditional_correctness`
 //! integration tests for the full Symboltable development.
@@ -67,8 +65,8 @@ pub use axiom_check::{
     check_axioms, check_axioms_jobs, AxiomCheckConfig, AxiomCheckReport, CounterExample,
 };
 pub use differential::{
-    differential_check, differential_check_session, differential_spec_check,
-    differential_spec_check_session, DifferentialConfig, DifferentialReport, OracleMismatch,
+    differential_check, differential_spec_check, DifferentialConfig, DifferentialReport,
+    OracleMismatch,
 };
 pub use eval::{eval_ground, eval_with_env};
 pub use fault::{
@@ -76,16 +74,13 @@ pub use fault::{
     PhaseIsolation,
 };
 pub use gen::{enumerate_ctor_terms, enumerate_terms, sample_ctor_term, TermPool};
-pub use homomorphism::{
-    check_representation, check_representation_session, RepCheckConfig, RepCheckReport,
-    RepMismatch,
-};
+pub use homomorphism::{check_representation, RepCheckConfig, RepCheckReport, RepMismatch};
 pub use induction::{
     instantiate_case, prove_by_induction, prove_by_induction_session, with_lemma, InductionOutcome,
 };
 pub use model::{Model, ModelBuilder, TableModel};
 pub use rep::{
-    translate_obligations, verify_obligation, verify_obligation_session, Obligation,
-    ObligationKind, ObligationOutcome, OpMap, ProofConfig,
+    translate_obligations, verify_obligation, Obligation, ObligationKind, ObligationOutcome,
+    OpMap, ProofConfig,
 };
 pub use value::MValue;

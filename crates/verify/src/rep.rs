@@ -19,9 +19,8 @@
 //! paper's **conditional correctness**.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use adt_core::{display, OpId, Session, SortId, Spec, Term, VarId};
+use adt_core::{display, OpId, SortId, Spec, Term, VarId};
 use adt_rewrite::{Proof, Rewriter};
 
 use crate::induction::instantiate_case;
@@ -309,49 +308,11 @@ pub fn verify_obligation(
     cfg: &ProofConfig,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
     let mut trail = Vec::new();
-    verify_rec(spec, None, &ob.lhs, &ob.rhs, cfg, cfg.case_depth, 1, &mut trail)
+    verify_rec(spec, &ob.lhs, &ob.rhs, cfg, cfg.case_depth, 1, &mut trail)
 }
 
-/// [`verify_obligation`] with every rewriter in the case analysis warmed
-/// by a shared [`Session`]'s memo.
-///
-/// The session must hold the *combined* specification the obligations
-/// were translated into — build it with `Session::new(ext)` from the
-/// extension [`translate_obligations`] returns. Sharing the memo down
-/// the recursion is sound because [`instantiate_case`] extends the
-/// signature with fresh *variables* only: the operation indices (which
-/// the memo's structural hashes bake in) and the axiom set are unchanged
-/// at every depth, so every rewriter in the proof computes the same
-/// rewrite relation over the same hashes. Contrast
-/// [`crate::induction::prove_by_induction`], which adds
-/// induction-hypothesis *rules* per case and therefore must not share a
-/// memo.
-///
-/// # Errors
-///
-/// Returns a rewriting error (fuel exhaustion) if normalization fails.
-pub fn verify_obligation_session(
-    session: &Session,
-    ob: &Obligation,
-    cfg: &ProofConfig,
-) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
-    let mut trail = Vec::new();
-    verify_rec(
-        session.spec(),
-        Some(session),
-        &ob.lhs,
-        &ob.rhs,
-        cfg,
-        cfg.case_depth,
-        1,
-        &mut trail,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn verify_rec(
     spec: &Spec,
-    session: Option<&Session>,
     lhs: &Term,
     rhs: &Term,
     cfg: &ProofConfig,
@@ -359,10 +320,7 @@ fn verify_rec(
     round: usize,
     trail: &mut Vec<String>,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
-    let mut rw = Rewriter::new(spec).with_fuel(cfg.fuel);
-    if let Some(session) = session {
-        rw = rw.with_memo(Arc::clone(session.memo()));
-    }
+    let rw = Rewriter::new(spec).with_fuel(cfg.fuel);
     match rw.prove_equal(lhs, rhs, cfg.max_splits)? {
         Proof::Proved { cases } => Ok(ObligationOutcome::Proved { cases }),
         Proof::Undecided {
@@ -372,7 +330,7 @@ fn verify_rec(
         } => {
             if depth > 0 {
                 if let Some(var) = pick_split_var(spec, lhs, rhs) {
-                    return split_var(spec, session, lhs, rhs, var, cfg, depth, round, trail);
+                    return split_var(spec, lhs, rhs, var, cfg, depth, round, trail);
                 }
             }
             Ok(ObligationOutcome::Failed {
@@ -391,7 +349,6 @@ fn verify_rec(
 #[allow(clippy::too_many_arguments)]
 fn split_var(
     spec: &Spec,
-    session: Option<&Session>,
     lhs: &Term,
     rhs: &Term,
     var: VarId,
@@ -415,18 +372,7 @@ fn split_var(
                 subst.get(var).expect("case substitution binds var")
             )
         ));
-        // The extension added variables only (see the soundness note on
-        // `verify_obligation_session`), so the session memo stays valid.
-        let outcome = verify_rec(
-            &ext,
-            session,
-            &case_lhs,
-            &case_rhs,
-            cfg,
-            depth - 1,
-            round + 1,
-            trail,
-        )?;
+        let outcome = verify_rec(&ext, &case_lhs, &case_rhs, cfg, depth - 1, round + 1, trail)?;
         match outcome {
             ObligationOutcome::Proved { cases } => total += cases,
             failed @ ObligationOutcome::Failed { .. } => return Ok(failed),
@@ -564,25 +510,6 @@ mod tests {
             let outcome = verify_obligation(&ext, ob, &cfg).unwrap();
             assert!(outcome.is_proved(), "axiom {}: {outcome:?}", ob.label);
         }
-    }
-
-    #[test]
-    fn session_proof_agrees_with_fresh_and_shares_the_memo() {
-        let abs = abstract_counter();
-        let conc = concrete_stack(true);
-        let (ext, obs) = translate_obligations(&abs, &conc, &op_map(), Some("PHI")).unwrap();
-        let cfg = ProofConfig::default();
-        let session = Session::new(ext.clone());
-        for ob in &obs {
-            let fresh = verify_obligation(&ext, ob, &cfg).unwrap();
-            let shared = verify_obligation_session(&session, ob, &cfg).unwrap();
-            assert_eq!(shared, fresh, "axiom {}", ob.label);
-            assert!(shared.is_proved(), "axiom {}: {shared:?}", ob.label);
-        }
-        // Ground facts (e.g. IS_START?'(START') → TRUE) accumulated in
-        // the shared memo across obligations.
-        let stats = session.stats();
-        assert!(stats.memo_entries > 0, "{stats:?}");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! implementation detail of the engine; any observable difference is a
 //! merge-order bug.
 
-use adt_check::{check_completeness_jobs, check_consistency_jobs, ProbeConfig};
+use adt_check::{
+    check_completeness_with_config, check_consistency_with_config, CheckConfig, ProbeConfig,
+};
 use adt_core::{display, Fuel, Session, Term};
 use adt_rewrite::Rewriter;
 use adt_structures::sources;
@@ -14,9 +16,9 @@ use adt_verify::{differential_spec_check, enumerate_terms, DifferentialConfig};
 fn completeness_reports_are_identical_across_job_counts() {
     for (name, source) in sources::all() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
-        let seq = check_completeness_jobs(&spec, 1);
+        let seq = check_completeness_with_config(&spec, &CheckConfig::jobs(1));
         for jobs in [2, 4, 8] {
-            let par = check_completeness_jobs(&spec, jobs);
+            let par = check_completeness_with_config(&spec, &CheckConfig::jobs(jobs));
             assert_eq!(
                 seq.is_sufficiently_complete(),
                 par.is_sufficiently_complete(),
@@ -38,9 +40,9 @@ fn consistency_reports_are_identical_across_job_counts() {
     let probe = ProbeConfig::default();
     for (name, source) in sources::all() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
-        let seq = check_consistency_jobs(&spec, &probe, 1);
+        let seq = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(1));
         for jobs in [2, 4, 8] {
-            let par = check_consistency_jobs(&spec, &probe, jobs);
+            let par = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(jobs));
             assert_eq!(seq.is_consistent(), par.is_consistent(), "{name} at {jobs} jobs");
             assert_eq!(
                 seq.contradictions(),
@@ -78,31 +80,43 @@ fn verdict(rw: &Rewriter<'_>, result: adt_rewrite::Result<adt_core::Term>) -> St
     }
 }
 
+/// [`verdict`] for the session's id path: intern, `normalize_id` (which
+/// answers from the session's nf-cache once the term has been seen),
+/// materialize.
+fn session_verdict(session: &Session, rw: &Rewriter<'_>, term: &Term) -> String {
+    let result = rw
+        .normalize_id(session, session.intern(term))
+        .map(|nf| session.term(nf));
+    verdict(rw, result)
+}
+
 #[test]
 fn all_three_engines_agree_on_every_shipped_spec() {
-    // The arena-backed hot path, the same engine with the shared memo
-    // table enabled, and the pre-arena tree-walking oracle must produce
-    // byte-identical verdicts for every ground probe of every shipped
-    // specification. The memo table and the interning layer are pure
-    // implementation detail; any visible difference is a soundness bug.
+    // The arena-backed hot path, the session's id path (cold, then warm
+    // from its nf-cache), and the pre-arena tree-walking oracle must
+    // produce byte-identical verdicts for every ground probe of every
+    // shipped specification. The nf-cache and the interning layer are
+    // pure implementation detail; any visible difference is a soundness
+    // bug.
     let mut probes_checked = 0usize;
     for (name, source) in sources::all() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let plain = Rewriter::new(&spec);
-        let memo = Rewriter::new(&spec).memoizing();
+        let session = Session::new(spec.clone());
+        let shared = Rewriter::for_session(&session);
         for probe in enumerate_terms(spec.sig(), 2, 6) {
             let fast = verdict(&plain, plain.normalize(&probe));
-            let memoized = verdict(&memo, memo.normalize(&probe));
+            let cold = session_verdict(&session, &shared, &probe);
             let oracle = verdict(
                 &plain,
                 plain.normalize_reference(&probe).map(|n| n.term),
             );
             let shown = display::term(spec.sig(), &probe);
             assert_eq!(fast, oracle, "{name}: plain vs reference on `{shown}`");
-            assert_eq!(fast, memoized, "{name}: plain vs memoizing on `{shown}`");
-            // Warm-memo runs must also agree with the first one.
-            let warm = verdict(&memo, memo.normalize(&probe));
-            assert_eq!(memoized, warm, "{name}: cold vs warm memo on `{shown}`");
+            assert_eq!(fast, cold, "{name}: plain vs session on `{shown}`");
+            // Warm-session runs must also agree with the first one.
+            let warm = session_verdict(&session, &shared, &probe);
+            assert_eq!(cold, warm, "{name}: cold vs warm session on `{shown}`");
             probes_checked += 1;
         }
     }
@@ -138,8 +152,8 @@ fn work_sharing_never_changes_the_normal_form() {
 #[test]
 fn zero_jobs_means_all_cores_and_still_matches() {
     let spec = sources::load("queue").unwrap();
-    let seq = check_completeness_jobs(&spec, 1);
-    let auto = check_completeness_jobs(&spec, 0);
+    let seq = check_completeness_with_config(&spec, &CheckConfig::jobs(1));
+    let auto = check_completeness_with_config(&spec, &CheckConfig::jobs(0));
     assert_eq!(seq.coverage(), auto.coverage());
     assert_eq!(seq.prompts(), auto.prompts());
 }
@@ -162,29 +176,32 @@ fn traced_runs_reach_the_same_normal_form_on_every_engine() {
     // `normalize`; tracing only switches the caches off so every
     // derivation step is re-derived and recorded. The observable
     // contract: the traced normal form equals the untraced one on the
-    // plain, memoizing, and session-backed engines — including after
-    // the memo has been warmed, when a cache hit could otherwise
-    // short-circuit the derivation the trace exists to capture.
+    // plain and session-backed engines — including after the session's
+    // nf-cache has been warmed with the same term, whose recorded normal
+    // form must not short-circuit the derivation the trace captures.
     for (name, source) in sources::all() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let session = Session::new(spec.clone());
         let plain = Rewriter::new(&spec);
-        let memo = Rewriter::new(&spec).memoizing();
         let shared = Rewriter::for_session(&session);
         for probe in enumerate_terms(spec.sig(), 2, 4) {
-            let Ok(base) = plain.normalize(&probe) else {
+            let Ok(base) = plain.normalize_full(&probe) else {
                 continue;
             };
             let shown = display::term(spec.sig(), &probe);
-            for (engine, rw) in [("plain", &plain), ("memoizing", &memo), ("session", &shared)] {
+            for (engine, rw) in [("plain", &plain), ("session", &shared)] {
                 let (nf, _) = rw.normalize_traced(&probe).unwrap();
-                assert_eq!(nf, base, "{name}: traced {engine} on `{shown}`");
+                assert_eq!(nf, base.term, "{name}: traced {engine} on `{shown}`");
             }
-            // Warm the memo, then trace again: the trace path must
-            // bypass the warm entries and still land on the same form.
-            memo.normalize(&probe).unwrap();
-            let (warm, _) = memo.normalize_traced(&probe).unwrap();
-            assert_eq!(warm, base, "{name}: traced warm memo on `{shown}`");
+            // Warm the session, then trace again: the trace must still
+            // record the whole derivation.
+            shared.normalize_id(&session, session.intern(&probe)).unwrap();
+            let (warm, trace) = shared.normalize_traced(&probe).unwrap();
+            assert_eq!(warm, base.term, "{name}: traced warm session on `{shown}`");
+            assert!(
+                trace.len() as u64 >= base.steps,
+                "{name}: the warm trace of `{shown}` skipped steps"
+            );
         }
     }
 }
@@ -206,7 +223,6 @@ fn assumption_contexts_agree_with_the_reference_engine() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let session = Session::new(spec.clone());
         let plain = Rewriter::new(&spec).with_budget(budget);
-        let memo = Rewriter::new(&spec).memoizing().with_budget(budget);
         let shared = Rewriter::for_session(&session).with_budget(budget);
         for ax in spec.axioms() {
             let Some(cond) = first_ite_cond(ax.rhs()).cloned() else {
@@ -220,10 +236,13 @@ fn assumption_contexts_agree_with_the_reference_engine() {
                 };
                 let oracle = plain.normalize_under_reference(ax.rhs(), &asms).unwrap();
                 assert_eq!(base, oracle, "{name}: `{shown}` under {value}, plain vs reference");
-                let memoized = memo.normalize_under(ax.rhs(), &asms).unwrap();
-                assert_eq!(base, memoized, "{name}: `{shown}` under {value}, plain vs memoizing");
                 let sessioned = shared.normalize_under(ax.rhs(), &asms).unwrap();
                 assert_eq!(base, sessioned, "{name}: `{shown}` under {value}, plain vs session");
+                // Warm the session with the context-free normal form; the
+                // contextual one must not pick it up.
+                let _ = shared.normalize_id(&session, session.intern(ax.rhs()));
+                let warm = shared.normalize_under(ax.rhs(), &asms).unwrap();
+                assert_eq!(base, warm, "{name}: `{shown}` under {value}, cold vs warm session");
                 contexts_checked += 1;
             }
         }
@@ -248,20 +267,20 @@ fn proofs_are_identical_across_engines() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let session = Session::new(spec.clone());
         let plain = Rewriter::new(&spec).with_budget(budget);
-        let memo = Rewriter::new(&spec).memoizing().with_budget(budget);
         let shared = Rewriter::for_session(&session).with_budget(budget);
         for (idx, ax) in spec.axioms().iter().enumerate() {
             let Ok(base) = plain.prove_equal(ax.lhs(), ax.rhs(), 4) else {
                 continue;
             };
-            let memoized = memo.prove_equal(ax.lhs(), ax.rhs(), 4).unwrap();
-            assert_eq!(base, memoized, "{name} axiom {idx}: plain vs memoizing");
             let sessioned = shared.prove_equal(ax.lhs(), ax.rhs(), 4).unwrap();
             assert_eq!(base, sessioned, "{name} axiom {idx}: plain vs session");
-            // A second run against the now-warm memo must return the
-            // same proof object, not a cache-shaped variant of it.
-            let warm = memo.prove_equal(ax.lhs(), ax.rhs(), 4).unwrap();
-            assert_eq!(base, warm, "{name} axiom {idx}: cold vs warm memo");
+            // A second run against a session warmed with both sides must
+            // return the same proof object, not a cache-shaped variant.
+            for side in [ax.lhs(), ax.rhs()] {
+                let _ = shared.normalize_id(&session, session.intern(side));
+            }
+            let warm = shared.prove_equal(ax.lhs(), ax.rhs(), 4).unwrap();
+            assert_eq!(base, warm, "{name} axiom {idx}: cold vs warm session");
         }
     }
 }

@@ -1,17 +1,16 @@
-//! Session-reuse invariance: one [`Session`] shared across the
-//! completeness, consistency, and differential checkers must produce
-//! reports byte-identical to fresh-session runs of the same checks, at
-//! every job count. The shared arena and the warm memo are performance
-//! machinery only — if reuse changes a single report byte, cache reuse
-//! has leaked into semantics.
+//! Session-reuse invariance: one [`Session`] carried across checks must
+//! produce reports byte-identical to session-less runs of the same checks,
+//! at every job count and at every fuel budget. The session's arena and
+//! normal-form cache are performance machinery only — if a warm session
+//! changes a single report byte, cache state has leaked into semantics.
 
 use adt_check::{
     check_completeness_session, check_completeness_with_config, check_consistency_session,
     check_consistency_with_config, CheckConfig, CompletenessReport, ConsistencyReport, ProbeConfig,
 };
-use adt_core::Session;
+use adt_core::{Fuel, Session};
+use adt_rewrite::normalize_id;
 use adt_structures::sources;
-use adt_verify::{differential_spec_check, differential_spec_check_session, DifferentialConfig};
 
 /// Every observable of a completeness report, folded into one string so
 /// comparisons are byte-for-byte.
@@ -58,82 +57,128 @@ fn shared_session_reports_match_fresh_runs_on_every_spec() {
     for jobs in [1, 4] {
         let config = CheckConfig::jobs(jobs);
         let probe = ProbeConfig::default();
-        let dcfg = DifferentialConfig::default();
         for (name, source) in sources::all() {
             let spec =
                 adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
 
-            // Fresh-session baseline: each check builds its own state.
+            // Session-less baseline.
             let comp_fresh = check_completeness_with_config(&spec, &config);
             let cons_fresh = check_consistency_with_config(&spec, &probe, &config);
-            let diff_fresh = differential_spec_check(&spec, &dcfg);
 
-            // One session carried across all three checks in sequence,
-            // so the consistency phase runs against a memo warmed by
-            // completeness, and the differential against both.
+            // One session carried across the checks in sequence, the
+            // consistency check run twice so the second sees a session
+            // already used by the first.
             let session = Session::new(spec.clone());
             let comp_shared = check_completeness_session(&session, &config);
-            let cons_shared = check_consistency_session(&session, &probe, &config);
-            let diff_shared = differential_spec_check_session(&session, &dcfg);
+            let cons_first = check_consistency_session(&session, &probe, &config);
+            let cons_again = check_consistency_session(&session, &probe, &config);
 
             assert_eq!(
                 completeness_fingerprint(&comp_fresh),
                 completeness_fingerprint(&comp_shared),
                 "{name} at {jobs} jobs: completeness"
             );
-            assert_eq!(
-                consistency_fingerprint(&cons_fresh),
-                consistency_fingerprint(&cons_shared),
-                "{name} at {jobs} jobs: consistency"
-            );
-            assert_eq!(
-                diff_fresh.render(),
-                diff_shared.render(),
-                "{name} at {jobs} jobs: differential"
-            );
+            for (run, cons_shared) in [("first", &cons_first), ("second", &cons_again)] {
+                assert_eq!(
+                    consistency_fingerprint(&cons_fresh),
+                    consistency_fingerprint(cons_shared),
+                    "{name} at {jobs} jobs: consistency, {run} session run"
+                );
+            }
         }
     }
 }
 
 #[test]
+fn tight_fuel_verdicts_do_not_depend_on_session_warmth() {
+    // At a budget that some items only just exhaust, a cache warmed by an
+    // earlier check could hand back a normal form the cold run never
+    // reaches. Warm each session at the default budget, then check it at
+    // a tight one: every pair and probe verdict must equal a cold run's.
+    const FUELS: [u64; 12] = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
+    let probe = ProbeConfig::default();
+    let mut differing = Vec::new();
+    for (name, source) in sources::all() {
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let session = Session::new(spec.clone());
+        check_consistency_session(&session, &probe, &CheckConfig::jobs(1));
+        for fuel in FUELS {
+            let config = CheckConfig::jobs(1).with_fuel(Fuel::steps(fuel));
+            let warm = check_consistency_session(&session, &probe, &config);
+            let cold = check_consistency_with_config(&spec, &probe, &config);
+            if warm.pair_verdicts() != cold.pair_verdicts()
+                || warm.probe_verdicts() != cold.probe_verdicts()
+            {
+                differing.push(format!("{name} at fuel {fuel}"));
+            }
+        }
+    }
+    assert!(
+        differing.is_empty(),
+        "{} of {} cases differ from a cold run: {}",
+        differing.len(),
+        sources::all().len() * FUELS.len(),
+        differing.join(", ")
+    );
+}
+
+#[test]
 fn a_reused_session_accumulates_monotone_telemetry() {
-    // The point of carrying one session is that later checks see earlier
-    // checks' work: counters must only grow, and the checks that
-    // normalize must leave memo facts for the ones that follow.
+    // A session counts the work routed through it: counters only grow,
+    // a consistency check adds one normalization per probe and exactly
+    // the rewrite steps its report states, and the arena grows only by
+    // what callers intern.
     let spec = sources::load("symboltable").unwrap();
     let session = Session::new(spec.clone());
     let config = CheckConfig::jobs(1);
 
-    // Completeness is a static pattern-coverage analysis: it interns
-    // witness terms for missing cases but normalizes nothing, and this
-    // spec is sufficiently complete — the session stays untouched.
+    // Completeness is a static pattern-coverage analysis: it normalizes
+    // and interns nothing.
     check_completeness_session(&session, &config);
     let after_comp = session.stats();
     assert_eq!(after_comp.normalizations, 0);
+    assert_eq!(after_comp.rewrite_steps, 0);
+    assert_eq!(after_comp.interned_terms, 0);
 
-    check_consistency_session(&session, &ProbeConfig::default(), &config);
+    let report = check_consistency_session(&session, &ProbeConfig::default(), &config);
     let after_cons = session.stats();
-    assert!(after_cons.memo_entries > 0, "consistency left no memo facts");
-    assert!(after_cons.interned_terms > 0, "no probe terms were interned");
+    assert_eq!(after_cons.normalizations, report.probes_run() as u64);
+    assert_eq!(after_cons.rewrite_steps, report.stats().rewrite_steps);
+    assert!(after_cons.rewrite_steps > 0, "the probes took no steps");
+    assert_eq!(after_cons.interned_terms, 0, "the check interned terms");
 
-    differential_spec_check_session(&session, &DifferentialConfig::default());
-    let after_diff = session.stats();
-    assert!(after_diff.memo_entries >= after_cons.memo_entries);
-    assert!(
-        after_diff.memo_hits > after_cons.memo_hits,
-        "the differential pass never hit the memo consistency warmed"
+    // An id-native normalization interns the term and its normal form and
+    // counts one more normalization.
+    let sig = session.sig();
+    let args = vec![sig.apply("INIT", vec![]).unwrap(), sig.apply("ID_X", vec![]).unwrap()];
+    let id = session.intern(&sig.apply("IS_INBLOCK?", args).unwrap());
+    normalize_id(&session, id).unwrap();
+    let after_nf = session.stats();
+    assert_eq!(after_nf.normalizations, after_cons.normalizations + 1);
+    assert!(after_nf.rewrite_steps > after_cons.rewrite_steps);
+    assert!(after_nf.interned_terms > after_cons.interned_terms);
+    assert!(after_nf.arena_bytes > after_cons.arena_bytes);
+
+    // A second check adds the same counts again.
+    check_consistency_session(&session, &ProbeConfig::default(), &config);
+    let after_again = session.stats();
+    assert_eq!(
+        after_again.normalizations,
+        after_nf.normalizations + report.probes_run() as u64
     );
-    assert!(after_diff.interned_terms >= after_cons.interned_terms);
-    assert!(after_diff.arena_bytes > 0);
+    assert_eq!(
+        after_again.rewrite_steps,
+        after_nf.rewrite_steps + report.stats().rewrite_steps
+    );
+    assert_eq!(after_again.interned_terms, after_nf.interned_terms);
+    assert_eq!((after_again.memo_hits, after_again.memo_misses), (0, 0));
 
-    // An incomplete spec's completeness check does touch the arena: the
-    // missing-case witnesses are interned for id-holding consumers.
+    // An incomplete spec's missing-case witnesses stay in the report;
+    // nothing reads them from the session.
     let gappy = sources::load("queue_incomplete").unwrap();
     let gappy_session = Session::new(gappy.clone());
     let report = check_completeness_session(&gappy_session, &config);
     assert!(!report.is_sufficiently_complete());
-    assert!(
-        gappy_session.stats().interned_terms > 0,
-        "missing-case witnesses were not interned"
-    );
+    assert_eq!(gappy_session.stats().interned_terms, 0);
 }
