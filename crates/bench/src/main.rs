@@ -222,8 +222,8 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     }
 
     // session_reuse: the same batch of observer checks run N times — once
-    // against a single long-lived session (the CLI/REPL shape: the first
-    // check warms the arena and nf-cache for the other N-1), and
+    // against a single long-lived session (the first check warms the
+    // session store and its normal-form table for the other N-1), and
     // once with a fresh session built per check. The shared row carries
     // the fresh median as its `before_ns`, so the committed JSON records
     // the reuse speedup directly.

@@ -33,7 +33,7 @@ use adt_check::{
     ProbeConfig, RetryFuel,
 };
 use adt_core::{display, Deadline, Fuel, Session, Spec, Supervisor};
-use adt_dsl::{parse_session, parse_term_id, print_spec};
+use adt_dsl::{parse_session, parse_term, print_spec};
 use adt_rewrite::{Proof, Rewriter};
 use adt_verify::{fault_isolation_check, parse_fault_plan};
 
@@ -644,14 +644,10 @@ fn cmd_batch(args: &[String]) -> Outcome {
 
 fn cmd_eval(session: &Session, term_src: &str, trace: bool) -> Outcome {
     let sig = session.sig();
-    // The query is interned into the session arena and materialized once
-    // at the engine boundary; its normal form is recorded back so a later
-    // query against the same session starts warm.
-    let id = match parse_term_id(session, term_src) {
-        Ok(id) => id,
+    let term = match parse_term(session.spec(), term_src) {
+        Ok(term) => term,
         Err(diags) => return Outcome::fail(diags.render(term_src)),
     };
-    let term = session.term(id);
     let rw = Rewriter::for_session(session);
     if trace {
         match rw.normalize_traced(&term) {
@@ -665,7 +661,6 @@ fn cmd_eval(session: &Session, term_src: &str, trace: bool) -> Outcome {
     } else {
         match rw.normalize_full(&term) {
             Ok(norm) => {
-                session.record_nf(id, session.intern(&norm.term));
                 session.note_normalizations(1, norm.steps);
                 Outcome::ok(format!(
                     "{}   ({} step(s))\n",
@@ -693,12 +688,12 @@ fn cmd_prove(args: &[String]) -> Outcome {
         Err(diags) => return Outcome::fail(diags.render(&source)),
     };
     let spec = session.spec();
-    let lhs = match parse_term_id(&session, lhs_src) {
-        Ok(id) => session.term(id),
+    let lhs = match parse_term(spec, lhs_src) {
+        Ok(term) => term,
         Err(diags) => return Outcome::fail(diags.render(lhs_src)),
     };
-    let rhs = match parse_term_id(&session, rhs_src) {
-        Ok(id) => session.term(id),
+    let rhs = match parse_term(spec, rhs_src) {
+        Ok(term) => term,
         Err(diags) => return Outcome::fail(diags.render(rhs_src)),
     };
     let rw = Rewriter::for_session(&session);

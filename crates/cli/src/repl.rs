@@ -56,9 +56,10 @@ enum ReplAction {
 /// commands executed (used by tests; the binary ignores it).
 ///
 /// One [`Session`] lives for the whole REPL lifetime: every line's
-/// rewriter borrows its compiled rules, and terms and their normal forms
-/// are interned into its arena. `:reset` is the explicit way to drop
-/// that state.
+/// rewriter borrows its compiled rules, and the session counts every
+/// line's normalization. Lines are normalized cold, on run-local stores,
+/// so a reply never depends on earlier lines. `:reset` is the explicit
+/// way to drop that state.
 ///
 /// # Errors
 ///
@@ -249,8 +250,7 @@ fn dispatch(
                 };
                 let lhs = parse_in_env(spec, env, lhs_src.trim())?;
                 let rhs = parse_in_env(spec, env, rhs_src.trim())?;
-                let (lhs_id, rhs_id) = (session.intern(&lhs), session.intern(&rhs));
-                match adt_verify::prove_by_induction_session(session, lhs_id, rhs_id, var, 8) {
+                match adt_verify::prove_by_induction(spec, &lhs, &rhs, var, 8) {
                     Ok(adt_verify::InductionOutcome::Proved { cases }) => {
                         let names: Vec<&str> = cases.iter().map(|(n, _)| n.as_str()).collect();
                         let _ =
@@ -326,7 +326,6 @@ fn dispatch(
     let term = parse_in_env(spec, env, line)?;
     match rw.normalize_full(&term) {
         Ok(norm) => {
-            session.record_nf(session.intern(&term), session.intern(&norm.term));
             session.note_normalizations(1, norm.steps);
             let _ = writeln!(
                 reply,

@@ -24,9 +24,12 @@
 //! outlives the arena — anything that crosses an arena boundary does so as
 //! a reconstructed [`Term`] ([`TermArena::to_term`]).
 //!
-//! The arena is append-only and unsynchronized by design: engines create
-//! one arena per normalization run, keeping the hot path free of locks,
-//! and drop it wholesale when the run completes.
+//! The arena is append-only and unsynchronized by design. The engine's
+//! working state is a [`TermStore`]: an arena plus a dense, id-indexed
+//! normal-form table. A `Term`-level normalization builds a fresh store
+//! and drops it when the run completes; a `Session` owns exactly one
+//! store, behind a mutex, and session-id normalizations evaluate in it
+//! in place.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -406,49 +409,88 @@ impl TermArena {
         done.pop().expect("reconstruction produces exactly one root")
     }
 
-    /// Whether the denoted term is structurally equal to `term`, without
-    /// allocating. Iterative, so arbitrarily deep comparands are fine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was produced by a different arena.
-    pub fn term_eq(&self, id: TermId, term: &Term) -> bool {
-        let mut stack: Vec<(TermId, &Term)> = vec![(id, term)];
-        while let Some((id, t)) = stack.pop() {
-            match (self.node(id), t) {
-                (TermNode::Var(a), Term::Var(b)) => {
-                    if a != b {
-                        return false;
-                    }
-                }
-                (TermNode::Error(a), Term::Error(b)) => {
-                    if a != b {
-                        return false;
-                    }
-                }
-                (TermNode::App(op1, args1), Term::App(op2, args2)) => {
-                    if op1 != op2 || args1.len() != args2.len() {
-                        return false;
-                    }
-                    stack.extend(args1.iter().copied().zip(args2.iter()));
-                }
-                (TermNode::Ite(c, th, e), Term::Ite(ite)) => {
-                    stack.push((*e, &ite.else_branch));
-                    stack.push((*th, &ite.then_branch));
-                    stack.push((*c, &ite.cond));
-                }
-                _ => return false,
-            }
-        }
-        true
-    }
-
     /// Convenience: interns all parts of an [`Ite`].
     pub fn intern_ite(&mut self, ite: &Ite) -> TermId {
         let c = self.intern(&ite.cond);
         let t = self.intern(&ite.then_branch);
         let e = self.intern(&ite.else_branch);
         self.ite(c, t, e)
+    }
+}
+
+/// The engine's working state: a [`TermArena`] plus a dense,
+/// id-indexed normal-form table.
+///
+/// `cached_nf(id)` is two array reads. The table only ever holds true
+/// normal forms: the engine records an entry when a sub-evaluation
+/// finishes outside assumption contexts and traces, so an entry holds
+/// even if the enclosing run later exhausts its fuel or is interrupted.
+/// The arena is append-only, so an entry holds for the store's whole
+/// life.
+///
+/// ```
+/// use adt_core::{Signature, Term, TermStore};
+///
+/// let mut sig = Signature::new();
+/// let s = sig.add_sort("S")?;
+/// let c = sig.add_ctor("C", vec![], s)?;
+/// let f = sig.add_op("F", vec![s], s)?;
+///
+/// let mut store = TermStore::new();
+/// let redex = store.arena_mut().intern(&Term::App(f, vec![Term::constant(c)]));
+/// let nf = store.arena_mut().intern(&Term::constant(c));
+/// assert_eq!(store.cached_nf(redex), None);
+/// store.record_nf(redex, nf);
+/// assert_eq!(store.cached_nf(redex), Some(nf));
+/// # Ok::<(), adt_core::CoreError>(())
+/// ```
+#[derive(Debug, Default, Clone)]
+pub struct TermStore {
+    arena: TermArena,
+    /// `nf[id.index()]` is the normal form of `id`, if one was recorded.
+    /// Indexed densely by id (ids are arena offsets), so no hashing.
+    nf: Vec<Option<TermId>>,
+}
+
+impl TermStore {
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        TermStore::default()
+    }
+
+    /// The terms held by this store.
+    #[inline]
+    pub fn arena(&self) -> &TermArena {
+        &self.arena
+    }
+
+    /// The terms held by this store, for interning. The arena is
+    /// append-only, so no recorded normal form is invalidated.
+    #[inline]
+    pub fn arena_mut(&mut self) -> &mut TermArena {
+        &mut self.arena
+    }
+
+    /// The recorded normal form of `id`, if any.
+    #[inline]
+    pub fn cached_nf(&self, id: TermId) -> Option<TermId> {
+        self.nf.get(id.index()).copied().flatten()
+    }
+
+    /// Records `nf` as the normal form of `id`. Only an engine running
+    /// the rules every other user of this store runs may call this.
+    pub fn record_nf(&mut self, id: TermId, nf: TermId) {
+        let index = id.index();
+        if self.nf.len() <= index {
+            self.nf.resize(self.arena.len(), None);
+        }
+        self.nf[index] = Some(nf);
+    }
+
+    /// Approximate heap footprint in bytes: the arena's
+    /// ([`TermArena::approx_bytes`]) plus the normal-form table's.
+    pub fn approx_bytes(&self) -> usize {
+        self.arena.approx_bytes() + self.nf.capacity() * std::mem::size_of::<Option<TermId>>()
     }
 }
 
@@ -509,7 +551,6 @@ mod tests {
         );
         let id = arena.intern(&t);
         assert_eq!(arena.to_term(id), t);
-        assert!(arena.term_eq(id, &t));
     }
 
     #[test]
@@ -528,26 +569,8 @@ mod tests {
     }
 
     #[test]
-    fn term_eq_rejects_structural_differences() {
-        let sig = sig();
-        let mut arena = TermArena::new();
-        let three = chain(&sig, 3);
-        let four = chain(&sig, 4);
-        let id = arena.intern(&three);
-        assert!(arena.term_eq(id, &three));
-        assert!(!arena.term_eq(id, &four));
-        let front = sig.apply("FRONT", vec![three.clone()]).unwrap();
-        assert!(!arena.term_eq(id, &front));
-        let item = sig.find_sort("Item").unwrap();
-        let queue = sig.find_sort("Queue").unwrap();
-        let e = arena.intern(&Term::Error(item));
-        assert!(arena.term_eq(e, &Term::Error(item)));
-        assert!(!arena.term_eq(e, &Term::Error(queue)));
-    }
-
-    #[test]
     fn deep_terms_intern_without_native_recursion() {
-        // ~100k-deep chain: recursion anywhere in intern/to_term/term_eq
+        // ~100k-deep chain: recursion anywhere in intern/to_term
         // would blow the native stack. The Term itself has a recursive
         // Drop, so the whole test runs on a thread with a large stack.
         std::thread::Builder::new()
@@ -568,7 +591,6 @@ mod tests {
                 let id = arena.intern(&t);
                 assert_eq!(arena.depth(id) as usize, depth + 1);
                 assert!(arena.is_ground(id));
-                assert!(arena.term_eq(id, &t));
                 let back = arena.to_term(id);
                 assert_eq!(back.depth(), depth + 1);
             })

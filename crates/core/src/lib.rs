@@ -77,7 +77,7 @@ mod unify;
 
 pub mod display;
 
-pub use arena::{TermArena, TermId, TermNode};
+pub use arena::{TermArena, TermId, TermNode, TermStore};
 pub use axiom::Axiom;
 pub use error::{CoreError, EngineError};
 pub use fuel::{ExhaustionCause, Fuel, FuelSpent, DEFAULT_FUEL_STEPS, DEFAULT_MAX_DEPTH};

@@ -1,33 +1,33 @@
-//! One interned workspace from DSL to CLI: [`Session`], the id-keyed
-//! normal-form cache it owns, and the [`SessionStats`] observability
-//! choke point.
+//! One interned workspace from DSL to CLI: [`Session`], the one
+//! [`TermStore`] it owns, and the [`SessionStats`] observability choke
+//! point.
 //!
 //! The pipeline used to re-create its world on every call: each
 //! completeness item, consistency probe, and verification pass built its
 //! own rewriter, re-compiled the axioms into rules, and re-interned terms
 //! into a throwaway arena. A [`Session`] owns the state worth sharing
 //! once — the [`Spec`] (and so the [`Signature`]), the compiled
-//! [`RuleSet`], a long-lived hash-consing [`TermArena`], and a
-//! session-level normal-form cache — and every layer borrows it instead
-//! of rebuilding it.
+//! [`RuleSet`], and one long-lived [`TermStore`] (a hash-consing arena
+//! plus its normal-form table) — and every layer borrows it instead of
+//! rebuilding it.
 //!
 //! # Id-boundary rules
 //!
 //! [`TermId`]s handed out by [`Session::intern`] are *session-local*: they
-//! index the session arena and are meaningless anywhere else. The
-//! evaluation hot path still runs on its own run-local arena (keeping it
-//! lock-free); session ids cross into an engine only at the API boundary,
-//! where the term is materialized under a read lock, and normal forms
-//! cross back by being interned under a write lock. Materializing a
-//! [`Term`] from an id is always allowed (it is how anything escapes the
-//! session); storing a foreign arena's ids in the session — or session
-//! ids in any artifact that outlives the session — never is.
+//! index the session store and are meaningless anywhere else. A
+//! session-id normalization locks the store once and evaluates the id in
+//! place: its intermediate terms and normal form are interned into the
+//! session arena and its finished sub-evaluations are recorded in the
+//! session's normal-form table, with no `Term` conversion on the way in
+//! or out. Materializing a [`Term`] from an id is always allowed (it is
+//! how anything escapes the session); storing a foreign arena's ids in
+//! the session — or session ids in any artifact that outlives the
+//! session — never is.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::arena::{TermArena, TermId};
+use crate::arena::{TermId, TermStore};
 use crate::rules::RuleSet;
 use crate::signature::Signature;
 use crate::spec::Spec;
@@ -42,14 +42,16 @@ use crate::term::Term;
 pub struct SessionStats {
     /// Distinct terms interned into the session arena.
     pub interned_terms: usize,
-    /// Approximate bytes held by the session arena.
+    /// Approximate bytes held by the session store (arena and
+    /// normal-form table).
     pub arena_bytes: usize,
     /// Always zero: kept for readers of the former cross-run memo's
     /// counters, which no longer exists.
     pub memo_hits: u64,
     /// Always zero, like [`SessionStats::memo_hits`].
     pub memo_misses: u64,
-    /// Session-level normal-form cache hits (id-keyed; the cheapest path).
+    /// Session-id normalizations answered from the store's normal-form
+    /// table at their root (no evaluation at all).
     pub nf_cache_hits: u64,
     /// Normalizations routed through the session.
     pub normalizations: u64,
@@ -73,14 +75,14 @@ impl SessionStats {
 }
 
 /// One long-lived engine workspace: the specification, its compiled
-/// rules, a shared hash-consing term arena, and a session-level
-/// normal-form cache, plus the counters behind [`SessionStats`].
+/// rules, and one [`TermStore`], plus the counters behind
+/// [`SessionStats`].
 ///
-/// A session is `Sync`: the arena sits behind an `RwLock` that is taken
-/// only at API boundaries (interning in, materializing out), the
-/// normal-form cache behind a `Mutex`, and the counters are atomics —
-/// the evaluation hot path itself never touches any session lock
-/// (engines run on their own run-local arenas).
+/// A session is `Sync`: the store sits behind a `Mutex` and the counters
+/// are atomics. [`Session::intern`], [`Session::term`] and
+/// [`Session::stats`] lock the store briefly; a session-id normalization
+/// holds the lock for its whole evaluation, so concurrent normalizations
+/// on one session serialize.
 ///
 /// ```
 /// use adt_core::{Session, SpecBuilder, Term};
@@ -102,11 +104,10 @@ impl SessionStats {
 pub struct Session {
     spec: Spec,
     rules: RuleSet,
-    arena: RwLock<TermArena>,
-    /// Session-id → session-id normal forms, for terms normalized through
-    /// the session API. Sound because entries are only recorded by
-    /// engines running the session's own rule set.
-    nf_cache: Mutex<HashMap<TermId, TermId>>,
+    /// The session's terms and their recorded normal forms. Sound to
+    /// share because only engines running the session's own rule set
+    /// evaluate in it.
+    store: Mutex<TermStore>,
     nf_hits: AtomicU64,
     normalizations: AtomicU64,
     rewrite_steps: AtomicU64,
@@ -119,8 +120,7 @@ impl Session {
         Session {
             spec,
             rules,
-            arena: RwLock::new(TermArena::new()),
-            nf_cache: Mutex::new(HashMap::new()),
+            store: Mutex::new(TermStore::new()),
             nf_hits: AtomicU64::new(0),
             normalizations: AtomicU64::new(0),
             rewrite_steps: AtomicU64::new(0),
@@ -142,59 +142,35 @@ impl Session {
         &self.rules
     }
 
-    /// Interns a term into the session arena (write lock; boundary only).
-    pub fn intern(&self, term: &Term) -> TermId {
-        self.arena
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .intern(term)
+    /// Locks the session's store. Engines evaluate session ids in it in
+    /// place; only an engine running [`Session::rules`] may record normal
+    /// forms into it.
+    ///
+    /// A poisoned lock is recovered: a panic mid-evaluation leaves the
+    /// store valid, since nodes are appended whole and table entries are
+    /// recorded only for finished sub-evaluations.
+    pub fn store(&self) -> MutexGuard<'_, TermStore> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Materializes the term a session id denotes (read lock).
+    /// Interns a term into the session store.
+    pub fn intern(&self, term: &Term) -> TermId {
+        self.store().arena_mut().intern(term)
+    }
+
+    /// Materializes the term a session id denotes.
     ///
     /// # Panics
     ///
     /// Panics if `id` did not come from this session.
     pub fn term(&self, id: TermId) -> Term {
-        self.arena
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .to_term(id)
+        self.store().arena().to_term(id)
     }
 
-    /// Whether the denoted term is structurally equal to `term`, without
-    /// materializing (read lock).
-    pub fn term_eq(&self, id: TermId, term: &Term) -> bool {
-        self.arena
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .term_eq(id, term)
-    }
-
-    /// The cached normal form of a session id, if one was recorded.
-    pub fn cached_nf(&self, id: TermId) -> Option<TermId> {
-        let found = self
-            .nf_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&id)
-            .copied();
-        if found.is_some() {
-            self.nf_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Records `id → nf` in the session normal-form cache. Only engines
-    /// running the session's own rule set may call this; a normal form is
-    /// its own normal form, so `nf → nf` is recorded too.
-    pub fn record_nf(&self, id: TermId, nf: TermId) {
-        let mut guard = self
-            .nf_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.insert(id, nf);
-        guard.insert(nf, nf);
+    /// Counts one session-id normalization answered straight from the
+    /// normal-form table at its root.
+    pub fn note_nf_hit(&self) {
+        self.nf_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds `count` normalizations and the rewrite steps they took into
@@ -206,10 +182,10 @@ impl Session {
 
     /// A snapshot of the session's counters.
     pub fn stats(&self) -> SessionStats {
-        let arena = self.arena.read().unwrap_or_else(PoisonError::into_inner);
+        let store = self.store();
         SessionStats {
-            interned_terms: arena.len(),
-            arena_bytes: arena.approx_bytes(),
+            interned_terms: store.arena().len(),
+            arena_bytes: store.approx_bytes(),
             memo_hits: 0,
             memo_misses: 0,
             nf_cache_hits: self.nf_hits.load(Ordering::Relaxed),
@@ -239,31 +215,16 @@ mod tests {
     }
 
     #[test]
-    fn session_owns_compiled_rules_and_an_arena() {
+    fn session_owns_compiled_rules_and_a_store() {
         let session = Session::new(tiny_spec());
         assert_eq!(session.rules().len(), 2);
+        assert_eq!(session.stats().arena_bytes, 0, "nothing is interned up front");
         let zero = session.sig().apply("ZERO", vec![]).unwrap();
         let id = session.intern(&zero);
-        assert!(session.term_eq(id, &zero));
         assert_eq!(session.term(id), zero);
         let stats = session.stats();
         assert_eq!(stats.interned_terms, 1);
         assert!(stats.arena_bytes > 0);
-    }
-
-    #[test]
-    fn nf_cache_round_trips_and_counts_hits() {
-        let session = Session::new(tiny_spec());
-        let zero = session.sig().apply("ZERO", vec![]).unwrap();
-        let t = session.sig().apply("IS_ZERO?", vec![zero.clone()]).unwrap();
-        let id = session.intern(&t);
-        let nf = session.intern(&session.sig().tt());
-        assert_eq!(session.cached_nf(id), None);
-        session.record_nf(id, nf);
-        assert_eq!(session.cached_nf(id), Some(nf));
-        // A normal form is its own normal form.
-        assert_eq!(session.cached_nf(nf), Some(nf));
-        assert_eq!(session.stats().nf_cache_hits, 2);
     }
 
     #[test]

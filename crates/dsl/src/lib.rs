@@ -81,7 +81,7 @@ pub use lower::{lower, lower_term_in};
 pub use parser::{parse_module, parse_term_source};
 pub use print::{print_spec, semantically_equal};
 
-use adt_core::{Session, Spec, Term, TermId};
+use adt_core::{Session, Spec, Term};
 
 /// Parses and lowers a complete specification module.
 ///
@@ -115,11 +115,9 @@ pub fn parse_term(spec: &Spec, source: &str) -> Result<Term, Diagnostics> {
     lower_term_in(spec.sig(), &ast, None)
 }
 
-/// Parses and lowers a module straight into an [`adt_core::Session`]:
-/// the axioms are compiled to head-indexed rules and both sides of every
-/// axiom are interned into the session's arena, so the terms every
-/// normalization touches first are hash-consed before the first query
-/// runs.
+/// Parses and lowers a module straight into an [`adt_core::Session`],
+/// which compiles the axioms to head-indexed rules once. Nothing is
+/// interned up front: the session store fills as normalizations run.
 ///
 /// ```
 /// let session = adt_dsl::parse_session(
@@ -135,37 +133,5 @@ pub fn parse_term(spec: &Spec, source: &str) -> Result<Term, Diagnostics> {
 /// Returns every syntax and well-formedness problem found, as
 /// [`parse`] does.
 pub fn parse_session(source: &str) -> Result<Session, Diagnostics> {
-    let session = Session::new(parse(source)?);
-    for ax in session.spec().axioms() {
-        session.intern(ax.lhs());
-        session.intern(ax.rhs());
-    }
-    Ok(session)
-}
-
-/// Parses a standalone term against a session's signature and interns it
-/// into the session's arena — the id-native counterpart of
-/// [`parse_term`] for tools that keep one session alive per
-/// specification.
-///
-/// ```
-/// let session = adt_dsl::parse_session(
-///     "type N\nops\n Z: -> N ctor\n S: N -> N ctor\nend",
-/// )
-/// .map_err(|e| e.to_string())?;
-/// let id = adt_dsl::parse_term_id(&session, "S(S(Z))").map_err(|e| e.to_string())?;
-/// // The same surface syntax interns to the same id.
-/// let again = adt_dsl::parse_term_id(&session, "S( S( Z ) )").map_err(|e| e.to_string())?;
-/// assert_eq!(id, again);
-/// # Ok::<(), String>(())
-/// ```
-///
-/// # Errors
-///
-/// Returns lexical, syntactic, name-resolution and sort errors with spans
-/// into `source`.
-pub fn parse_term_id(session: &Session, source: &str) -> Result<TermId, Diagnostics> {
-    let ast = parse_term_source(source)?;
-    let term = lower_term_in(session.sig(), &ast, None)?;
-    Ok(session.intern(&term))
+    Ok(Session::new(parse(source)?))
 }

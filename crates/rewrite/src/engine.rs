@@ -5,8 +5,8 @@
 //! # The hash-consed hot path
 //!
 //! The public API speaks [`Term`] — an ordinary boxed tree — but the
-//! evaluator itself runs on [`TermId`]s drawn from a per-normalization
-//! [`TermArena`]. Interning gives the hot loop three things the tree
+//! evaluator itself runs on [`TermId`]s drawn from a [`TermStore`]'s
+//! arena. Interning gives the hot loop three things the tree
 //! representation cannot:
 //!
 //! * **O(1) equality** — hash-consing makes structural equality an id
@@ -20,7 +20,8 @@
 //!   the matched subject fragments outright; no subtree is ever copied
 //!   to be substituted.
 //!
-//! The arena is run-local: ids never escape a [`Rewriter::run`] call
+//! Every `Term`-level call ([`Rewriter::normalize`] and friends) builds a
+//! fresh store and drops it when the run ends: ids never escape the run
 //! (normal forms are converted back to [`Term`] at the boundary), so the
 //! rewriter stays `Sync` without any locking on the evaluation path, and
 //! observable behaviour — normal forms, step counts, traces, exhaustion
@@ -29,19 +30,20 @@
 //!
 //! # The session surface
 //!
-//! A [`Session`] owns the cross-check shared state (spec, compiled rules,
-//! a long-lived arena, an id-keyed normal-form cache).
-//! [`Rewriter::for_session`] builds a rewriter that *borrows* it, and the
-//! id-native entry points
-//! ([`normalize_id`], [`normalize_ids`], [`Rewriter::normalize_id`])
-//! accept and return session [`TermId`]s, so callers can hold interned
-//! handles end-to-end and only materialize trees when a report needs one.
+//! A [`Session`] owns the cross-check shared state: spec, compiled rules
+//! and one [`TermStore`]. [`Rewriter::for_session`] builds a rewriter
+//! that *borrows* it, and [`Rewriter::normalize_id`] accepts and returns
+//! session [`TermId`]s. It locks the session store once and runs the
+//! same evaluator on the session id in place, so callers can hold
+//! interned handles end-to-end and only materialize trees when a report
+//! needs one. Concurrent `normalize_id` calls on one session serialize
+//! on that lock.
 
 use std::time::Instant;
 
 use adt_core::{
     ExhaustionCause, Fuel, FuelSpent, OpId, Session, SortId, Spec, Supervisor, Term, TermArena,
-    TermId, TermNode, VarId,
+    TermId, TermNode, TermStore, VarId,
 };
 
 use crate::error::RewriteError;
@@ -260,7 +262,7 @@ pub struct Rewriter<'a> {
     supervisor: Supervisor,
 }
 
-/// A rule whose sides are interned into the run's arena, paired with its
+/// A rule whose sides are interned into the run's store, paired with its
 /// position in the rewriter's [`RuleSet`] bucket for that head (trace
 /// labels are read back through the index, so no strings are copied).
 struct InternedRule {
@@ -269,16 +271,23 @@ struct InternedRule {
     index: usize,
 }
 
-/// Per-normalization working state: the arena all terms of this run live
-/// in, plus everything interned into it.
+/// Per-normalization working state: the store all terms of this run
+/// live in, plus the rules and booleans interned into it.
 ///
-/// A fresh context is built for every [`Rewriter::run`] call. Arenas are
-/// append-only and unsynchronized, so run-local contexts are what keep
-/// the rewriter `Sync` — the parallel checker shares one rewriter across
-/// its workers — with zero locks on the evaluation path, and what
-/// guarantee ids never leak between runs.
-struct RunCx {
-    arena: TermArena,
+/// A fresh context is built for every [`Rewriter::run`] call, over a
+/// fresh run-local store, so ids never leak between runs and the
+/// rewriter stays `Sync` — the parallel checker shares one rewriter
+/// across its workers — with zero locks on the evaluation path.
+/// [`Rewriter::normalize_id`] builds its context over the locked session
+/// store instead.
+///
+/// The store's normal-form table holds context-free evaluation results:
+/// entries are recorded as subterms finish evaluating outside assumption
+/// contexts and traces. This is what makes re-examining an
+/// already-normalized subterm O(1): innermost rewriting otherwise
+/// re-walks the whole normalized portion of the term after every step.
+struct RunCx<'s> {
+    store: &'s mut TermStore,
     /// The interned boolean constants: deciding a condition is an id
     /// compare against these.
     tt: TermId,
@@ -287,40 +296,27 @@ struct RunCx {
     /// populated lazily the first time that head is evaluated (most runs
     /// touch a handful of the specification's operations).
     rules: Vec<Option<Box<[InternedRule]>>>,
-    /// Context-free evaluation results: `cache[id.index()]` is the
-    /// normal form of `id`, filled in as subterms finish evaluating
-    /// outside assumption contexts and traces. This is what makes
-    /// re-examining an already-normalized subterm O(1): innermost
-    /// rewriting otherwise re-walks the whole normalized portion of the
-    /// term after every step. Indexed densely by id — ids are arena
-    /// offsets — so a lookup is two array reads, no hashing.
-    cache: Vec<Option<TermId>>,
 }
 
-impl RunCx {
-    fn new(spec: &Spec) -> Self {
-        let mut arena = TermArena::new();
+impl<'s> RunCx<'s> {
+    fn new(spec: &Spec, store: &'s mut TermStore) -> Self {
+        let arena = store.arena_mut();
         let tt = arena.intern(&spec.sig().tt());
         let ff = arena.intern(&spec.sig().ff());
         RunCx {
-            arena,
+            store,
             tt,
             ff,
             rules: Vec::new(),
-            cache: Vec::new(),
         }
     }
 
-    fn cached_nf(&self, id: TermId) -> Option<TermId> {
-        self.cache.get(id.index()).copied().flatten()
+    fn arena(&self) -> &TermArena {
+        self.store.arena()
     }
 
-    fn record_nf(&mut self, id: TermId, nf: TermId) {
-        let index = id.index();
-        if self.cache.len() <= index {
-            self.cache.resize(self.arena.len(), None);
-        }
-        self.cache[index] = Some(nf);
+    fn arena_mut(&mut self) -> &mut TermArena {
+        self.store.arena_mut()
     }
 }
 
@@ -437,9 +433,8 @@ impl<'a> Rewriter<'a> {
 
     /// Creates a rewriter that borrows a [`Session`]'s world: its spec
     /// and a copy of its compiled rules. This is the constructor that
-    /// makes [`Rewriter::normalize_id`] eligible to record into the
-    /// session's normal-form cache — the rules are the session's by
-    /// construction.
+    /// makes [`Rewriter::normalize_id`] eligible to evaluate in the
+    /// session's store — the rules are the session's by construction.
     pub fn for_session(session: &'a Session) -> Self {
         Rewriter::with_rules(session.spec(), session.rules().clone())
     }
@@ -519,47 +514,55 @@ impl<'a> Rewriter<'a> {
     /// Normalizes a session-interned term, returning the session id of
     /// its normal form.
     ///
-    /// The session's id-keyed normal-form cache is consulted first (a
-    /// hit costs one map probe, no evaluation, and no fuel); on a miss
-    /// the term is materialized under the session's read lock, run
-    /// through the ordinary hot path on a run-local arena, and the
-    /// normal form is interned back and recorded, along with the step
-    /// count, in the session's counters.
+    /// Locks the session's [`TermStore`] once and evaluates `id` in it in
+    /// place, with the same evaluator as [`Rewriter::normalize`]: no
+    /// `Term` is built and nothing is re-interned. A root hit in the
+    /// store's normal-form table returns at once and counts as an
+    /// nf-cache hit; otherwise the normalization and its steps are folded
+    /// into the session's counters. Concurrent calls on one session
+    /// serialize on the lock.
     ///
     /// **Contract:** this rewriter's rules must equal the session's
     /// (guaranteed by [`Rewriter::for_session`]); otherwise the recorded
-    /// normal forms would poison the session cache for every other
-    /// caller. Budgets may differ: a successful normal form is the same
-    /// under any budget that reaches it. Conversely, a caller relying on
-    /// exhaustion at a *tiny* budget must not route through the session
-    /// — a cache hit returns the normal form without spending the fuel
-    /// the caller expects to run out. The checkers therefore never
-    /// consult this cache.
+    /// normal forms would poison the session store for every other
+    /// caller. Budgets may differ: entries are recorded only for
+    /// sub-evaluations that finished, so they are true normal forms even
+    /// when the enclosing run later exhausts or is interrupted.
+    ///
+    /// **Fuel caveat:** a table hit — at the root *or at any argument* —
+    /// skips the steps the recorded evaluation once cost, so a caller
+    /// relying on exhaustion at a *tiny* budget must not route through the
+    /// session. The checkers therefore never call this.
     ///
     /// # Errors
     ///
     /// As for [`Rewriter::normalize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from `session`.
     pub fn normalize_id(&self, session: &Session, id: TermId) -> Result<TermId> {
-        if let Some(nf) = session.cached_nf(id) {
+        let mut store = session.store();
+        if let Some(nf) = store.cached_nf(id) {
+            session.note_nf_hit();
             return Ok(nf);
         }
-        let term = session.term(id);
-        let (norm, _) = self.run(&term, None, &[])?;
-        let nf = session.intern(&norm.term);
-        session.record_nf(id, nf);
-        session.note_normalizations(1, norm.steps);
+        let mut st = EvalState::new(&self.budget, self.supervisor.clone(), None);
+        let mut cx = RunCx::new(self.spec, &mut store);
+        let nf = self.eval(&mut cx, id, &mut st, &Vec::new())?;
+        session.note_normalizations(1, st.steps);
         Ok(nf)
     }
 
     /// Normalizes a term, recording every step in a [`Trace`].
     ///
-    /// This routes through the same run-local arena hot path as
+    /// This routes through the same run-local store hot path as
     /// [`Rewriter::normalize`] — terms are interned and rewritten by id,
     /// not tree-walked — so traced and untraced runs reach the same
     /// normal form by construction. What tracing changes is caching: a
-    /// cache hit would deliver a normal form *without* the derivation
-    /// steps the trace exists to record, so traced runs skip the run
-    /// cache and re-derive every reduction.
+    /// table hit would deliver a normal form *without* the derivation
+    /// steps the trace exists to record, so traced runs skip the
+    /// normal-form table and re-derive every reduction.
     ///
     /// # Errors
     ///
@@ -572,11 +575,11 @@ impl<'a> Rewriter<'a> {
     /// Normalizes a term under contextual truth assumptions about stuck
     /// boolean terms.
     ///
-    /// Assumptions are interned into the same run-local arena as the
+    /// Assumptions are interned into the same run-local store as the
     /// subject term, and evaluation runs on the identical id-native hot
     /// path as [`Rewriter::normalize`]. Subterms evaluated under a
-    /// non-empty assumption context are excluded from the run cache: a
-    /// normal form that is only valid because
+    /// non-empty assumption context are excluded from the normal-form
+    /// table: a normal form that is only valid because
     /// `ISSAME?(id, id1) = true` was assumed must not be replayed in a
     /// context where it wasn't. The reference-engine counterpart is
     /// [`Rewriter::normalize_under_reference`].
@@ -605,12 +608,11 @@ impl<'a> Rewriter<'a> {
     /// `ISSAME?(id, id1)`, the prover considers both truth values of the
     /// first stuck condition and recursively closes each case.
     ///
-    /// Every normalization inside the proof search runs on the shared
-    /// run-local arena hot path (see [`Rewriter::normalize_under`] for
-    /// how assumption contexts interact with the run cache), so the
+    /// Every normalization inside the proof search runs on a fresh
+    /// run-local store (see [`Rewriter::normalize_under`] for how
+    /// assumption contexts interact with its normal-form table), so the
     /// proof a session-backed rewriter finds is identical to a plain
-    /// one's — the cache can change how much work is repeated, never
-    /// which [`Proof`] comes back.
+    /// one's: no state is carried between proofs.
     ///
     /// # Errors
     ///
@@ -673,13 +675,17 @@ impl<'a> Rewriter<'a> {
         if let Some(t) = &mut st.trace {
             t.set_initial(term);
         }
-        let mut cx = RunCx::new(self.spec);
-        let root = cx.arena.intern(term);
-        let asms: Assumptions = asms.iter().map(|(t, b)| (cx.arena.intern(t), *b)).collect();
+        let mut store = TermStore::new();
+        let mut cx = RunCx::new(self.spec, &mut store);
+        let root = cx.arena_mut().intern(term);
+        let asms: Assumptions = asms
+            .iter()
+            .map(|(t, b)| (cx.arena_mut().intern(t), *b))
+            .collect();
         let nf = self.eval(&mut cx, root, &mut st, &asms)?;
         Ok((
             Normalization {
-                term: cx.arena.to_term(nf),
+                term: cx.arena().to_term(nf),
                 steps: st.steps,
             },
             st.trace,
@@ -707,24 +713,24 @@ impl<'a> Rewriter<'a> {
         asms: &Assumptions,
     ) -> Result<TermId> {
         // Evaluation outside assumption contexts and traces is
-        // context-free, so its results are stable for the whole run:
-        // consult the run-local cache first (two array reads). The cache
-        // is what makes innermost rewriting near-linear here — without
-        // it, every step re-walks the entire already-normalized portion
-        // of the term looking for redexes that cannot exist.
+        // context-free, so its results are stable for the store's whole
+        // life: consult the normal-form table first (two array reads).
+        // The table is what makes innermost rewriting near-linear here —
+        // without it, every step re-walks the entire already-normalized
+        // portion of the term looking for redexes that cannot exist.
         let cacheable = asms.is_empty() && !st.tracing();
         if cacheable {
-            if let Some(nf) = cx.cached_nf(id) {
+            if let Some(nf) = cx.store.cached_nf(id) {
                 return Ok(nf);
             }
         }
         let result = self.eval_loop(cx, id, st, asms)?;
         if cacheable {
-            cx.record_nf(id, result);
+            cx.store.record_nf(id, result);
             // A normal form evaluates to itself; recording that fact
             // spares the no-op walk when the result id resurfaces as an
             // argument elsewhere.
-            cx.record_nf(result, result);
+            cx.store.record_nf(result, result);
         }
         Ok(result)
     }
@@ -739,7 +745,7 @@ impl<'a> Rewriter<'a> {
         let mut current = id;
         let mut bindings: Vec<(VarId, TermId)> = Vec::new();
         loop {
-            match cx.arena.node(current) {
+            match cx.arena().node(current) {
                 TermNode::Var(_) | TermNode::Error(_) => return Ok(current),
                 TermNode::Ite(c, t, e) => {
                     let (c, then_id, else_id) = (*c, *t, *e);
@@ -754,34 +760,34 @@ impl<'a> Rewriter<'a> {
                     if let Some(value) = decided {
                         st.tick(&self.budget)?;
                         if st.tracing() {
-                            let redex = reify_ite(&cx.arena, cond, then_id, else_id);
+                            let redex = reify_ite(cx.arena(), cond, then_id, else_id);
                             let rule = if value { "if-true" } else { "if-false" };
-                            let taken = cx.arena.to_term(if value { then_id } else { else_id });
+                            let taken = cx.arena().to_term(if value { then_id } else { else_id });
                             st.note(rule, &redex, &taken);
                         }
                         current = if value { then_id } else { else_id };
                         continue;
                     }
-                    if matches!(cx.arena.node(cond), TermNode::Error(_)) {
+                    if matches!(cx.arena().node(cond), TermNode::Error(_)) {
                         st.tick(&self.budget)?;
-                        let sort = self.branch_sort(&cx.arena, then_id)?;
-                        let result = cx.arena.error(sort);
+                        let sort = self.branch_sort(cx.arena(), then_id)?;
+                        let result = cx.arena_mut().error(sort);
                         if st.tracing() {
-                            let redex = reify_ite(&cx.arena, cond, then_id, else_id);
-                            st.note("strict", &redex, &cx.arena.to_term(result));
+                            let redex = reify_ite(cx.arena(), cond, then_id, else_id);
+                            st.note("strict", &redex, &cx.arena().to_term(result));
                         }
                         return Ok(result);
                     }
                     // Stuck condition that is itself a conditional: lift it.
-                    if let TermNode::Ite(c0, a, b) = cx.arena.node(cond) {
+                    if let TermNode::Ite(c0, a, b) = cx.arena().node(cond) {
                         let (c0, a, b) = (*c0, *a, *b);
                         st.tick(&self.budget)?;
-                        let then_inner = cx.arena.ite(a, then_id, else_id);
-                        let else_inner = cx.arena.ite(b, then_id, else_id);
-                        let lifted = cx.arena.ite(c0, then_inner, else_inner);
+                        let then_inner = cx.arena_mut().ite(a, then_id, else_id);
+                        let else_inner = cx.arena_mut().ite(b, then_id, else_id);
+                        let lifted = cx.arena_mut().ite(c0, then_inner, else_inner);
                         if st.tracing() {
-                            let redex = reify_ite(&cx.arena, cond, then_id, else_id);
-                            st.note("if-lift", &redex, &cx.arena.to_term(lifted));
+                            let redex = reify_ite(cx.arena(), cond, then_id, else_id);
+                            st.note("if-lift", &redex, &cx.arena().to_term(lifted));
                         }
                         current = lifted;
                         continue;
@@ -797,20 +803,20 @@ impl<'a> Rewriter<'a> {
                     if t_nf == e_nf {
                         st.tick(&self.budget)?;
                         if st.tracing() {
-                            let redex = reify_ite(&cx.arena, cond, t_nf, e_nf);
-                            st.note("if-merge", &redex, &cx.arena.to_term(t_nf));
+                            let redex = reify_ite(cx.arena(), cond, t_nf, e_nf);
+                            st.note("if-merge", &redex, &cx.arena().to_term(t_nf));
                         }
                         return Ok(t_nf);
                     }
                     if t_nf == cx.tt && e_nf == cx.ff {
                         st.tick(&self.budget)?;
                         if st.tracing() {
-                            let redex = reify_ite(&cx.arena, cond, t_nf, e_nf);
-                            st.note("if-eta", &redex, &cx.arena.to_term(cond));
+                            let redex = reify_ite(cx.arena(), cond, t_nf, e_nf);
+                            st.note("if-eta", &redex, &cx.arena().to_term(cond));
                         }
                         return Ok(cond);
                     }
-                    return Ok(cx.arena.ite(cond, t_nf, e_nf));
+                    return Ok(cx.arena_mut().ite(cond, t_nf, e_nf));
                 }
                 TermNode::App(op, args) => {
                     let op = *op;
@@ -823,13 +829,13 @@ impl<'a> Rewriter<'a> {
                     // argument list containing error is error (paper, §3).
                     if new_args
                         .iter()
-                        .any(|&a| matches!(cx.arena.node(a), TermNode::Error(_)))
+                        .any(|&a| matches!(cx.arena().node(a), TermNode::Error(_)))
                     {
                         st.tick(&self.budget)?;
-                        let result = cx.arena.error(self.spec.sig().try_op(op)?.result());
+                        let result = cx.arena_mut().error(self.spec.sig().try_op(op)?.result());
                         if st.tracing() {
-                            let redex = self.reify_app(&cx.arena, op, &new_args);
-                            st.note("strict", &redex, &cx.arena.to_term(result));
+                            let redex = self.reify_app(cx.arena(), op, &new_args);
+                            st.note("strict", &redex, &cx.arena().to_term(result));
                         }
                         return Ok(result);
                     }
@@ -838,18 +844,16 @@ impl<'a> Rewriter<'a> {
                     // out: f(…, if c then x else y, …) becomes
                     // if c then f(…, x, …) else f(…, y, …). Sound for all
                     // values of c (true, false, and error, by strictness).
-                    let stuck_arg =
-                        new_args
-                            .iter()
-                            .enumerate()
-                            .find_map(|(idx, &a)| match cx.arena.node(a) {
-                                TermNode::Ite(c, t, e) => Some((idx, *c, *t, *e)),
-                                _ => None,
-                            });
+                    let stuck_arg = new_args.iter().enumerate().find_map(|(idx, &a)| {
+                        match cx.arena().node(a) {
+                            TermNode::Ite(c, t, e) => Some((idx, *c, *t, *e)),
+                            _ => None,
+                        }
+                    });
                     if let Some((idx, c, t, e)) = stuck_arg {
                         st.tick(&self.budget)?;
                         let redex = if st.tracing() {
-                            Some(self.reify_app(&cx.arena, op, &new_args))
+                            Some(self.reify_app(cx.arena(), op, &new_args))
                         } else {
                             None
                         };
@@ -857,11 +861,11 @@ impl<'a> Rewriter<'a> {
                         then_args[idx] = t;
                         let mut else_args = new_args;
                         else_args[idx] = e;
-                        let then_app = cx.arena.app(op, then_args);
-                        let else_app = cx.arena.app(op, else_args);
-                        let lifted = cx.arena.ite(c, then_app, else_app);
+                        let then_app = cx.arena_mut().app(op, then_args);
+                        let else_app = cx.arena_mut().app(op, else_args);
+                        let lifted = cx.arena_mut().ite(c, then_app, else_app);
                         if let Some(redex) = redex {
-                            st.note("arg-lift", &redex, &cx.arena.to_term(lifted));
+                            st.note("arg-lift", &redex, &cx.arena().to_term(lifted));
                         }
                         current = lifted;
                         continue;
@@ -871,7 +875,7 @@ impl<'a> Rewriter<'a> {
                     let subject = if new_args == args {
                         current
                     } else {
-                        cx.arena.app(op, new_args)
+                        cx.arena_mut().app(op, new_args)
                     };
                     let op_index = op.index();
                     if cx.rules.len() <= op_index {
@@ -884,16 +888,17 @@ impl<'a> Rewriter<'a> {
                             .iter()
                             .enumerate()
                             .map(|(index, rule)| InternedRule {
-                                lhs: cx.arena.intern(rule.lhs()),
-                                rhs: cx.arena.intern(rule.rhs()),
+                                lhs: cx.arena_mut().intern(rule.lhs()),
+                                rhs: cx.arena_mut().intern(rule.rhs()),
                                 index,
                             })
                             .collect();
                         cx.rules[op_index] = Some(compiled);
                     }
                     // Split borrows: the compiled rules (shared) and the
-                    // arena (mutable) are disjoint fields of the context.
-                    let RunCx { arena, rules, .. } = cx;
+                    // store (mutable) are disjoint fields of the context.
+                    let RunCx { store, rules, .. } = cx;
+                    let arena = store.arena_mut();
                     let mut fired = None;
                     if let Some(Some(compiled)) = rules.get(op_index) {
                         for rule in compiled.iter() {
@@ -958,34 +963,6 @@ fn first_stuck_cond(term: &Term) -> Option<&Term> {
         Term::App(_, args) => args.iter().find_map(first_stuck_cond),
         _ => None,
     }
-}
-
-/// Normalizes a session-interned term with a rewriter borrowed from the
-/// session (its rules, the default budget), returning the
-/// session id of the normal form.
-///
-/// Convenience wrapper over [`Rewriter::for_session`] +
-/// [`Rewriter::normalize_id`]; callers issuing many calls should build
-/// the rewriter once (or use [`normalize_ids`]) to amortize the rule-set
-/// copy.
-///
-/// # Errors
-///
-/// As for [`Rewriter::normalize`].
-pub fn normalize_id(session: &Session, id: TermId) -> Result<TermId> {
-    Rewriter::for_session(session).normalize_id(session, id)
-}
-
-/// Normalizes a batch of session-interned terms through one borrowed
-/// rewriter, returning normal-form ids in input order (failing fast on
-/// the first error).
-///
-/// # Errors
-///
-/// As for [`Rewriter::normalize`].
-pub fn normalize_ids(session: &Session, ids: &[TermId]) -> Result<Vec<TermId>> {
-    let rw = Rewriter::for_session(session);
-    ids.iter().map(|&id| rw.normalize_id(session, id)).collect()
 }
 
 /// Counts the conditional nodes remaining in a term — a quick measure of
@@ -1452,13 +1429,19 @@ mod tests {
             // Symbolic terms flow through the same path.
             q(&spec, "FRONT", vec![qv]),
         ];
+        let rw = Rewriter::for_session(&session);
         for t in &samples {
             let id = session.intern(t);
-            let nf_id = super::normalize_id(&session, id).unwrap();
+            let nf_id = rw.normalize_id(&session, id).unwrap();
             assert_eq!(session.term(nf_id), plain.normalize(t).unwrap(), "{t:?}");
         }
+        // Every sample either evaluates or, having been reached as a
+        // subterm of an earlier sample, hits the store's table at its root.
         let stats = session.stats();
-        assert_eq!(stats.normalizations, samples.len() as u64);
+        assert_eq!(
+            stats.normalizations + stats.nf_cache_hits,
+            samples.len() as u64
+        );
         assert!(stats.rewrite_steps > 0);
     }
 
@@ -1497,7 +1480,7 @@ mod tests {
         }
         let front = q(&spec, "FRONT", vec![ground]);
         let id = session.intern(&front);
-        // Warm the session nf-cache through one borrowed rewriter…
+        // Warm the session store through one borrowed rewriter…
         let warm = Rewriter::for_session(&session);
         let want = warm.normalize_id(&session, id).unwrap();
         let before = session.stats();
@@ -1515,28 +1498,6 @@ mod tests {
         assert_eq!(session.term(want), first.term);
         assert!(first.steps > 0);
         assert_eq!(first.steps, second.steps);
-    }
-
-    #[test]
-    fn normalize_ids_batches_in_input_order() {
-        let spec = queue_spec();
-        let session = Session::new(spec.clone());
-        let terms = [
-            q(&spec, "IS_EMPTY?", vec![q(&spec, "NEW", vec![])]),
-            q(
-                &spec,
-                "FRONT",
-                vec![q(
-                    &spec,
-                    "ADD",
-                    vec![q(&spec, "NEW", vec![]), q(&spec, "A", vec![])],
-                )],
-            ),
-        ];
-        let ids: Vec<_> = terms.iter().map(|t| session.intern(t)).collect();
-        let nfs = super::normalize_ids(&session, &ids).unwrap();
-        assert_eq!(session.term(nfs[0]), spec.sig().tt());
-        assert_eq!(session.term(nfs[1]), q(&spec, "A", vec![]));
     }
 
     #[test]

@@ -66,9 +66,7 @@ pub use critical::{
     classify_superposition, critical_pairs, superpositions, CriticalPair, PairStatus,
     Superposition, SuperpositionSet,
 };
-pub use engine::{
-    normalize_id, normalize_ids, residual_conditionals, Normalization, Proof, Rewriter,
-};
+pub use engine::{residual_conditionals, Normalization, Proof, Rewriter};
 pub use error::RewriteError;
 pub use rule::{Rule, RuleSet};
 pub use symbolic::SymbolicSession;

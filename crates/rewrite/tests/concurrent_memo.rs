@@ -72,7 +72,8 @@ fn concurrent_symboltable_queries_share_one_session() {
     let sig = spec.sig();
 
     // One deep state, many observers: every thread interns the same
-    // queries into the session arena and races on its nf-cache entries.
+    // queries into the session store, and their normalizations, which
+    // serialize on the store's lock, race for its normal-form entries.
     let mut state = sig.apply("INIT", vec![]).unwrap();
     let attr = sig.apply("ATTR_1", vec![]).unwrap();
     let idents = ["ID_X", "ID_Y", "ID_Z"];
@@ -120,7 +121,7 @@ fn concurrent_symboltable_queries_share_one_session() {
 
 #[test]
 fn session_results_stay_correct_after_concurrent_warmup() {
-    // After the concurrent phase has filled the nf-cache, single-threaded
+    // After the concurrent phase has filled the store, single-threaded
     // reads must still agree with the plain engine (no torn entries).
     let spec = queue_spec();
     let sig = spec.sig();

@@ -7,7 +7,7 @@
 //! at that argument is available as an **induction hypothesis** — an extra
 //! rewrite rule. Each case is then closed by the normalization prover.
 
-use adt_core::{OpId, Session, SortId, Spec, Subst, Term, TermId, VarId};
+use adt_core::{OpId, SortId, Spec, Subst, Term, VarId};
 use adt_rewrite::{Proof, Rewriter, Rule, RuleSet};
 
 /// The outcome of an induction proof attempt.
@@ -130,32 +130,6 @@ pub fn prove_by_induction(
     Ok(InductionOutcome::Proved { cases })
 }
 
-/// [`prove_by_induction`] over goals interned in a shared [`Session`].
-///
-/// The goal sides arrive as ids into the session's arena and are
-/// materialized exactly once at this boundary. The per-case rewriters
-/// never consult the session's normal-form cache: every constructor case
-/// extends the specification with induction-hypothesis *rules* (and
-/// skolem constructors), under which a normal form recorded for the base
-/// rules may reduce further. The session contributes the id boundary,
-/// not the cache.
-///
-/// # Errors
-///
-/// Returns a rewriting error (fuel exhaustion) if some case fails to
-/// normalize.
-pub fn prove_by_induction_session(
-    session: &Session,
-    lhs: TermId,
-    rhs: TermId,
-    ind_var: VarId,
-    max_splits: usize,
-) -> Result<InductionOutcome, adt_rewrite::RewriteError> {
-    let lhs = session.term(lhs);
-    let rhs = session.term(rhs);
-    prove_by_induction(session.spec(), &lhs, &rhs, ind_var, max_splits)
-}
-
 /// Returns a copy of the specification with an extra axiom — typically a
 /// lemma previously proved (e.g. by [`prove_by_induction`]) that a larger
 /// proof needs as a rewrite rule.
@@ -265,23 +239,6 @@ mod tests {
             }
             other => panic!("expected proof, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn session_induction_matches_the_tree_prover() {
-        let spec = nat_spec();
-        let n = spec.sig().find_var("n").unwrap();
-        let zero = spec.sig().apply("ZERO", vec![]).unwrap();
-        let lhs = spec.sig().apply("PLUS", vec![Term::Var(n), zero]).unwrap();
-        let rhs = Term::Var(n);
-        let tree = prove_by_induction(&spec, &lhs, &rhs, n, 4).unwrap();
-
-        let session = Session::new(spec.clone());
-        let lhs_id = session.intern(&lhs);
-        let rhs_id = session.intern(&rhs);
-        let via_ids = prove_by_induction_session(&session, lhs_id, rhs_id, n, 4).unwrap();
-        assert_eq!(via_ids, tree);
-        assert!(via_ids.is_proved());
     }
 
     #[test]

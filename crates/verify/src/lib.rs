@@ -40,9 +40,7 @@
 //!
 //! Every pass takes a [`adt_core::Spec`] and keeps no cache between
 //! normalizations, so its verdict depends only on the specification, the
-//! terms and the budget. [`prove_by_induction_session`] is the one pass
-//! with a [`adt_core::Session`] entry point, for the REPL, which holds
-//! its goals as session ids.
+//! terms and the budget.
 //!
 //! See the `representation_proof` and `conditional_correctness`
 //! integration tests for the full Symboltable development.
@@ -75,9 +73,7 @@ pub use fault::{
 };
 pub use gen::{enumerate_ctor_terms, enumerate_terms, sample_ctor_term, TermPool};
 pub use homomorphism::{check_representation, RepCheckConfig, RepCheckReport, RepMismatch};
-pub use induction::{
-    instantiate_case, prove_by_induction, prove_by_induction_session, with_lemma, InductionOutcome,
-};
+pub use induction::{instantiate_case, prove_by_induction, with_lemma, InductionOutcome};
 pub use model::{Model, ModelBuilder, TableModel};
 pub use rep::{
     translate_obligations, verify_obligation, Obligation, ObligationKind, ObligationOutcome,

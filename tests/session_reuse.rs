@@ -1,15 +1,16 @@
 //! Session-reuse invariance: one [`Session`] carried across checks must
 //! produce reports byte-identical to session-less runs of the same checks,
-//! at every job count and at every fuel budget. The session's arena and
-//! normal-form cache are performance machinery only — if a warm session
-//! changes a single report byte, cache state has leaked into semantics.
+//! at every job count and at every fuel budget. The session's store (its
+//! arena and normal-form table) is performance machinery only — if a warm
+//! session changes a single report byte, store state has leaked into
+//! semantics.
 
 use adt_check::{
     check_completeness_session, check_completeness_with_config, check_consistency_session,
     check_consistency_with_config, CheckConfig, CompletenessReport, ConsistencyReport, ProbeConfig,
 };
 use adt_core::{Fuel, Session};
-use adt_rewrite::normalize_id;
+use adt_rewrite::Rewriter;
 use adt_structures::sources;
 
 /// Every observable of a completeness report, folded into one string so
@@ -148,12 +149,12 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     assert!(after_cons.rewrite_steps > 0, "the probes took no steps");
     assert_eq!(after_cons.interned_terms, 0, "the check interned terms");
 
-    // An id-native normalization interns the term and its normal form and
-    // counts one more normalization.
+    // An id-native normalization evaluates in the session store, growing
+    // it, and counts one more normalization.
     let sig = session.sig();
     let args = vec![sig.apply("INIT", vec![]).unwrap(), sig.apply("ID_X", vec![]).unwrap()];
     let id = session.intern(&sig.apply("IS_INBLOCK?", args).unwrap());
-    normalize_id(&session, id).unwrap();
+    Rewriter::for_session(&session).normalize_id(&session, id).unwrap();
     let after_nf = session.stats();
     assert_eq!(after_nf.normalizations, after_cons.normalizations + 1);
     assert!(after_nf.rewrite_steps > after_cons.rewrite_steps);
@@ -181,4 +182,39 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     let report = check_completeness_session(&gappy_session, &config);
     assert!(!report.is_sufficiently_complete());
     assert_eq!(gappy_session.stats().interned_terms, 0);
+}
+
+#[test]
+fn normalize_id_reuses_recorded_argument_normal_forms() {
+    // One session, one store: once `LEAVEBLOCK(s)` has been normalized
+    // by id, a query with it as an argument finds its normal form in the
+    // store's table and pays only the query's own steps, exactly what a
+    // cold run on the already-normal argument pays.
+    let spec = sources::load("symboltable").unwrap();
+    let sig = spec.sig();
+    let app = |name: &str, args: Vec<adt_core::Term>| sig.apply(name, args).unwrap();
+    let c = |name: &str| app(name, vec![]);
+    let mut state = app("ADD", vec![c("INIT"), c("ID_X"), c("ATTR_2")]);
+    state = app("ENTERBLOCK", vec![state]);
+    for k in 0..32 {
+        let id = ["ID_X", "ID_Y", "ID_Z"][k % 3];
+        let attrs = ["ATTR_1", "ATTR_2", "ATTR_3"][k % 3];
+        state = app("ADD", vec![state, c(id), c(attrs)]);
+    }
+    let session = Session::new(spec.clone());
+    let rw = Rewriter::for_session(&session);
+    let leave = app("LEAVEBLOCK", vec![state]);
+    let left = rw.normalize_id(&session, session.intern(&leave)).unwrap();
+
+    let before = session.stats().rewrite_steps;
+    let query = app("RETRIEVE", vec![leave, c("ID_X")]);
+    let warm = rw.normalize_id(&session, session.intern(&query)).unwrap();
+    let warm_steps = session.stats().rewrite_steps - before;
+
+    let cold = Rewriter::new(&spec)
+        .normalize_full(&app("RETRIEVE", vec![session.term(left), c("ID_X")]))
+        .unwrap();
+    assert_eq!(session.term(warm), cold.term);
+    assert_eq!(cold.term, c("ATTR_2"));
+    assert_eq!(warm_steps, cold.steps);
 }
