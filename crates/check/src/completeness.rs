@@ -21,9 +21,9 @@ use adt_core::{
     SortId, Spec, Term, VarId,
 };
 
-use crate::config::CheckConfig;
-use crate::fault::ArmedFaults;
-use crate::parallel::{run_isolated, CheckStats, ItemOutcome};
+use crate::config::{CheckConfig, RetryFuel};
+use crate::fault::COMPLETENESS;
+use crate::parallel::{run_supervised, CheckStats, Supervised};
 
 /// A caveat noted while converting an axiom left-hand side to a coverage
 /// pattern. Patterns with caveats are treated conservatively (as covering
@@ -117,6 +117,18 @@ pub struct OpCoverage {
 }
 
 impl OpCoverage {
+    /// An operation with a verdict but no analysis behind it (the
+    /// supervisor stopped it, or its worker failed): no pattern notes.
+    fn unanalysed(spec: &Spec, op: OpId, coverage: Coverage) -> Self {
+        OpCoverage {
+            op,
+            op_name: spec.sig().op(op).name().to_owned(),
+            coverage,
+            notes: Vec::new(),
+            axiom_count: spec.axioms_for(op).count(),
+        }
+    }
+
     /// The analysed operation.
     pub fn op(&self) -> OpId {
         self.op
@@ -328,43 +340,19 @@ struct OpAnalysis {
     frontier_truncated: usize,
     /// Case partitions examined before stopping.
     partitions: usize,
+    /// The partition budget the analysis ran under.
+    budget: usize,
     axiom_count: usize,
     time: std::time::Duration,
-}
-
-/// An [`OpAnalysis`] plus the supervision context it ran under: the
-/// partition budget of its final attempt, the retry rung that produced
-/// it (0 = first attempt), and whether the supervisor stopped it.
-struct Analyzed {
-    analysis: OpAnalysis,
-    budget: usize,
-    rung: u32,
-    interrupted: Option<Interrupt>,
 }
 
 /// Whether the analysis consumed its whole partition budget *and* left
 /// cases unexplored — the only exhaustion a bigger budget can rescue (a
 /// frontier behind the witness cap is not retried: more fuel cannot
 /// raise the cap).
-fn budget_exhausted(analysis: &OpAnalysis, budget: usize) -> bool {
-    analysis.partitions >= budget
+fn budget_exhausted(analysis: &OpAnalysis) -> bool {
+    analysis.partitions >= analysis.budget
         && (!analysis.frontier_cases.is_empty() || analysis.frontier_truncated > 0)
-}
-
-/// An empty analysis for an operation the supervisor stopped before any
-/// work ran.
-fn skipped_op(spec: &Spec, op: OpId) -> OpAnalysis {
-    OpAnalysis {
-        op,
-        op_name: spec.sig().op(op).name().to_owned(),
-        notes: Vec::new(),
-        missing_cases: Vec::new(),
-        frontier_cases: Vec::new(),
-        frontier_truncated: 0,
-        partitions: 0,
-        axiom_count: spec.axioms_for(op).count(),
-        time: std::time::Duration::ZERO,
-    }
 }
 
 /// Builds the pattern matrix for `op` and enumerates its missing cases,
@@ -421,6 +409,7 @@ fn analyze_op(spec: &Spec, op: OpId, case_budget: usize) -> OpAnalysis {
         frontier_cases,
         frontier_truncated,
         partitions: case_budget - budget,
+        budget: case_budget,
         axiom_count,
         time: started.elapsed(),
     }
@@ -467,130 +456,45 @@ pub fn check_completeness_session(session: &Session, config: &CheckConfig) -> Co
 /// any other operation's verdict.
 pub fn check_completeness_with_config(spec: &Spec, config: &CheckConfig) -> CompletenessReport {
     let derived: Vec<OpId> = spec.derived_ops().collect();
-    let armed = match &config.faults {
-        Some(faults) => faults.arm("completeness", derived.len()),
-        None => ArmedFaults::none(),
+    // The fuel's step budget caps case partitions, and so does every
+    // rung of the retry ladder, never above the built-in safety valve.
+    let valve = CASE_BUDGET as u64;
+    let config = CheckConfig {
+        fuel: Fuel::steps(config.fuel.steps.min(valve)),
+        retry: config.retry.map(|retry| RetryFuel {
+            cap_steps: retry.cap_steps.min(valve),
+            ..retry
+        }),
+        ..config.clone()
     };
-    let supervisor = config.supervisor.clone();
-    // The fuel's step budget caps case partitions, never above the
-    // built-in safety valve. An exhaust-fault sabotages the item with a
-    // budget too small for any real analysis.
-    let case_budget = usize::try_from(config.fuel.steps.min(CASE_BUDGET as u64)).unwrap_or(usize::MAX);
-    // Escalated partition budgets for exhausted analyses, never above the
-    // safety valve (only budgets that actually grow make a rung).
-    let budget_ladder: Vec<(u32, usize)> = config
-        .retry
-        .map(|retry| {
-            let mut out = Vec::new();
-            let mut prev = case_budget;
-            for rung in 1..=retry.rungs {
-                let next =
-                    usize::try_from(retry.fuel_at(Fuel::steps(case_budget as u64), rung).steps)
-                        .unwrap_or(usize::MAX)
-                        .min(CASE_BUDGET);
-                if next <= prev {
-                    break;
-                }
-                prev = next;
-                out.push((rung, next));
-            }
-            out
-        })
-        .unwrap_or_default();
-    let run = run_isolated(
-        config.jobs,
-        &derived,
-        |idx, &op| {
-            armed.on_item(idx);
-            if armed.exhausts(idx) {
-                // Exhaust faults pin the ladder at rung 0: the sabotaged
-                // budget must stand, or the fault-isolation harness would
-                // be testing the ladder instead of the fault.
-                return Analyzed {
-                    analysis: analyze_op(spec, op, 1),
-                    budget: 1,
-                    rung: 0,
-                    interrupted: None,
-                };
-            }
-            if let Some(kind) = supervisor.interrupted() {
-                return Analyzed {
-                    analysis: skipped_op(spec, op),
-                    budget: case_budget,
-                    rung: 0,
-                    interrupted: Some(kind),
-                };
-            }
-            let mut budget = case_budget;
-            let mut analysis = analyze_op(spec, op, budget);
-            let mut rung = 0;
-            for &(r, next) in &budget_ladder {
-                if !budget_exhausted(&analysis, budget) {
-                    break;
-                }
-                rung = r;
-                budget = next;
-                analysis = analyze_op(spec, op, budget);
-            }
-            Analyzed {
-                analysis,
-                budget,
-                rung,
-                interrupted: None,
-            }
-        },
-        |_, &op| format!("operation `{}`", spec.sig().op(op).name()),
-    );
-
     let mut stats = CheckStats::default();
-    stats.absorb(&run.busy, run.elapsed, derived.len());
+    let outcomes = run_supervised(
+        &config,
+        COMPLETENESS,
+        &derived,
+        |fuel, _| usize::try_from(fuel.steps).unwrap_or(usize::MAX),
+        |&budget, &op, _| analyze_op(spec, op, budget),
+        budget_exhausted,
+        |_, &op| format!("operation `{}`", spec.sig().op(op).name()),
+        &mut stats,
+    );
 
     let mut sig = spec.sig().clone();
     let mut witness_vars: Vec<(SortId, Vec<VarId>)> = Vec::new();
     let mut coverage = Vec::new();
-    for (idx, outcome) in run.results.into_iter().enumerate() {
-        let Analyzed {
-            analysis,
-            budget,
-            rung,
-            interrupted,
-        } = match outcome {
-            ItemOutcome::Done(a) => a,
-            ItemOutcome::Failed(failure) => {
-                let op = derived[idx];
-                coverage.push(OpCoverage {
-                    op,
-                    op_name: spec.sig().op(op).name().to_owned(),
-                    coverage: Coverage::Failed {
-                        error: failure.error,
-                    },
-                    notes: Vec::new(),
-                    axiom_count: spec.axioms_for(op).count(),
-                });
+    for (&op, outcome) in derived.iter().zip(outcomes) {
+        let analysis = match outcome {
+            Supervised::Done(analysis) => analysis,
+            Supervised::Stopped(kind) => {
+                coverage.push(OpCoverage::unanalysed(spec, op, Coverage::Interrupted { kind }));
+                continue;
+            }
+            Supervised::Failed(failure) => {
+                let error = failure.error;
+                coverage.push(OpCoverage::unanalysed(spec, op, Coverage::Failed { error }));
                 continue;
             }
         };
-        if let Some(kind) = interrupted {
-            coverage.push(OpCoverage {
-                op: analysis.op,
-                op_name: analysis.op_name,
-                coverage: Coverage::Interrupted { kind },
-                notes: Vec::new(),
-                axiom_count: analysis.axiom_count,
-            });
-            continue;
-        }
-        if rung > 0 {
-            let end = if budget_exhausted(&analysis, budget) {
-                "still exhausted"
-            } else {
-                "rescued"
-            };
-            stats.retries.push(format!(
-                "operation `{}`: {end} at rung {rung} (budget {budget})",
-                analysis.op_name
-            ));
-        }
         stats
             .op_times
             .push((analysis.op_name.clone(), analysis.time));

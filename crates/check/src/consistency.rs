@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 
 use adt_core::{
-    display, match_pattern, DetRng, EngineError, ExhaustionCause, Fuel, FuelSpent, Interrupt, OpId,
+    display, match_pattern, DetRng, EngineError, ExhaustionCause, FuelSpent, Interrupt, OpId,
     Session, Signature, SortId, Spec, Term,
 };
 use adt_rewrite::{
@@ -27,8 +27,8 @@ use adt_rewrite::{
 };
 
 use crate::config::CheckConfig;
-use crate::fault::ArmedFaults;
-use crate::parallel::{run_isolated, CheckFailure, CheckStats, ItemOutcome};
+use crate::fault::{PAIRS, PROBES};
+use crate::parallel::{run_supervised, CheckFailure, CheckStats, Supervised};
 
 /// Evidence of an inconsistency: one term, two distinguishable values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -306,9 +306,6 @@ pub fn check_consistency_with_config(
     probe: &ProbeConfig,
     config: &CheckConfig,
 ) -> ConsistencyReport {
-    let jobs = config.jobs;
-    let faults = config.faults.clone().unwrap_or_default();
-    let supervisor = config.supervisor.clone();
     let mut contradictions = Vec::new();
     let mut unresolved = 0;
     let mut stats = CheckStats::default();
@@ -328,7 +325,7 @@ pub fn check_consistency_with_config(
             let error = match err {
                 RewriteError::Engine(e) => e,
                 other => EngineError::PhaseFailed {
-                    phase: "pairs",
+                    phase: PAIRS,
                     message: other.to_string(),
                 },
             };
@@ -355,142 +352,72 @@ pub fn check_consistency_with_config(
         }
     };
     let pairs_checked = set.superpositions.len();
-    let pair_faults = if faults.is_active() {
-        faults.arm("pairs", pairs_checked)
-    } else {
-        ArmedFaults::none()
-    };
-    let ext_rw = Rewriter::new(&set.spec)
-        .with_budget(config.fuel)
-        .supervised(supervisor.clone());
-    // The tiny budget exists to *exhaust* sabotaged items.
-    let tiny_pair_rw = Rewriter::new(&set.spec).with_budget(Fuel::steps(1));
-    // One rewriter per retry rung, budgets escalating geometrically.
-    // Retrying *inside* the worker keeps every item's final verdict a
-    // function of (item, config) alone — byte-identical at any `--jobs`.
-    let pair_ladder: Vec<(u32, Rewriter<'_>)> = config
-        .retry
-        .map(|retry| {
-            retry
-                .ladder(config.fuel)
-                .into_iter()
-                .map(|(rung, fuel)| {
-                    let rw = Rewriter::new(&set.spec).with_budget(fuel);
-                    (rung, rw.supervised(supervisor.clone()))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let pair_run = run_isolated(
-        jobs,
+    let pair_outcomes = run_supervised(
+        config,
+        PAIRS,
         &set.superpositions,
-        |idx, sp| {
-            pair_faults.on_item(idx);
-            if pair_faults.exhausts(idx) {
-                // Exhaust faults pin the ladder at rung 0: the sabotaged
-                // budget must stand, or the fault-isolation harness would
-                // be testing the ladder instead of the fault.
-                return Classified {
-                    pair: classify_superposition(&tiny_pair_rw, sp),
-                    rung: 0,
-                };
-            }
-            if let Some(kind) = supervisor.interrupted() {
-                return Classified {
-                    pair: interrupted_pair(sp, kind),
-                    rung: 0,
-                };
-            }
-            let mut pair = classify_superposition(&ext_rw, sp);
-            let mut rung = 0;
-            for (r, rw) in &pair_ladder {
-                if !retryable_pair(&pair.status) {
-                    break;
-                }
-                rung = *r;
-                pair = classify_superposition(rw, sp);
-            }
-            Classified { pair, rung }
+        |fuel, supervisor| {
+            Rewriter::new(&set.spec)
+                .with_budget(fuel)
+                .supervised(supervisor.clone())
         },
+        |rw, sp, _| classify_superposition(rw, sp),
+        |pair| retryable_pair(&pair.status),
         |idx, sp| format!("critical pair #{idx} ({} / {})", sp.outer_rule, sp.inner_rule),
+        &mut stats,
     );
-    stats.absorb(&pair_run.busy, pair_run.elapsed, pairs_checked);
     stats.pairs_checked = pairs_checked;
-    for (idx, outcome) in pair_run.results.into_iter().enumerate() {
-        match outcome {
-            ItemOutcome::Done(Classified { pair, rung }) => {
-                if rung > 0 {
-                    stats.retries.push(retry_note(
-                        &format!("critical pair #{idx} ({} / {})", pair.outer_rule, pair.inner_rule),
-                        rung,
-                        config,
-                        !retryable_pair(&pair.status),
-                    ));
-                }
-                pair_verdicts.push(match &pair.status {
-                    PairStatus::Joinable(nf) => {
-                        format!("joins at {}", display::term(set.spec.sig(), nf))
-                    }
-                    PairStatus::Diverged { left_nf, right_nf } => format!(
-                        "diverged: {} vs {}",
-                        display::term(set.spec.sig(), left_nf),
-                        display::term(set.spec.sig(), right_nf)
-                    ),
-                    PairStatus::Exhausted { spent, .. } => format!("exhausted: {spent}"),
-                    PairStatus::Interrupted { kind } => format!("interrupted: {kind}"),
-                    PairStatus::Unknown { reason } => format!("unknown: {reason}"),
-                });
-                match pair.status {
-                    PairStatus::Joinable(_) => {}
-                    PairStatus::Diverged { left_nf, right_nf } => {
-                        if distinguishable(set.spec.sig(), &left_nf, &right_nf) {
-                            contradictions.push(Contradiction {
-                                peak: pair.peak.clone(),
-                                left_nf,
-                                right_nf,
-                                source: "critical-pair",
-                            });
-                        } else {
-                            unresolved += 1;
-                        }
-                    }
-                    PairStatus::Exhausted { .. } => {
-                        exhausted_pairs += 1;
-                        unresolved += 1;
-                    }
-                    PairStatus::Interrupted { .. } => {
-                        interrupted_items += 1;
-                        unresolved += 1;
-                    }
-                    PairStatus::Unknown { .. } => unresolved += 1,
-                }
-            }
-            ItemOutcome::Failed(failure) => {
+    for (sp, outcome) in set.superpositions.iter().zip(pair_outcomes) {
+        let pair = match outcome {
+            Supervised::Done(pair) => pair,
+            Supervised::Stopped(kind) => interrupted_pair(sp, kind),
+            Supervised::Failed(failure) => {
                 pair_verdicts.push(format!("engine fault: {}", failure.error));
                 failures.push(failure);
+                continue;
             }
+        };
+        pair_verdicts.push(match &pair.status {
+            PairStatus::Joinable(nf) => {
+                format!("joins at {}", display::term(set.spec.sig(), nf))
+            }
+            PairStatus::Diverged { left_nf, right_nf } => format!(
+                "diverged: {} vs {}",
+                display::term(set.spec.sig(), left_nf),
+                display::term(set.spec.sig(), right_nf)
+            ),
+            PairStatus::Exhausted { spent, .. } => format!("exhausted: {spent}"),
+            PairStatus::Interrupted { kind } => format!("interrupted: {kind}"),
+            PairStatus::Unknown { reason } => format!("unknown: {reason}"),
+        });
+        match pair.status {
+            PairStatus::Joinable(_) => {}
+            PairStatus::Diverged { left_nf, right_nf } => {
+                if distinguishable(set.spec.sig(), &left_nf, &right_nf) {
+                    contradictions.push(Contradiction {
+                        peak: pair.peak.clone(),
+                        left_nf,
+                        right_nf,
+                        source: "critical-pair",
+                    });
+                } else {
+                    unresolved += 1;
+                }
+            }
+            PairStatus::Exhausted { .. } => {
+                exhausted_pairs += 1;
+                unresolved += 1;
+            }
+            PairStatus::Interrupted { .. } => {
+                interrupted_items += 1;
+                unresolved += 1;
+            }
+            PairStatus::Unknown { .. } => unresolved += 1,
         }
     }
 
     // Phase 2: randomized ground probing — sequential sampling (the RNG
     // stream is one deterministic sequence), parallel normalization.
-    let rw = Rewriter::new(spec)
-        .with_budget(config.fuel)
-        .supervised(supervisor.clone());
-    let tiny_rw = Rewriter::new(spec).with_budget(Fuel::steps(1));
-    let probe_ladder: Vec<(u32, Rewriter<'_>)> = config
-        .retry
-        .map(|retry| {
-            retry
-                .ladder(config.fuel)
-                .into_iter()
-                .map(|(rung, fuel)| {
-                    let rw = Rewriter::new(spec).with_budget(fuel);
-                    (rung, rw.supervised(supervisor.clone()))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
     let mut rng = DetRng::new(probe.seed);
     let observers: Vec<OpId> = spec.derived_ops().collect();
     let mut probe_terms = Vec::new();
@@ -503,88 +430,58 @@ pub fn check_consistency_with_config(
         }
     }
     let probes_run = probe_terms.len();
-    let probe_faults = if faults.is_active() {
-        faults.arm("probes", probes_run)
-    } else {
-        ArmedFaults::none()
-    };
-    let probe_run = run_isolated(
-        jobs,
+    let probe_outcomes = run_supervised(
+        config,
+        PROBES,
         &probe_terms,
-        |idx, term| {
-            probe_faults.on_item(idx);
-            if probe_faults.exhausts(idx) {
-                // Rung 0, always: see the pair phase.
-                return Probed {
-                    out: probe_divergence(&tiny_rw, spec.sig(), term),
-                    rung: 0,
-                };
-            }
-            if let Some(kind) = supervisor.interrupted() {
-                return Probed {
-                    out: ProbeOutcome::stopped(kind),
-                    rung: 0,
-                };
-            }
-            let mut out = probe_divergence(&rw, spec.sig(), term);
-            let mut rung = 0;
-            for (r, ladder_rw) in &probe_ladder {
-                if !retryable_probe(&out) {
-                    break;
-                }
-                rung = *r;
-                let next = probe_divergence(ladder_rw, spec.sig(), term);
-                out = ProbeOutcome {
-                    steps: out.steps + next.steps,
-                    ..next
-                };
-            }
-            Probed { out, rung }
+        |fuel, supervisor| {
+            Rewriter::new(spec)
+                .with_budget(fuel)
+                .supervised(supervisor.clone())
         },
-        |idx, term| format!("probe #{idx} ({})", display::term(spec.sig(), term)),
-    );
-    stats.absorb(&probe_run.busy, probe_run.elapsed, probes_run);
-    stats.probes_run = probes_run;
-    for (idx, outcome) in probe_run.results.into_iter().enumerate() {
-        match outcome {
-            ItemOutcome::Done(Probed { out, rung }) => {
-                stats.rewrite_steps += out.steps;
-                if rung > 0 {
-                    stats.retries.push(retry_note(
-                        &format!(
-                            "probe #{idx} ({})",
-                            display::term(spec.sig(), &probe_terms[idx])
-                        ),
-                        rung,
-                        config,
-                        !retryable_probe(&out),
-                    ));
-                }
-                probe_verdicts.push(match (&out.found, &out.interrupted, &out.exhausted) {
-                    (Some(c), _, _) => format!(
-                        "diverged: {} vs {}",
-                        display::term(spec.sig(), &c.left_nf),
-                        display::term(spec.sig(), &c.right_nf)
-                    ),
-                    (None, Some(kind), _) => format!("interrupted: {kind}"),
-                    (None, None, Some(spent)) => format!("exhausted: {spent}"),
-                    (None, None, None) => "agreed".to_owned(),
-                });
-                if let Some(c) = out.found {
-                    contradictions.push(c);
-                } else if out.interrupted.is_some() {
-                    interrupted_items += 1;
-                } else if let Some(spent) = out.exhausted {
-                    exhausted_probes.push(ExhaustedProbe {
-                        term: probe_terms[idx].clone(),
-                        spent,
-                    });
-                }
+        |rw, term, earlier: Option<ProbeOutcome>| {
+            let out = probe_divergence(rw, spec.sig(), term);
+            // A retried probe's step count covers every rung it ran.
+            ProbeOutcome {
+                steps: out.steps + earlier.map_or(0, |e| e.steps),
+                ..out
             }
-            ItemOutcome::Failed(failure) => {
+        },
+        retryable_probe,
+        |idx, term| format!("probe #{idx} ({})", display::term(spec.sig(), term)),
+        &mut stats,
+    );
+    stats.probes_run = probes_run;
+    for (term, outcome) in probe_terms.iter().zip(probe_outcomes) {
+        let out = match outcome {
+            Supervised::Done(out) => out,
+            Supervised::Stopped(kind) => ProbeOutcome::stopped(kind),
+            Supervised::Failed(failure) => {
                 probe_verdicts.push(format!("engine fault: {}", failure.error));
                 failures.push(failure);
+                continue;
             }
+        };
+        stats.rewrite_steps += out.steps;
+        probe_verdicts.push(match (&out.found, &out.interrupted, &out.exhausted) {
+            (Some(c), _, _) => format!(
+                "diverged: {} vs {}",
+                display::term(spec.sig(), &c.left_nf),
+                display::term(spec.sig(), &c.right_nf)
+            ),
+            (None, Some(kind), _) => format!("interrupted: {kind}"),
+            (None, None, Some(spent)) => format!("exhausted: {spent}"),
+            (None, None, None) => "agreed".to_owned(),
+        });
+        if let Some(c) = out.found {
+            contradictions.push(c);
+        } else if out.interrupted.is_some() {
+            interrupted_items += 1;
+        } else if let Some(spent) = out.exhausted {
+            exhausted_probes.push(ExhaustedProbe {
+                term: term.clone(),
+                spent,
+            });
         }
     }
 
@@ -625,19 +522,6 @@ pub fn check_consistency_with_config(
     }
 }
 
-/// A classified critical pair plus the retry rung that produced its final
-/// status (0 = first attempt).
-struct Classified {
-    pair: CriticalPair,
-    rung: u32,
-}
-
-/// A probe outcome plus the retry rung that produced it.
-struct Probed {
-    out: ProbeOutcome,
-    rung: u32,
-}
-
 /// A critical pair the supervisor stopped before classification.
 fn interrupted_pair(sp: &Superposition, kind: Interrupt) -> CriticalPair {
     CriticalPair {
@@ -662,15 +546,6 @@ fn retryable_probe(out: &ProbeOutcome) -> bool {
     out.found.is_none()
         && out.interrupted.is_none()
         && matches!(&out.exhausted, Some(spent) if spent.cause == ExhaustionCause::Steps)
-}
-
-/// Telemetry line for an item the ladder escalated.
-fn retry_note(label: &str, rung: u32, config: &CheckConfig, rescued: bool) -> String {
-    let fuel = config
-        .retry
-        .map_or(config.fuel, |retry| retry.fuel_at(config.fuel, rung));
-    let end = if rescued { "rescued" } else { "still exhausted" };
-    format!("{label}: {end} at rung {rung} (fuel {})", fuel.steps)
 }
 
 /// Builds a random ground application of `op` to constructor terms.
@@ -820,7 +695,7 @@ fn probe_divergence(rw: &Rewriter<'_>, sig: &Signature, term: &Term) -> ProbeOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_core::SpecBuilder;
+    use adt_core::{Fuel, SpecBuilder};
 
     fn consistent_spec() -> Spec {
         let mut b = SpecBuilder::new("Nat");
@@ -982,8 +857,8 @@ mod tests {
             assert!(!faulted.failures().is_empty());
             assert_eq!(faulted.verdict(), clean.verdict());
 
-            let armed_pairs = faults.arm("pairs", clean.pairs_checked());
-            let armed_probes = faults.arm("probes", clean.probes_run());
+            let armed_pairs = faults.arm(PAIRS, clean.pairs_checked());
+            let armed_probes = faults.arm(PROBES, clean.probes_run());
             assert_eq!(faulted.pair_verdicts().len(), clean.pair_verdicts().len());
             assert_eq!(faulted.probe_verdicts().len(), clean.probe_verdicts().len());
             for (idx, (a, b)) in clean

@@ -13,7 +13,14 @@
 
 use std::collections::BTreeSet;
 
-use adt_core::DetRng;
+use adt_core::{fnv1a, DetRng};
+
+/// The completeness phase: one item per derived operation.
+pub const COMPLETENESS: &str = "completeness";
+/// The critical-pair phase: one item per superposition.
+pub const PAIRS: &str = "pairs";
+/// The ground-probe phase: one item per sampled probe term.
+pub const PROBES: &str = "probes";
 
 /// A reproducible fault plan: how many items to sabotage per phase, and
 /// how.
@@ -48,21 +55,73 @@ impl Default for FaultSpec {
     }
 }
 
-/// FNV-1a over the phase name, mixing it into the seed so each phase
-/// picks independent indices.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl FaultSpec {
     /// Whether any fault is configured at all.
     pub fn is_active(&self) -> bool {
         self.panics + self.exhausts + self.slows > 0
+    }
+
+    /// Parses a fault plan of the form
+    /// `"seed=7,panic=1,exhaust=1,slow=2,slow-ms=5"`.
+    ///
+    /// Every key is optional but may appear at most once (aliases such as
+    /// `panic`/`panics` count as the same key); repeated, unknown, and
+    /// malformed entries are errors. An empty string parses to the inert
+    /// default plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message naming the offending entry.
+    pub fn parse(text: &str) -> Result<FaultSpec, String> {
+        let mut plan = FaultSpec::default();
+        let mut seen: Vec<&'static str> = Vec::new();
+        let mut claim = |canonical: &'static str, spelled: &str| -> Result<(), String> {
+            if seen.contains(&canonical) {
+                return Err(format!(
+                    "fault plan key `{spelled}` given more than once (`{canonical}` was already set)"
+                ));
+            }
+            seen.push(canonical);
+            Ok(())
+        };
+        for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let (key, value) = part
+                .split_once('=')
+                .ok_or_else(|| format!("fault plan entry `{part}` is not of the form key=value"))?;
+            let n = value
+                .trim()
+                .parse::<u64>()
+                .map_err(|_| format!("fault plan value `{value}` for `{key}` is not a number"))?;
+            let key = key.trim();
+            match key {
+                "seed" => {
+                    claim("seed", key)?;
+                    plan.seed = n;
+                }
+                "panic" | "panics" => {
+                    claim("panic", key)?;
+                    plan.panics = n as usize;
+                }
+                "exhaust" | "exhausts" => {
+                    claim("exhaust", key)?;
+                    plan.exhausts = n as usize;
+                }
+                "slow" | "slows" => {
+                    claim("slow", key)?;
+                    plan.slows = n as usize;
+                }
+                "slow-ms" => {
+                    claim("slow-ms", key)?;
+                    plan.slow_ms = n;
+                }
+                other => {
+                    return Err(format!(
+                        "unknown fault plan key `{other}` (expected seed, panic, exhaust, slow, slow-ms)"
+                    ))
+                }
+            }
+        }
+        Ok(plan)
     }
 
     /// Maps the plan onto a concrete phase with `items` work items.
@@ -70,7 +129,9 @@ impl FaultSpec {
     /// Deterministic: the same `(spec, phase, items)` triple always
     /// yields the same [`ArmedFaults`]. The three fault kinds pick
     /// *disjoint* indices (panic wins over exhaust wins over slow), so a
-    /// single item never carries two faults.
+    /// single item never carries two faults. The phase name (FNV-1a
+    /// hashed) is mixed into the seed, so each phase picks independent
+    /// indices.
     pub fn arm(&self, phase: &str, items: usize) -> ArmedFaults {
         let mut rng = DetRng::new(self.seed ^ fnv1a(phase));
         let mut taken: BTreeSet<usize> = BTreeSet::new();
@@ -179,8 +240,8 @@ mod tests {
             slows: 1,
             slow_ms: 1,
         };
-        let a = spec.arm("probes", 50);
-        let b = spec.arm("probes", 50);
+        let a = spec.arm(PROBES, 50);
+        let b = spec.arm(PROBES, 50);
         assert_eq!(a, b, "same phase and size arm identically");
         assert_eq!(a.fault_count(), 4);
         // Kinds are disjoint.
@@ -198,9 +259,9 @@ mod tests {
             slows: 10,
             slow_ms: 1,
         };
-        let armed = spec.arm("pairs", 5);
+        let armed = spec.arm(PAIRS, 5);
         assert_eq!(armed.fault_count(), 5, "cannot fault more items than exist");
-        let empty = spec.arm("pairs", 0);
+        let empty = spec.arm(PAIRS, 0);
         assert_eq!(empty.fault_count(), 0);
     }
 
@@ -211,13 +272,69 @@ mod tests {
             panics: 1,
             ..FaultSpec::default()
         };
-        let armed = spec.arm("completeness", 10);
+        let armed = spec.arm(COMPLETENESS, 10);
         let target: Vec<usize> = armed.panic_indices().collect();
         assert_eq!(target.len(), 1);
         for idx in 0..10 {
             let hit = std::panic::catch_unwind(|| armed.on_item(idx)).is_err();
             assert_eq!(hit, idx == target[0], "index {idx}");
         }
+    }
+
+    #[test]
+    fn plan_parser_round_trips() {
+        let plan = FaultSpec::parse("seed=7,panic=1,exhaust=2,slow=3,slow-ms=5").unwrap();
+        assert_eq!(plan.seed, 7);
+        assert_eq!(plan.panics, 1);
+        assert_eq!(plan.exhausts, 2);
+        assert_eq!(plan.slows, 3);
+        assert_eq!(plan.slow_ms, 5);
+        assert_eq!(FaultSpec::parse("").unwrap(), FaultSpec::default());
+        assert!(FaultSpec::parse("panic=x").is_err());
+        assert!(FaultSpec::parse("frobnicate=1").is_err());
+        assert!(FaultSpec::parse("panic").is_err());
+    }
+
+    #[test]
+    fn plan_parser_rejects_duplicate_keys() {
+        // A literal repeat: the second assignment must not silently win.
+        let err = FaultSpec::parse("seed=1,seed=2").unwrap_err();
+        assert!(err.contains("`seed`"), "unhelpful error: {err}");
+        assert!(err.contains("more than once"), "unhelpful error: {err}");
+
+        // An alias pair names the same knob, so it is the same conflict
+        // even though the spellings differ.
+        let err = FaultSpec::parse("panic=1,panics=2").unwrap_err();
+        assert!(err.contains("`panics`"), "unhelpful error: {err}");
+        assert!(err.contains("`panic`"), "unhelpful error: {err}");
+
+        for dup in [
+            "exhaust=1,exhausts=1",
+            "slows=1,slow=1",
+            "slow-ms=1,slow-ms=2",
+            "seed=7,panic=1,exhaust=1,panic=1",
+        ] {
+            assert!(FaultSpec::parse(dup).is_err(), "accepted `{dup}`");
+        }
+
+        // Distinct keys remain fine in any order.
+        let plan = FaultSpec::parse("slows=2,panics=1,seed=9").unwrap();
+        assert_eq!((plan.seed, plan.panics, plan.slows), (9, 1, 2));
+    }
+
+    #[test]
+    fn armed_indices_are_pinned() {
+        // The indices of the README's `--faults seed=7,panic=1` example.
+        // A change here silently re-targets every recorded fault run.
+        let spec = FaultSpec {
+            seed: 7,
+            panics: 1,
+            ..FaultSpec::default()
+        };
+        let completeness: Vec<usize> = spec.arm(COMPLETENESS, 3).panic_indices().collect();
+        assert_eq!(completeness, [0]);
+        let probes: Vec<usize> = spec.arm(PROBES, 200).panic_indices().collect();
+        assert_eq!(probes, [36]);
     }
 
     #[test]

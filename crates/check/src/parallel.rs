@@ -14,12 +14,25 @@
 //! every result with its item index, and the merge step sorts by index.
 //! Determinism therefore does not depend on scheduling: only the *timing*
 //! numbers in [`CheckStats`] vary between runs.
+//!
+//! The three checker phases (completeness, critical pairs, probes) run
+//! their items through one crate-private protocol on top of
+//! [`run_isolated`], `run_supervised`. In each item's worker it fires the
+//! item's armed fault (a sleep or a panic), runs an exhaust-faulted item
+//! once, unsupervised, at a one-step budget pinned at rung 0, stops with
+//! the [`Interrupt`] kind if the supervisor has fired, and otherwise
+//! attempts the item at the configured fuel, climbing the retry ladder
+//! while the result is retryable. An item's outcome thus depends only on
+//! the item and the configuration, at any job count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use adt_core::EngineError;
+use adt_core::{EngineError, Fuel, Interrupt, Supervisor};
+
+use crate::config::CheckConfig;
+use crate::fault::{ArmedFaults, COMPLETENESS};
 
 /// Resolves a requested job count: `0` means "use every available core"
 /// (per `std::thread::available_parallelism`), anything else is taken
@@ -52,8 +65,9 @@ pub struct CheckFailure {
     pub index: usize,
     /// What went wrong (always names the item via the caller's label).
     pub error: EngineError,
-    /// Whether the item was retried before being declared failed
-    /// (currently always `true`: every failure is preceded by a retry).
+    /// Whether the item was retried before being declared failed: `true`
+    /// for a work item that panicked twice, `false` for a whole-phase
+    /// failure such as a rejected superposition enumeration.
     pub retried: bool,
 }
 
@@ -263,6 +277,110 @@ where
         busy: run.busy,
         elapsed: run.elapsed,
     }
+}
+
+/// How one checker work item ended under [`run_supervised`].
+pub(crate) enum Supervised<R> {
+    /// The attempt returned (on the last rung the ladder reached).
+    Done(R),
+    /// The supervisor had fired before the item started.
+    Stopped(Interrupt),
+    /// The item panicked on every attempt.
+    Failed(CheckFailure),
+}
+
+/// Runs one checker phase's items under the shared per-item protocol
+/// (see the module docs) and hands them back in input order.
+///
+/// `budget` turns a rung's fuel and supervisor into what `attempt`
+/// runs with (a rewriter, a case budget); it is called once per rung
+/// before any item starts, and for the one-step sabotage budget only when
+/// an exhaust fault is armed. `attempt` also receives the previous
+/// rung's result, if any. The ladder is climbed while `retryable` holds.
+/// Pool timing is folded into `stats`, and every item that climbed the
+/// ladder adds one retry line, labelled by `label`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_supervised<T, C, R>(
+    config: &CheckConfig,
+    phase: &str,
+    items: &[T],
+    budget: impl Fn(Fuel, &Supervisor) -> C,
+    attempt: impl Fn(&C, &T, Option<R>) -> R + Sync,
+    retryable: impl Fn(&R) -> bool + Sync,
+    label: impl Fn(usize, &T) -> String,
+    stats: &mut CheckStats,
+) -> Vec<Supervised<R>>
+where
+    T: Sync,
+    C: Sync,
+    R: Send,
+{
+    let armed = config
+        .faults
+        .as_ref()
+        .map_or_else(ArmedFaults::none, |faults| faults.arm(phase, items.len()));
+    let first = budget(config.fuel, &config.supervisor);
+    // Unsupervised, so an injected exhaustion stands even after the
+    // supervisor fires.
+    let sabotage = armed
+        .exhaust_indices()
+        .next()
+        .map(|_| budget(Fuel::steps(1), &Supervisor::none()));
+    let ladder: Vec<(u32, u64, C)> = config
+        .retry
+        .map(|retry| retry.ladder(config.fuel))
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(rung, fuel)| (rung, fuel.steps, budget(fuel, &config.supervisor)))
+        .collect();
+    let run = run_isolated(
+        config.jobs,
+        items,
+        |idx, item| {
+            armed.on_item(idx);
+            if let Some(tiny) = sabotage.as_ref().filter(|_| armed.exhausts(idx)) {
+                // Pinned at rung 0: a bigger budget would rescue the
+                // sabotage, and the fault-isolation harness would be
+                // testing the ladder instead of the fault.
+                return Ok((attempt(tiny, item, None), None));
+            }
+            if let Some(kind) = config.supervisor.interrupted() {
+                return Err(kind);
+            }
+            let mut out = attempt(&first, item, None);
+            let mut reached = None;
+            for (rung, steps, cx) in &ladder {
+                if !retryable(&out) {
+                    break;
+                }
+                out = attempt(cx, item, Some(out));
+                reached = Some((*rung, *steps));
+            }
+            Ok((out, reached))
+        },
+        &label,
+    );
+    stats.absorb(&run.busy, run.elapsed, items.len());
+    // Completeness budgets count case partitions, not rewrite steps.
+    let unit = if phase == COMPLETENESS { "budget" } else { "fuel" };
+    run.results
+        .into_iter()
+        .enumerate()
+        .map(|(idx, outcome)| match outcome {
+            ItemOutcome::Done(Ok((out, reached))) => {
+                if let Some((rung, steps)) = reached {
+                    let end = if retryable(&out) { "still exhausted" } else { "rescued" };
+                    stats.retries.push(format!(
+                        "{}: {end} at rung {rung} ({unit} {steps})",
+                        label(idx, &items[idx])
+                    ));
+                }
+                Supervised::Done(out)
+            }
+            ItemOutcome::Done(Err(kind)) => Supervised::Stopped(kind),
+            ItemOutcome::Failed(failure) => Supervised::Failed(failure),
+        })
+        .collect()
 }
 
 /// Observability counters for one checking run.

@@ -202,12 +202,7 @@ impl Checkpoint {
 /// FNV-1a (64-bit) over the input, as fixed-width lowercase hex — the
 /// content key checkpoints are matched on.
 pub fn fnv1a_hex(text: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", adt_core::fnv1a(text))
 }
 
 fn push_json_str(out: &mut String, s: &str) {

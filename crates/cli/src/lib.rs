@@ -35,7 +35,7 @@ use adt_check::{
 use adt_core::{display, Deadline, Fuel, Session, Spec, Supervisor};
 use adt_dsl::{parse_session, parse_term, print_spec};
 use adt_rewrite::{Proof, Rewriter};
-use adt_verify::{fault_isolation_check, parse_fault_plan};
+use adt_verify::fault_isolation_check;
 
 use checkpoint::{fnv1a_hex, Checkpoint, Phase, VerdictGroup};
 
@@ -180,7 +180,7 @@ fn parse_check_flags(args: &[String]) -> Result<(CheckOpts, Vec<String>), String
                     return Err("--faults needs a plan, e.g. \"seed=7,panic=1\"\n".to_owned());
                 };
                 opts.faults =
-                    Some(parse_fault_plan(plan).map_err(|e| format!("--faults: {e}\n"))?);
+                    Some(FaultSpec::parse(plan).map_err(|e| format!("--faults: {e}\n"))?);
             }
             _ => positional.push(arg.clone()),
         }

@@ -9,6 +9,9 @@
 //! The algorithm is splitmix64 (Steele, Lea & Flood, *Fast Splittable
 //! Pseudorandom Number Generators*, OOPSLA 2014): one 64-bit state word,
 //! full period, and statistically strong enough for workload sampling.
+//!
+//! [`fnv1a`] is the workspace's one string hash, for keys that must be
+//! stable across runs and platforms (fault-plan seeds, checkpoint keys).
 
 /// A deterministic splitmix64 stream.
 ///
@@ -61,6 +64,22 @@ impl DetRng {
     pub fn fork(&mut self) -> DetRng {
         DetRng::new(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)
     }
+}
+
+/// FNV-1a (64-bit) over the bytes of `text`: a fixed, platform-independent
+/// hash for keys that must not change between runs or releases.
+///
+/// ```
+/// assert_eq!(adt_core::fnv1a(""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(adt_core::fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(text: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in text.bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 #[cfg(test)]

@@ -9,72 +9,12 @@
 //! compares the per-item verdict strings of every non-faulted index. Any
 //! difference is an isolation failure in the engine itself.
 
+use adt_check::fault::{COMPLETENESS, PAIRS, PROBES};
 use adt_check::{
     check_completeness_with_config, check_consistency_with_config, CheckConfig, FaultSpec,
     OpCoverage, ProbeConfig,
 };
 use adt_core::Spec;
-
-/// Parses a fault plan of the form
-/// `"seed=7,panic=1,exhaust=1,slow=2,slow-ms=5"`.
-///
-/// Every key is optional but may appear at most once (aliases such as
-/// `panic`/`panics` count as the same key); repeated, unknown, and
-/// malformed entries are errors. An empty string parses to the inert
-/// default plan.
-pub fn parse_fault_plan(text: &str) -> Result<FaultSpec, String> {
-    let mut plan = FaultSpec::default();
-    let mut seen: Vec<&'static str> = Vec::new();
-    let mut claim = |canonical: &'static str, spelled: &str| -> Result<(), String> {
-        if seen.contains(&canonical) {
-            return Err(format!(
-                "fault plan key `{spelled}` given more than once (`{canonical}` was already set)"
-            ));
-        }
-        seen.push(canonical);
-        Ok(())
-    };
-    for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("fault plan entry `{part}` is not of the form key=value"))?;
-        let parse = |v: &str| -> Result<u64, String> {
-            v.trim()
-                .parse::<u64>()
-                .map_err(|_| format!("fault plan value `{v}` for `{key}` is not a number"))
-        };
-        let n = parse(value)?;
-        let key = key.trim();
-        match key {
-            "seed" => {
-                claim("seed", key)?;
-                plan.seed = n;
-            }
-            "panic" | "panics" => {
-                claim("panic", key)?;
-                plan.panics = n as usize;
-            }
-            "exhaust" | "exhausts" => {
-                claim("exhaust", key)?;
-                plan.exhausts = n as usize;
-            }
-            "slow" | "slows" => {
-                claim("slow", key)?;
-                plan.slows = n as usize;
-            }
-            "slow-ms" => {
-                claim("slow-ms", key)?;
-                plan.slow_ms = n;
-            }
-            other => {
-                return Err(format!(
-                    "unknown fault plan key `{other}` (expected seed, panic, exhaust, slow, slow-ms)"
-                ))
-            }
-        }
-    }
-    Ok(plan)
-}
 
 /// A non-faulted item whose verdict changed between the clean and the
 /// faulted run — an isolation failure.
@@ -91,7 +31,7 @@ pub struct IsolationMismatch {
 /// Isolation comparison for one checker phase.
 #[derive(Debug, Clone)]
 pub struct PhaseIsolation {
-    /// The phase (`"completeness"`, `"pairs"`, `"probes"`).
+    /// The phase ([`COMPLETENESS`], [`PAIRS`] or [`PROBES`]).
     pub phase: &'static str,
     /// Work items in the phase.
     pub items: usize,
@@ -236,19 +176,9 @@ pub fn fault_isolation_check(
     let comp_items_f: Vec<String> = comp_fault.coverage().iter().map(coverage_item).collect();
 
     let phases = vec![
-        compare_phase("completeness", plan, &comp_items, &comp_items_f),
-        compare_phase(
-            "pairs",
-            plan,
-            cons_clean.pair_verdicts(),
-            cons_fault.pair_verdicts(),
-        ),
-        compare_phase(
-            "probes",
-            plan,
-            cons_clean.probe_verdicts(),
-            cons_fault.probe_verdicts(),
-        ),
+        compare_phase(COMPLETENESS, plan, &comp_items, &comp_items_f),
+        compare_phase(PAIRS, plan, cons_clean.pair_verdicts(), cons_fault.pair_verdicts()),
+        compare_phase(PROBES, plan, cons_clean.probe_verdicts(), cons_fault.probe_verdicts()),
     ];
 
     FaultIsolationReport {
@@ -282,50 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn plan_parser_round_trips() {
-        let plan = parse_fault_plan("seed=7,panic=1,exhaust=2,slow=3,slow-ms=5").unwrap();
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.panics, 1);
-        assert_eq!(plan.exhausts, 2);
-        assert_eq!(plan.slows, 3);
-        assert_eq!(plan.slow_ms, 5);
-        assert_eq!(parse_fault_plan("").unwrap(), FaultSpec::default());
-        assert!(parse_fault_plan("panic=x").is_err());
-        assert!(parse_fault_plan("frobnicate=1").is_err());
-        assert!(parse_fault_plan("panic").is_err());
-    }
-
-    #[test]
-    fn plan_parser_rejects_duplicate_keys() {
-        // A literal repeat: the second assignment must not silently win.
-        let err = parse_fault_plan("seed=1,seed=2").unwrap_err();
-        assert!(err.contains("`seed`"), "unhelpful error: {err}");
-        assert!(err.contains("more than once"), "unhelpful error: {err}");
-
-        // An alias pair names the same knob, so it is the same conflict
-        // even though the spellings differ.
-        let err = parse_fault_plan("panic=1,panics=2").unwrap_err();
-        assert!(err.contains("`panics`"), "unhelpful error: {err}");
-        assert!(err.contains("`panic`"), "unhelpful error: {err}");
-
-        for dup in [
-            "exhaust=1,exhausts=1",
-            "slows=1,slow=1",
-            "slow-ms=1,slow-ms=2",
-            "seed=7,panic=1,exhaust=1,panic=1",
-        ] {
-            assert!(parse_fault_plan(dup).is_err(), "accepted `{dup}`");
-        }
-
-        // Distinct keys remain fine in any order.
-        let plan = parse_fault_plan("slows=2,panics=1,seed=9").unwrap();
-        assert_eq!((plan.seed, plan.panics, plan.slows), (9, 1, 2));
-    }
-
-    #[test]
     fn injected_faults_are_isolated_at_any_job_count() {
         let spec = queue_like_spec();
-        let plan = parse_fault_plan("seed=3,panic=1,exhaust=1,slow=1,slow-ms=1").unwrap();
+        let plan = FaultSpec::parse("seed=3,panic=1,exhaust=1,slow=1,slow-ms=1").unwrap();
         for jobs in [1, 4] {
             let report = fault_isolation_check(
                 &spec,

@@ -29,7 +29,7 @@
 //!   axioms supply both the test cases and the expected results — while
 //!   the parallel and sequential checkers must return identical reports.
 //! * [`fault_isolation_check`] — robustness differential: inject worker
-//!   panics, fuel exhaustion and slow chunks ([`parse_fault_plan`]) into
+//!   panics, fuel exhaustion and slow chunks ([`adt_check::FaultSpec`]) into
 //!   the checking engine and verify that every *non-faulted* work item's
 //!   verdict is byte-identical to a fault-free run.
 //! * [`translate_obligations`] / [`verify_obligation`] — the §4 proof
@@ -68,8 +68,7 @@ pub use differential::{
 };
 pub use eval::{eval_ground, eval_with_env};
 pub use fault::{
-    fault_isolation_check, parse_fault_plan, FaultIsolationReport, IsolationMismatch,
-    PhaseIsolation,
+    fault_isolation_check, FaultIsolationReport, IsolationMismatch, PhaseIsolation,
 };
 pub use gen::{enumerate_ctor_terms, enumerate_terms, sample_ctor_term, TermPool};
 pub use homomorphism::{check_representation, RepCheckConfig, RepCheckReport, RepMismatch};

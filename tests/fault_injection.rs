@@ -14,18 +14,40 @@
 //! 3. **Partial verdicts** — a deliberately incomplete specification
 //!    (`queue_incomplete`, the paper's dropped axiom 4) produces a
 //!    partial verdict and a clean exit-1 report; it never panics.
+//!
+//! The retry ladder is pinned here too, on every phase. None of the
+//! shipped specifications has a critical pair, so a fixture supplies two.
 
 use std::fs;
 use std::path::PathBuf;
 
+use adt_check::fault::PAIRS;
 use adt_check::{
     check_completeness_with_config, check_consistency_with_config, CheckConfig,
-    ConsistencyVerdict, ProbeConfig,
+    ConsistencyVerdict, FaultSpec, ProbeConfig, RetryFuel,
 };
 use adt_core::{ExhaustionCause, Fuel};
 use adt_rewrite::{RewriteError, Rewriter};
-use adt_verify::{fault_isolation_check, parse_fault_plan};
+use adt_verify::fault_isolation_check;
 use adt_structures::sources;
+
+/// Two critical pairs (`f0`/`f1` overlap on `F(ZERO)`), and an `F` that
+/// needs more than two steps: at `--fuel 2` every phase climbs the ladder.
+const PAIRS_FIXTURE: &str = "type N
+ops
+  ZERO: -> N ctor
+  SUCC: N -> N ctor
+  F: N -> N
+  H: N -> N
+vars
+  x: N
+axioms
+  [f0] F(ZERO) = ZERO
+  [f1] F(x) = H(H(H(x)))
+  [h0] H(ZERO) = ZERO
+  [h1] H(SUCC(x)) = SUCC(H(x))
+end
+";
 
 /// A one-rule divergent system: every probe loops forever without fuel.
 const LOOP: &str = "type L
@@ -54,7 +76,7 @@ fn cli(args: &[&str]) -> adt_cli::Outcome {
 #[test]
 fn injected_panic_is_contained_at_any_job_count() {
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=7,panic=1").expect("plan parses");
+    let plan = FaultSpec::parse("seed=7,panic=1").expect("plan parses");
     for jobs in [1, 4] {
         let report = fault_isolation_check(
             &spec,
@@ -78,7 +100,7 @@ fn injected_panic_is_contained_at_any_job_count() {
 #[test]
 fn all_three_fault_kinds_are_contained_together() {
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=3,panic=1,exhaust=1,slow=1,slow-ms=1").expect("plan parses");
+    let plan = FaultSpec::parse("seed=3,panic=1,exhaust=1,slow=1,slow-ms=1").expect("plan parses");
     for jobs in [1, 4] {
         let report = fault_isolation_check(
             &spec,
@@ -96,7 +118,7 @@ fn slow_faults_change_nothing_at_all() {
     // does not change any item's verdict, so the *entire* report — the
     // slowed items included — must be byte-identical to a clean run.
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=5,slow=3,slow-ms=1").expect("plan parses");
+    let plan = FaultSpec::parse("seed=5,slow=3,slow-ms=1").expect("plan parses");
     let probe = ProbeConfig::default();
     let clean = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(4));
     let slowed = check_consistency_with_config(
@@ -238,46 +260,106 @@ fn exhaust_faults_are_never_rescued_by_the_retry_ladder() {
     // injected exhaust fault must stay pinned at rung 0: if the ladder
     // re-ran the sabotaged item at a bigger budget it would come back
     // clean, and the isolation harness would be comparing the wrong run.
-    use adt_check::RetryFuel;
-    let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=3,exhaust=2").expect("plan parses");
+    let plan = FaultSpec::parse("seed=3,exhaust=2").expect("plan parses");
     let probe = ProbeConfig::default();
-    for jobs in [1, 4] {
-        let base = CheckConfig::jobs(jobs).with_faults(plan.clone());
-        let with_retry = base.clone().with_retry(RetryFuel::default());
-        let plain = check_consistency_with_config(&spec, &probe, &base);
-        let retried = check_consistency_with_config(&spec, &probe, &with_retry);
-        assert_eq!(
-            plain.pair_verdicts(),
-            retried.pair_verdicts(),
-            "jobs {jobs}: retry must not touch exhaust-faulted pairs"
-        );
-        assert_eq!(
-            plain.probe_verdicts(),
-            retried.probe_verdicts(),
-            "jobs {jobs}: retry must not touch exhaust-faulted probes"
-        );
-        assert!(
-            retried.stats().retries.is_empty(),
-            "jobs {jobs}: no rung may claim a faulted rescue: {:?}",
-            retried.stats().retries
-        );
+    // Queue has no critical pair; the plan sabotages both of the fixture's.
+    let fixture = adt_dsl::parse(PAIRS_FIXTURE).expect("fixture parses");
+    let pairs = check_consistency_with_config(&fixture, &probe, &CheckConfig::default());
+    let armed: Vec<usize> = plan.arm(PAIRS, pairs.pairs_checked()).exhaust_indices().collect();
+    assert_eq!(armed, [0, 1]);
+    for spec in [adt_dsl::parse(sources::QUEUE).expect("shipped spec parses"), fixture] {
+        let name = spec.name();
+        for jobs in [1, 4] {
+            let base = CheckConfig::jobs(jobs).with_faults(plan.clone());
+            let with_retry = base.clone().with_retry(RetryFuel::default());
+            let plain = check_consistency_with_config(&spec, &probe, &base);
+            let retried = check_consistency_with_config(&spec, &probe, &with_retry);
+            assert_eq!(
+                plain.pair_verdicts(),
+                retried.pair_verdicts(),
+                "{name}, jobs {jobs}: retry must not touch exhaust-faulted pairs"
+            );
+            assert_eq!(
+                plain.probe_verdicts(),
+                retried.probe_verdicts(),
+                "{name}, jobs {jobs}: retry must not touch exhaust-faulted probes"
+            );
+            assert!(
+                retried.stats().retries.is_empty(),
+                "{name}, jobs {jobs}: no rung may claim a faulted rescue: {:?}",
+                retried.stats().retries
+            );
 
-        let comp_plain = check_completeness_with_config(&spec, &base);
-        let comp_retried = check_completeness_with_config(&spec, &with_retry);
-        assert_eq!(
-            comp_plain.coverage(),
-            comp_retried.coverage(),
-            "jobs {jobs}: retry must not touch exhaust-faulted operations"
+            let comp_plain = check_completeness_with_config(&spec, &base);
+            let comp_retried = check_completeness_with_config(&spec, &with_retry);
+            assert_eq!(
+                comp_plain.coverage(),
+                comp_retried.coverage(),
+                "{name}, jobs {jobs}: retry must not touch exhaust-faulted operations"
+            );
+        }
+
+        // The isolation harness agrees even with the ladder armed.
+        let report = fault_isolation_check(
+            &spec,
+            &probe,
+            &plan,
+            &CheckConfig::jobs(4).with_retry(RetryFuel::default()),
         );
+        assert!(report.isolated(), "{name}: {}", report.render());
     }
+}
 
-    // The isolation harness agrees even with the ladder armed.
-    let report = fault_isolation_check(
-        &spec,
-        &ProbeConfig::default(),
-        &plan,
-        &CheckConfig::jobs(4).with_retry(RetryFuel::default()),
-    );
-    assert!(report.isolated(), "{}", report.render());
+#[test]
+fn the_retry_ladder_output_is_pinned_on_every_phase() {
+    // At fuel 2 every phase climbs the ladder: completeness rescues `H`,
+    // both critical pairs are rescued at rung 1, and 127 of the 200
+    // probes are rescued, these 26 only at rung 2. The FNV-1a hash pins
+    // every byte of the 130 lines. Probe steps are summed over the rungs.
+    const RUNG_2_PROBES: [usize; 26] = [
+        5, 27, 55, 61, 63, 65, 67, 69, 76, 86, 87, 103, 107, 123, 127, 138, 145, 149, 154, 160,
+        163, 165, 169, 171, 188, 199,
+    ];
+    let spec = adt_dsl::parse(PAIRS_FIXTURE).expect("fixture parses");
+    let retry = RetryFuel {
+        factor: 2,
+        rungs: 3,
+        ..RetryFuel::default()
+    };
+    for jobs in [1, 4] {
+        let config = CheckConfig::jobs(jobs).with_fuel(Fuel::steps(2)).with_retry(retry);
+        let comp = check_completeness_with_config(&spec, &config);
+        let cons = check_consistency_with_config(&spec, &ProbeConfig::default(), &config);
+        let lines: Vec<&str> = comp
+            .stats()
+            .retries
+            .iter()
+            .chain(&cons.stats().retries)
+            .map(String::as_str)
+            .collect();
+        assert_eq!(lines.len(), 130, "jobs {jobs}");
+        assert_eq!(
+            lines[..3],
+            [
+                "operation `H`: rescued at rung 1 (budget 4)",
+                "critical pair #0 (f0 / f1): rescued at rung 1 (fuel 4)",
+                "critical pair #1 (f1 / f0): rescued at rung 1 (fuel 4)",
+            ],
+            "jobs {jobs}"
+        );
+        let mut rung_2 = Vec::new();
+        for line in &lines[3..] {
+            let index = line.strip_prefix("probe #").and_then(|l| l.split(' ').next());
+            let index: usize = index.and_then(|i| i.parse().ok()).expect("a probe line");
+            if line.ends_with(": rescued at rung 2 (fuel 8)") {
+                rung_2.push(index);
+            } else {
+                assert!(line.ends_with(": rescued at rung 1 (fuel 4)"), "jobs {jobs}: {line}");
+            }
+        }
+        assert_eq!(rung_2, RUNG_2_PROBES, "jobs {jobs}");
+        assert_eq!(adt_core::fnv1a(&lines.join("\n")), 0x9c9f_03f8_c811_d0b6, "jobs {jobs}");
+        assert_eq!(cons.pair_verdicts(), ["joins at ZERO", "joins at ZERO"], "jobs {jobs}");
+        assert_eq!(cons.stats().rewrite_steps, 887, "jobs {jobs}");
+    }
 }
