@@ -244,18 +244,20 @@ pub mod report {
     //! Machine-readable benchmark reports (`BENCH_rewrite.json`).
     //!
     //! The runner binary (`cargo run -p adt-bench`) measures a fixed set
-    //! of benchmarks and emits them in a small, hand-rolled JSON dialect —
-    //! flat enough that this module can also parse it back without a JSON
-    //! dependency. Two readers exist: the runner's `--baseline` regression
-    //! gate (CI), and humans diffing the committed baseline at the repo
-    //! root.
+    //! of benchmarks and emits them as JSON. [`BenchReport::to_json`] owns
+    //! the field layout; string escaping and parsing go through the
+    //! workspace's one codec, [`adt_core::json`]. Two readers exist: the
+    //! runner's `--baseline` regression gate (CI), and humans diffing the
+    //! committed baseline at the repo root.
 
     use std::fmt::Write as _;
+
+    use adt_core::json::{self, quote, Json};
 
     /// One measured benchmark row.
     #[derive(Debug, Clone, PartialEq)]
     pub struct BenchRecord {
-        /// Benchmark group (`"memoization"`, `"rewrite_queue"`, …).
+        /// Benchmark group (`"rewrite_queue"`, `"checker_scaling"`, …).
         pub group: String,
         /// Label within the group (`"front/128"`, …).
         pub name: String,
@@ -331,13 +333,13 @@ pub mod report {
         pub fn to_json(&self) -> String {
             let mut out = String::new();
             out.push_str("{\n");
-            let _ = writeln!(out, "  \"schema\": \"{}\",", escape(&self.schema));
-            let _ = writeln!(out, "  \"profile\": \"{}\",", escape(&self.profile));
+            let _ = writeln!(out, "  \"schema\": {},", quote(&self.schema));
+            let _ = writeln!(out, "  \"profile\": {},", quote(&self.profile));
             out.push_str("  \"benchmarks\": [\n");
             for (i, b) in self.benchmarks.iter().enumerate() {
                 out.push_str("    {\n");
-                let _ = writeln!(out, "      \"group\": \"{}\",", escape(&b.group));
-                let _ = writeln!(out, "      \"name\": \"{}\",", escape(&b.name));
+                let _ = writeln!(out, "      \"group\": {},", quote(&b.group));
+                let _ = writeln!(out, "      \"name\": {},", quote(&b.name));
                 if let Some(before) = b.before_ns {
                     let _ = writeln!(out, "      \"before_ns\": {before},");
                 }
@@ -364,37 +366,29 @@ pub mod report {
         /// Returns a human-readable message for malformed input or an
         /// unknown schema tag.
         pub fn from_json(text: &str) -> Result<Self, String> {
-            let value = json::parse(text)?;
-            let obj = value.as_object().ok_or("top level is not an object")?;
-            let schema = json::get_str(obj, "schema")?;
+            let top = json::parse(text)?;
+            let schema = top.field("schema", Json::as_str)?;
             if schema != Self::SCHEMA {
                 return Err(format!(
                     "unknown schema `{schema}` (expected `{}`)",
                     Self::SCHEMA
                 ));
             }
-            let profile = json::get_str(obj, "profile")?;
-            let rows = json::get(obj, "benchmarks")?
-                .as_array()
-                .ok_or("`benchmarks` is not an array")?;
-            let mut benchmarks = Vec::with_capacity(rows.len());
-            for row in rows {
-                let row = row.as_object().ok_or("benchmark row is not an object")?;
+            let mut benchmarks = Vec::new();
+            for row in top.field("benchmarks", Json::as_arr)? {
                 benchmarks.push(BenchRecord {
-                    group: json::get_str(row, "group")?,
-                    name: json::get_str(row, "name")?,
-                    median_ns: json::get_u64(row, "median_ns")?,
-                    before_ns: json::get(row, "before_ns")
-                        .ok()
-                        .and_then(json::Value::as_u64),
-                    iters: json::get_u64(row, "iters")?,
-                    samples: u32::try_from(json::get_u64(row, "samples")?)
+                    group: row.field("group", Json::as_str)?.to_string(),
+                    name: row.field("name", Json::as_str)?.to_string(),
+                    median_ns: row.field("median_ns", Json::as_u64)?,
+                    before_ns: row.field("before_ns", Json::as_u64).ok(),
+                    iters: row.field("iters", Json::as_u64)?,
+                    samples: u32::try_from(row.field("samples", Json::as_u64)?)
                         .map_err(|_| "`samples` out of range".to_string())?,
                 });
             }
             Ok(BenchReport {
-                schema,
-                profile,
+                schema: schema.to_string(),
+                profile: top.field("profile", Json::as_str)?.to_string(),
                 benchmarks,
             })
         }
@@ -438,254 +432,6 @@ pub mod report {
             }
         }
         out
-    }
-
-    fn escape(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => vec!['\\', '"'],
-                '\\' => vec!['\\', '\\'],
-                c if (c as u32) < 0x20 => vec![' '],
-                c => vec![c],
-            })
-            .collect()
-    }
-
-    mod json {
-        //! A parser for the JSON subset [`super::BenchReport::to_json`]
-        //! emits: objects, arrays, strings without exotic escapes,
-        //! unsigned/float numbers.
-
-        use std::collections::BTreeMap;
-
-        #[derive(Debug, Clone, PartialEq)]
-        pub enum Value {
-            Object(BTreeMap<String, Value>),
-            Array(Vec<Value>),
-            String(String),
-            Number(f64),
-        }
-
-        impl Value {
-            pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-                match self {
-                    Value::Object(m) => Some(m),
-                    _ => None,
-                }
-            }
-
-            pub fn as_array(&self) -> Option<&Vec<Value>> {
-                match self {
-                    Value::Array(a) => Some(a),
-                    _ => None,
-                }
-            }
-
-            pub fn as_u64(&self) -> Option<u64> {
-                match self {
-                    Value::Number(n) if *n >= 0.0 => Some(*n as u64),
-                    _ => None,
-                }
-            }
-        }
-
-        pub fn get<'a>(
-            obj: &'a BTreeMap<String, Value>,
-            key: &str,
-        ) -> Result<&'a Value, String> {
-            obj.get(key).ok_or_else(|| format!("missing key `{key}`"))
-        }
-
-        pub fn get_str(obj: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
-            match get(obj, key)? {
-                Value::String(s) => Ok(s.clone()),
-                _ => Err(format!("`{key}` is not a string")),
-            }
-        }
-
-        pub fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-            get(obj, key)?
-                .as_u64()
-                .ok_or_else(|| format!("`{key}` is not an unsigned number"))
-        }
-
-        pub fn parse(text: &str) -> Result<Value, String> {
-            let mut p = Parser {
-                bytes: text.as_bytes(),
-                pos: 0,
-            };
-            let v = p.value()?;
-            p.skip_ws();
-            if p.pos != p.bytes.len() {
-                return Err(format!("trailing input at byte {}", p.pos));
-            }
-            Ok(v)
-        }
-
-        struct Parser<'a> {
-            bytes: &'a [u8],
-            pos: usize,
-        }
-
-        impl Parser<'_> {
-            fn skip_ws(&mut self) {
-                while self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(|b| b.is_ascii_whitespace())
-                {
-                    self.pos += 1;
-                }
-            }
-
-            fn peek(&mut self) -> Result<u8, String> {
-                self.skip_ws();
-                self.bytes
-                    .get(self.pos)
-                    .copied()
-                    .ok_or_else(|| "unexpected end of input".to_string())
-            }
-
-            fn expect(&mut self, b: u8) -> Result<(), String> {
-                let got = self.peek()?;
-                if got != b {
-                    return Err(format!(
-                        "expected `{}` at byte {}, found `{}`",
-                        b as char, self.pos, got as char
-                    ));
-                }
-                self.pos += 1;
-                Ok(())
-            }
-
-            fn value(&mut self) -> Result<Value, String> {
-                match self.peek()? {
-                    b'{' => self.object(),
-                    b'[' => self.array(),
-                    b'"' => Ok(Value::String(self.string()?)),
-                    b'0'..=b'9' | b'-' => self.number(),
-                    other => Err(format!(
-                        "unexpected `{}` at byte {}",
-                        other as char, self.pos
-                    )),
-                }
-            }
-
-            fn object(&mut self) -> Result<Value, String> {
-                self.expect(b'{')?;
-                let mut map = BTreeMap::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let value = self.value()?;
-                    map.insert(key, value);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Value::Object(map));
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected `,` or `}}` at byte {}, found `{}`",
-                                self.pos, other as char
-                            ))
-                        }
-                    }
-                }
-            }
-
-            fn array(&mut self) -> Result<Value, String> {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected `,` or `]` at byte {}, found `{}`",
-                                self.pos, other as char
-                            ))
-                        }
-                    }
-                }
-            }
-
-            fn string(&mut self) -> Result<String, String> {
-                self.expect(b'"')?;
-                let mut out = String::new();
-                loop {
-                    match self.bytes.get(self.pos) {
-                        None => return Err("unterminated string".to_string()),
-                        Some(b'"') => {
-                            self.pos += 1;
-                            return Ok(out);
-                        }
-                        Some(b'\\') => {
-                            let escaped = self
-                                .bytes
-                                .get(self.pos + 1)
-                                .ok_or("unterminated escape")?;
-                            match escaped {
-                                b'"' => out.push('"'),
-                                b'\\' => out.push('\\'),
-                                other => {
-                                    return Err(format!(
-                                        "unsupported escape `\\{}`",
-                                        *other as char
-                                    ))
-                                }
-                            }
-                            self.pos += 2;
-                        }
-                        Some(&b) => {
-                            // Multi-byte UTF-8 sequences pass through
-                            // byte-by-byte; the input was a valid &str.
-                            let start = self.pos;
-                            let mut end = self.pos + 1;
-                            if b >= 0x80 {
-                                while self.bytes.get(end).is_some_and(|&n| n & 0xC0 == 0x80) {
-                                    end += 1;
-                                }
-                            }
-                            out.push_str(
-                                std::str::from_utf8(&self.bytes[start..end])
-                                    .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                            );
-                            self.pos = end;
-                        }
-                    }
-                }
-            }
-
-            fn number(&mut self) -> Result<Value, String> {
-                self.skip_ws();
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .map(Value::Number)
-                    .ok_or_else(|| format!("malformed number at byte {start}"))
-            }
-        }
     }
 }
 
@@ -948,7 +694,7 @@ mod tests {
         fn sample_report() -> BenchReport {
             let mut r = BenchReport::new("full");
             r.benchmarks.push(row("rewrite_queue", "front/128", 5_000));
-            r.benchmarks.push(row("memoization", "queries_plain/32", 900));
+            r.benchmarks.push(row("rewrite_queue", "queries_plain/32", 900));
             r.benchmarks[1].before_ns = Some(2_700);
             r
         }
@@ -958,6 +704,22 @@ mod tests {
             let report = sample_report();
             let text = report.to_json();
             let parsed = BenchReport::from_json(&text).expect("parses");
+            assert_eq!(parsed, report);
+        }
+
+        #[test]
+        fn committed_baseline_re_renders_byte_for_byte() {
+            let committed = include_str!("../../../BENCH_rewrite.json");
+            let parsed = BenchReport::from_json(committed).expect("baseline parses");
+            assert!(!parsed.benchmarks.is_empty());
+            assert_eq!(parsed.to_json(), committed);
+        }
+
+        #[test]
+        fn control_characters_survive_the_round_trip() {
+            let mut report = sample_report();
+            report.benchmarks[0].name = "tab\there \"quoted\" nl\n bell\u{7}".to_string();
+            let parsed = BenchReport::from_json(&report.to_json()).expect("parses");
             assert_eq!(parsed, report);
         }
 

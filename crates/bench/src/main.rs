@@ -1,12 +1,11 @@
 //! `cargo run -p adt-bench` — the fixed-seed benchmark runner behind the
 //! committed `BENCH_rewrite.json`.
 //!
-//! Measures a curated subset of the `benches/` workloads (memoization,
-//! rewrite_queue, checker_scaling, session_reuse, retry_ladder — all
-//! deterministic, seed 7) and emits
-//! the medians as machine-readable JSON. CI runs this with `--quick
-//! --baseline BENCH_rewrite.json` to catch >2× regressions; the
-//! committed baseline itself is produced with `--merge-before` so it
+//! Measures a curated subset of the `benches/` workloads (rewrite_queue,
+//! checker_scaling, session_reuse, retry_ladder — all deterministic,
+//! seed 7) and emits the medians as machine-readable JSON. CI runs this
+//! with `--quick --baseline BENCH_rewrite.json` to catch >2× regressions;
+//! the committed baseline itself is produced with `--merge-before` so it
 //! carries the pre-arena medians alongside the current ones.
 //!
 //! ```text
@@ -111,45 +110,6 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     let spec = queue_spec();
     let sig = spec.sig();
 
-    // memoization: one FRONT over a long queue, and 32 alternating
-    // observers over one shared state. The group keeps its name so the
-    // rows stay comparable with earlier reports; each normalization runs
-    // cold, with only its own run-local cache.
-    {
-        let g = group("memoization");
-        let n = 128;
-        let front = sig
-            .apply("FRONT", vec![queue_term(&spec, n, 0, 7)])
-            .expect("well-sorted");
-        let plain = Rewriter::new(&spec).with_fuel(1_000_000_000);
-        push(
-            "memoization",
-            &format!("single_plain/{n}"),
-            g.bench(&format!("single_plain/{n}"), || {
-                plain.normalize(std::hint::black_box(&front)).expect("normalizes")
-            }),
-        );
-
-        let queries = 32;
-        let state = queue_term(&spec, 64, 32, 7);
-        let observations: Vec<_> = (0..queries)
-            .map(|k| {
-                let op = if k % 2 == 0 { "FRONT" } else { "IS_EMPTY?" };
-                sig.apply(op, vec![state.clone()]).expect("well-sorted")
-            })
-            .collect();
-        push(
-            "memoization",
-            &format!("queries_plain/{queries}"),
-            g.bench(&format!("queries_plain/{queries}"), || {
-                observations
-                    .iter()
-                    .map(|t| plain.normalize(std::hint::black_box(t)).expect("normalizes").size())
-                    .sum::<usize>()
-            }),
-        );
-    }
-
     // rewrite_queue: raw single-threaded normalization throughput.
     {
         let g = group("rewrite_queue");
@@ -181,6 +141,26 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             "drain/64",
             g.bench("drain/64", || {
                 rw.normalize(std::hint::black_box(&drain)).expect("normalizes")
+            }),
+        );
+        // 32 alternating observers over one shared state; each
+        // normalization runs cold, with only its own run-local cache.
+        let queries = 32;
+        let state = queue_term(&spec, 64, 32, 7);
+        let observations: Vec<_> = (0..queries)
+            .map(|k| {
+                let op = if k % 2 == 0 { "FRONT" } else { "IS_EMPTY?" };
+                sig.apply(op, vec![state.clone()]).expect("well-sorted")
+            })
+            .collect();
+        push(
+            "rewrite_queue",
+            &format!("queries_plain/{queries}"),
+            g.bench(&format!("queries_plain/{queries}"), || {
+                observations
+                    .iter()
+                    .map(|t| rw.normalize(std::hint::black_box(t)).expect("normalizes").size())
+                    .sum::<usize>()
             }),
         );
     }

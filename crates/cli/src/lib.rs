@@ -27,6 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use adt_check::fault::fault_isolation_check;
 use adt_check::{
     check_completeness_session, check_consistency_session, classification_warnings,
     overlap_warnings, recursion_warnings, CheckConfig, CheckStats, ConsistencyVerdict, FaultSpec,
@@ -35,7 +36,6 @@ use adt_check::{
 use adt_core::{display, Deadline, Fuel, Session, Spec, Supervisor};
 use adt_dsl::{parse_session, parse_term, print_spec};
 use adt_rewrite::{Proof, Rewriter};
-use adt_verify::fault_isolation_check;
 
 use checkpoint::{fnv1a_hex, Checkpoint, Phase, VerdictGroup};
 
@@ -1260,6 +1260,27 @@ end
         assert!(rewritten.config.contains("fuel=500000"));
 
         let _ = fs::remove_file(path);
+        let _ = fs::remove_file(ck);
+    }
+
+    #[test]
+    fn corrupt_checkpoints_degrade_to_a_fresh_run() {
+        let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/queue.adt");
+        let mut ck = std::env::temp_dir();
+        ck.push(format!("adt_cli_test_{}_corrupt.json", std::process::id()));
+        let plain = run(&args(&["check", spec]));
+        assert_eq!(plain.code, 0, "{}", plain.output);
+
+        // A file of 100,000 `[` once overflowed the parser's stack; a
+        // truncated checkpoint is the ordinary case of a killed write.
+        let _ = fs::remove_file(&ck);
+        let _ = run(&args(&["check", "--checkpoint", ck.to_str().unwrap(), spec]));
+        let written = fs::read_to_string(&ck).expect("checkpoint written");
+        for corrupt in ["[".repeat(100_000), written[..100].to_owned()] {
+            fs::write(&ck, &corrupt).expect("checkpoint is writable");
+            let out = run(&args(&["check", "--checkpoint", ck.to_str().unwrap(), spec]));
+            assert_eq!(out, plain, "checkpoint starting {:?}", &corrupt[..10]);
+        }
         let _ = fs::remove_file(ck);
     }
 

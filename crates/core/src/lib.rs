@@ -76,6 +76,8 @@ mod term;
 mod unify;
 
 pub mod display;
+#[cfg_attr(not(test), deny(clippy::unwrap_used))]
+pub mod json;
 
 pub use arena::{TermArena, TermId, TermNode, TermStore};
 pub use axiom::Axiom;

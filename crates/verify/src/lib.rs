@@ -28,15 +28,15 @@
 //!   must be *invariant under rewriting* (`eval(t) ≡ eval(nf(t))`) — the
 //!   axioms supply both the test cases and the expected results — while
 //!   the parallel and sequential checkers must return identical reports.
-//! * [`fault_isolation_check`] — robustness differential: inject worker
-//!   panics, fuel exhaustion and slow chunks ([`adt_check::FaultSpec`]) into
-//!   the checking engine and verify that every *non-faulted* work item's
-//!   verdict is byte-identical to a fault-free run.
 //! * [`translate_obligations`] / [`verify_obligation`] — the §4 proof
 //!   itself: translate each abstract axiom through the implementation
 //!   (primed operations) and Φ, then prove the two sides equal with case
 //!   analysis, optionally restricted by an assumption such as Assumption 1
 //!   ("an identifier is never added to an empty symbol table").
+//!
+//! The checkers' own robustness differential, which injects faults into
+//! the checking engine, is [`adt_check::fault::fault_isolation_check`]:
+//! it lives next to the fault plans it arms.
 //!
 //! Every pass takes a [`adt_core::Spec`] and keeps no cache between
 //! normalizations, so its verdict depends only on the specification, the
@@ -51,7 +51,6 @@
 mod axiom_check;
 mod differential;
 mod eval;
-mod fault;
 mod gen;
 mod homomorphism;
 mod induction;
@@ -67,9 +66,6 @@ pub use differential::{
     OracleMismatch,
 };
 pub use eval::{eval_ground, eval_with_env};
-pub use fault::{
-    fault_isolation_check, FaultIsolationReport, IsolationMismatch, PhaseIsolation,
-};
 pub use gen::{enumerate_ctor_terms, enumerate_terms, sample_ctor_term, TermPool};
 pub use homomorphism::{check_representation, RepCheckConfig, RepCheckReport, RepMismatch};
 pub use induction::{instantiate_case, prove_by_induction, with_lemma, InductionOutcome};

@@ -21,14 +21,13 @@
 use std::fs;
 use std::path::PathBuf;
 
-use adt_check::fault::PAIRS;
+use adt_check::fault::{fault_isolation_check, PAIRS};
 use adt_check::{
     check_completeness_with_config, check_consistency_with_config, CheckConfig,
     ConsistencyVerdict, FaultSpec, ProbeConfig, RetryFuel,
 };
 use adt_core::{ExhaustionCause, Fuel};
 use adt_rewrite::{RewriteError, Rewriter};
-use adt_verify::fault_isolation_check;
 use adt_structures::sources;
 
 /// Two critical pairs (`f0`/`f1` overlap on `F(ZERO)`), and an `F` that
