@@ -7,9 +7,11 @@
 //!
 //! Two complementary analyses are used:
 //!
-//! 1. **Critical-pair analysis** (via [`adt_rewrite::critical_pairs`]):
-//!    every overlap of two left-hand sides must join. A diverged pair with
-//!    two distinguishable normal forms is a proof of inconsistency.
+//! 1. **Critical-pair analysis** (via [`adt_rewrite::superpositions`] and
+//!    [`adt_rewrite::classify_superposition`]): every overlap of two
+//!    left-hand sides, enumerated in axiom declaration order, must join.
+//!    A diverged pair with two distinguishable normal forms is a proof of
+//!    inconsistency.
 //! 2. **Randomized ground probing**: sample ground terms, enumerate every
 //!    one-step reduct (any rule at any position), normalize each, and
 //!    compare. This catches contradictions that only manifest on
@@ -568,6 +570,9 @@ pub fn random_application(
 /// Builds a random ground constructor term of `sort` with depth at most
 /// `max_depth`. Returns `None` if the sort has no constructors (or none
 /// usable within the depth budget).
+///
+/// The workspace's one seeded constructor-term sampler: the consistency
+/// probes and `adt-verify`'s random axiom instances both draw from it.
 pub fn random_ctor_term(
     sig: &Signature,
     sort: SortId,
@@ -897,6 +902,7 @@ mod tests {
             let t = random_ctor_term(spec.sig(), s, 4, &mut rng).unwrap();
             assert!(t.depth() <= 4);
             assert!(t.is_constructor_term(spec.sig()));
+            assert_eq!(t.sort(spec.sig()).unwrap(), s);
         }
     }
 

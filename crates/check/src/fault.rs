@@ -229,11 +229,6 @@ impl ArmedFaults {
         self.exhausts.iter().copied()
     }
 
-    /// The indices armed to run slow, in ascending order.
-    pub fn slow_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slows.iter().copied()
-    }
-
     /// Total number of faulted items.
     pub fn fault_count(&self) -> usize {
         self.panics.len() + self.exhausts.len() + self.slows.len()

@@ -65,7 +65,7 @@ pub use completeness::{
     CompletenessReport, Coverage, OpCoverage, PatternNote,
 };
 pub use consistency::{
-    check_consistency, check_consistency_session, check_consistency_with_config,
+    check_consistency, check_consistency_session, check_consistency_with_config, random_ctor_term,
     ConsistencyReport, ConsistencyVerdict, Contradiction, ExhaustedProbe, ProbeConfig,
 };
 pub use parallel::{CheckFailure, CheckStats, ItemOutcome};

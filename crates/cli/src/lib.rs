@@ -1285,6 +1285,38 @@ end
     }
 
     #[test]
+    fn contradictions_are_listed_in_declaration_order() {
+        // Six heads, each with one diverging critical pair: the report
+        // lists them in axiom order at any job count.
+        let spec = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/overlap_heads.adt"
+        );
+        let mut expected = String::from(
+            "N: 1 sort(s) of interest, 10 operation(s), 12 axiom(s)\n\
+             sufficiently complete: yes\n\
+             consistent: NO\n",
+        );
+        for (k, op) in ["A", "B", "C", "D", "E", "F"].iter().enumerate() {
+            let value = format!("{}ZERO{}", "SUCC(".repeat(k + 1), ")".repeat(k + 1));
+            expected.push_str(&format!(
+                "    contradiction [critical-pair]: {op}(ZERO) = ZERO but also {value}\n"
+            ));
+        }
+        for op in ["a", "b", "c", "d", "e", "f"] {
+            expected.push_str(&format!(
+                "warning: axioms `{op}1` and `{op}2` overlap: rule order decides which \
+                 fires on their common instances\n"
+            ));
+        }
+        for jobs in ["1", "4"] {
+            let out = run(&args(&["check", "--jobs", jobs, spec]));
+            assert_eq!(out.code, 1, "jobs {jobs}");
+            assert_eq!(out.output, expected, "jobs {jobs}");
+        }
+    }
+
+    #[test]
     fn expired_deadline_caches_no_phases() {
         let path = fixture("ckptdead", QUEUE);
         let mut ck = std::env::temp_dir();

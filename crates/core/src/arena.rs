@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ids::{OpId, SortId, VarId};
-use crate::term::{Ite, Term};
+use crate::term::Term;
 
 /// A [`Hasher`] that passes an already-mixed `u64` key through unchanged.
 ///
@@ -407,14 +407,6 @@ impl TermArena {
             }
         }
         done.pop().expect("reconstruction produces exactly one root")
-    }
-
-    /// Convenience: interns all parts of an [`Ite`].
-    pub fn intern_ite(&mut self, ite: &Ite) -> TermId {
-        let c = self.intern(&ite.cond);
-        let t = self.intern(&ite.then_branch);
-        let e = self.intern(&ite.else_branch);
-        self.ite(c, t, e)
     }
 }
 

@@ -3,20 +3,18 @@
 //! The paper's algebra makes `error` a first-class value that every
 //! operation must propagate; the same discipline applied to the *tools*
 //! means no entry point may hang or die — it must terminate with a
-//! verdict. A [`Fuel`] budget bounds the three resources a divergent
-//! axiom set can otherwise consume without limit: rewrite steps, term
-//! (recursion) depth, and wall-clock time. When a budget runs out the
-//! engines report a [`FuelSpent`] receipt — how much was consumed and
-//! which bound tripped — instead of spinning.
+//! verdict. A [`Fuel`] budget bounds the two resources a divergent axiom
+//! set can otherwise consume without limit: rewrite steps and term
+//! (recursion) depth. When a budget runs out the engines report a
+//! [`FuelSpent`] receipt — how much was consumed and which bound
+//! tripped — instead of spinning.
 //!
-//! Steps and depth are deterministic: the same input exhausts at exactly
-//! the same point on every run and at every worker count, so reports
-//! containing exhaustion verdicts stay byte-identical. A wall-clock
-//! deadline is inherently timing-dependent and therefore **off by
-//! default**; enabling it trades report determinism for a hard latency
-//! bound.
-
-use std::time::Duration;
+//! Both bounds are deterministic: the same input exhausts at exactly the
+//! same point on every run and at every worker count, so reports
+//! containing exhaustion verdicts stay byte-identical. Fuel carries no
+//! clock: wall-clock time has one owner, the [`crate::Supervisor`]
+//! (`--deadline`, `:deadline`, `adt batch`), whose interrupts are
+//! reported apart from exhaustion and never retried.
 
 /// The default step budget: generous for every workload in this
 /// repository while still catching circular axiom sets quickly.
@@ -43,7 +41,6 @@ pub const DEFAULT_MAX_DEPTH: usize = 1024;
 /// let budget = Fuel::steps(10_000).with_max_depth(512);
 /// assert_eq!(budget.steps, 10_000);
 /// assert_eq!(budget.max_depth, Some(512));
-/// assert_eq!(budget.deadline, None); // deadlines are opt-in
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fuel {
@@ -52,9 +49,6 @@ pub struct Fuel {
     pub steps: u64,
     /// Maximum evaluation (term recursion) depth, if bounded.
     pub max_depth: Option<usize>,
-    /// Wall-clock budget, if bounded. Non-deterministic: two runs may
-    /// exhaust at different points. Off by default.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for Fuel {
@@ -62,14 +56,12 @@ impl Default for Fuel {
         Fuel {
             steps: DEFAULT_FUEL_STEPS,
             max_depth: Some(DEFAULT_MAX_DEPTH),
-            deadline: None,
         }
     }
 }
 
 impl Fuel {
-    /// A budget of `steps` rewrite steps with the default depth bound and
-    /// no deadline.
+    /// A budget of `steps` rewrite steps with the default depth bound.
     pub fn steps(steps: u64) -> Self {
         Fuel {
             steps,
@@ -95,13 +87,6 @@ impl Fuel {
         self.max_depth = None;
         self
     }
-
-    /// Adds a wall-clock deadline (non-deterministic; see module docs).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
 }
 
 /// Which bound of a [`Fuel`] budget tripped.
@@ -111,8 +96,6 @@ pub enum ExhaustionCause {
     Steps,
     /// The depth bound was exceeded.
     Depth,
-    /// The wall-clock deadline passed.
-    Deadline,
 }
 
 impl std::fmt::Display for ExhaustionCause {
@@ -120,14 +103,13 @@ impl std::fmt::Display for ExhaustionCause {
         match self {
             ExhaustionCause::Steps => write!(f, "step budget"),
             ExhaustionCause::Depth => write!(f, "depth bound"),
-            ExhaustionCause::Deadline => write!(f, "deadline"),
         }
     }
 }
 
 /// A receipt for an exhausted budget: what was spent and which bound
-/// tripped. Deliberately contains no timing data (beyond the cause), so
-/// it can appear in reports that must be byte-identical across runs.
+/// tripped. Deliberately contains no timing data, so it can appear in
+/// reports that must be byte-identical across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuelSpent {
     /// Rewrite steps performed before the budget ran out. When
@@ -154,11 +136,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_bound_steps_and_depth_but_not_time() {
+    fn defaults_bound_steps_and_depth() {
         let f = Fuel::default();
         assert_eq!(f.steps, DEFAULT_FUEL_STEPS);
         assert_eq!(f.max_depth, Some(DEFAULT_MAX_DEPTH));
-        assert_eq!(f.deadline, None);
     }
 
     #[test]
@@ -170,12 +151,9 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let f = Fuel::steps(7)
-            .with_max_depth(3)
-            .with_deadline(Duration::from_millis(100));
+        let f = Fuel::steps(7).with_max_depth(3);
         assert_eq!(f.steps, 7);
         assert_eq!(f.max_depth, Some(3));
-        assert_eq!(f.deadline, Some(Duration::from_millis(100)));
     }
 
     #[test]

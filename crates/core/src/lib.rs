@@ -86,7 +86,7 @@ pub use fuel::{ExhaustionCause, Fuel, FuelSpent, DEFAULT_FUEL_STEPS, DEFAULT_MAX
 pub use ids::{OpId, SortId, VarId};
 pub use matching::{match_pattern, match_pattern_at_root};
 pub use rng::{fnv1a, DetRng};
-pub use rules::{Rule, RuleSet};
+pub use rules::RuleSet;
 pub use session::{Session, SessionStats};
 pub use signature::{OpInfo, Signature, SortInfo, VarInfo};
 pub use spec::{Spec, SpecBuilder};

@@ -1,78 +1,26 @@
-//! Compiled rewrite rules, indexed by head operation.
+//! The rewrite-rule table: axioms read left to right, indexed by head
+//! operation.
 //!
-//! Rules live in `adt-core` (rather than the rewrite crate that executes
-//! them) so a [`crate::Session`] can own the compiled rule set alongside
-//! the signature and the term arena: every engine borrowing the session
-//! then shares one compilation instead of re-deriving it per check.
+//! A rule *is* an axiom — the spec's [`Axiom`] is the only rule type —
+//! so the table stores axioms, bucketed by the operation at the head of
+//! their left-hand side, each bucket in insertion order. The table lives
+//! in `adt-core` (rather than the rewrite crate that executes it) so a
+//! [`crate::Session`] can own it alongside the signature and the term
+//! arena: every engine built for the session borrows that one table
+//! instead of compiling its own.
+//!
+//! The table has no iteration API on purpose: code that needs every
+//! rule in a fixed order walks [`crate::Spec::axioms`], which is
+//! declaration order.
 
-use std::collections::HashMap;
+use crate::{Axiom, OpId, Spec};
 
-use crate::{Axiom, OpId, Signature, Spec, Term};
-
-/// One left-to-right rewrite rule derived from an axiom (or added
-/// manually, e.g. an induction hypothesis).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rule {
-    label: String,
-    lhs: Term,
-    rhs: Term,
-}
-
-impl Rule {
-    /// Creates a rule. The left-hand side must be an application (this is
-    /// guaranteed for rules compiled from validated axioms).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lhs` is not an application.
-    pub fn new(label: impl Into<String>, lhs: Term, rhs: Term) -> Self {
-        assert!(
-            matches!(lhs, Term::App(_, _)),
-            "rule left-hand side must be an application"
-        );
-        Rule {
-            label: label.into(),
-            lhs,
-            rhs,
-        }
-    }
-
-    /// The rule's label, used in traces and diagnostics.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The pattern the rule matches.
-    pub fn lhs(&self) -> &Term {
-        &self.lhs
-    }
-
-    /// The template the rule produces.
-    pub fn rhs(&self) -> &Term {
-        &self.rhs
-    }
-
-    /// The operation at the head of the left-hand side.
-    pub fn head(&self) -> OpId {
-        match &self.lhs {
-            Term::App(op, _) => *op,
-            _ => unreachable!("checked in constructor"),
-        }
-    }
-}
-
-impl From<&Axiom> for Rule {
-    fn from(ax: &Axiom) -> Self {
-        Rule::new(ax.label(), ax.lhs().clone(), ax.rhs().clone())
-    }
-}
-
-/// A set of rules indexed by the head operation of their left-hand sides,
-/// so the engine only tries rules that can possibly match.
+/// Axioms indexed by the head operation of their left-hand sides, so the
+/// engine only tries rules that can possibly match.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    by_head: HashMap<OpId, Vec<Rule>>,
-    len: usize,
+    /// One bucket per operation, indexed by [`OpId::index`].
+    by_head: Vec<Vec<Axiom>>,
 }
 
 impl RuleSet {
@@ -81,65 +29,54 @@ impl RuleSet {
         RuleSet::default()
     }
 
-    /// Compiles every axiom of a specification into a rule.
+    /// The rule set of a specification: every axiom, in declaration order.
     pub fn from_spec(spec: &Spec) -> Self {
         let mut rs = RuleSet::new();
         for ax in spec.axioms() {
-            rs.add(Rule::from(ax));
+            rs.add(ax.clone());
         }
         rs
     }
 
-    /// Adds a rule. Rules for the same head are tried in insertion order.
-    pub fn add(&mut self, rule: Rule) {
-        self.by_head.entry(rule.head()).or_default().push(rule);
-        self.len += 1;
+    /// Adds a rule (e.g. an induction hypothesis). Rules for the same
+    /// head are tried in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rule's left-hand side is not an application (which
+    /// no axiom passing [`Axiom::validate`] has).
+    pub fn add(&mut self, rule: Axiom) {
+        let Some(head) = rule.head_op() else {
+            panic!("rule left-hand side must be an application");
+        };
+        let index = head.index();
+        if self.by_head.len() <= index {
+            self.by_head.resize_with(index + 1, Vec::new);
+        }
+        self.by_head[index].push(rule);
     }
 
-    /// The rules whose left-hand side is headed by `op`.
-    pub fn for_head(&self, op: OpId) -> &[Rule] {
-        self.by_head.get(&op).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Iterates over every rule in the set.
-    pub fn iter(&self) -> impl Iterator<Item = &Rule> {
-        self.by_head.values().flatten()
+    /// The rules whose left-hand side is headed by `op`, in insertion
+    /// order.
+    pub fn for_head(&self, op: OpId) -> &[Axiom] {
+        self.by_head.get(op.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Total number of rules.
     pub fn len(&self) -> usize {
-        self.len
+        self.by_head.iter().map(Vec::len).sum()
     }
 
     /// Whether the set contains no rules.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether any rule is headed by `op` — i.e. whether `op` is *defined*
-    /// by the rule set rather than free (a constructor or an unspecified
-    /// operation).
-    pub fn defines(&self, op: OpId) -> bool {
-        !self.for_head(op).is_empty()
-    }
-
-    /// A short human-readable summary, e.g. for logging: names of defined
-    /// operations with their rule counts.
-    pub fn summary(&self, sig: &Signature) -> String {
-        let mut entries: Vec<_> = self
-            .by_head
-            .iter()
-            .map(|(op, rules)| format!("{}:{}", sig.op(*op).name(), rules.len()))
-            .collect();
-        entries.sort();
-        entries.join(", ")
+        self.by_head.iter().all(Vec::is_empty)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpecBuilder;
+    use crate::{SpecBuilder, Term};
 
     fn tiny_spec() -> Spec {
         let mut b = SpecBuilder::new("Tiny");
@@ -163,9 +100,7 @@ mod tests {
         assert!(!rs.is_empty());
         let is_zero = spec.sig().find_op("IS_ZERO?").unwrap();
         assert_eq!(rs.for_head(is_zero).len(), 2);
-        assert!(rs.defines(is_zero));
         let zero = spec.sig().find_op("ZERO").unwrap();
-        assert!(!rs.defines(zero));
         assert_eq!(rs.for_head(zero), &[]);
     }
 
@@ -174,15 +109,8 @@ mod tests {
         let spec = tiny_spec();
         let rs = RuleSet::from_spec(&spec);
         let is_zero = spec.sig().find_op("IS_ZERO?").unwrap();
-        let labels: Vec<_> = rs.for_head(is_zero).iter().map(Rule::label).collect();
+        let labels: Vec<_> = rs.for_head(is_zero).iter().map(Axiom::label).collect();
         assert_eq!(labels, vec!["z1", "z2"]);
-    }
-
-    #[test]
-    fn summary_lists_defined_ops() {
-        let spec = tiny_spec();
-        let rs = RuleSet::from_spec(&spec);
-        assert_eq!(rs.summary(spec.sig()), "IS_ZERO?:2");
     }
 
     #[test]
@@ -190,7 +118,7 @@ mod tests {
     fn variable_lhs_panics() {
         let spec = tiny_spec();
         let x = spec.sig().find_var("x").unwrap();
-        let _ = Rule::new("bad", Term::Var(x), Term::Var(x));
+        RuleSet::new().add(Axiom::new("bad", Term::Var(x), Term::Var(x)));
     }
 
     #[test]
@@ -200,12 +128,12 @@ mod tests {
         let x = spec.sig().find_var("x").unwrap();
         let succ = spec.sig().find_op("SUCC").unwrap();
         // A (nonsensical but well-formed) extra rule: SUCC(x) -> x.
-        rs.add(Rule::new(
+        rs.add(Axiom::new(
             "extra",
             Term::App(succ, vec![Term::Var(x)]),
             Term::Var(x),
         ));
         assert_eq!(rs.len(), 3);
-        assert!(rs.defines(succ));
+        assert_eq!(rs.for_head(succ).len(), 1);
     }
 }

@@ -297,18 +297,6 @@ impl Signature {
         self.var_by_name.get(name).copied()
     }
 
-    /// Resolves a sort by name, or produces a descriptive error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Unknown`] if no such sort exists.
-    pub fn sort_named(&self, name: &str) -> Result<SortId> {
-        self.find_sort(name).ok_or_else(|| CoreError::Unknown {
-            kind: "sort",
-            name: name.into(),
-        })
-    }
-
     /// Resolves an operation by name, or produces a descriptive error.
     ///
     /// # Errors
@@ -317,18 +305,6 @@ impl Signature {
     pub fn op_named(&self, name: &str) -> Result<OpId> {
         self.find_op(name).ok_or_else(|| CoreError::Unknown {
             kind: "operation",
-            name: name.into(),
-        })
-    }
-
-    /// Resolves a variable by name, or produces a descriptive error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Unknown`] if no such variable exists.
-    pub fn var_named(&self, name: &str) -> Result<VarId> {
-        self.find_var(name).ok_or_else(|| CoreError::Unknown {
-            kind: "variable",
             name: name.into(),
         })
     }

@@ -1,14 +1,14 @@
 //! Cooperative supervision: wall-clock deadlines and cancellation.
 //!
-//! Fuel (see [`crate::fuel`]) bounds *work*; supervision bounds *time
-//! and intent*. A [`Deadline`] is a monotonic wall-clock budget shared
-//! by every work item of a run, and a [`CancelToken`] is a cheap,
-//! clonable flag an outside party (a signal handler, a batch driver, a
-//! test harness) can trip to stop a run mid-flight. Both are folded
-//! into a [`Supervisor`], which the rewrite engine polls at the same
-//! cadence as its deadline check — roughly every thousand rewrite
-//! steps — so a diverging normalization notices within microseconds
-//! that its run is over.
+//! Fuel (see [`crate::fuel`]) bounds *work* in steps and depth, and
+//! carries no clock; supervision is the one owner of *time and intent*.
+//! A [`Deadline`] is a monotonic wall-clock budget shared by every work
+//! item of a run, and a [`CancelToken`] is a cheap, clonable flag an
+//! outside party (a signal handler, a batch driver, a test harness) can
+//! trip to stop a run mid-flight. Both are folded into a [`Supervisor`],
+//! which the rewrite engine polls on a normalization's first step and
+//! then every thousand or so rewrite steps, so a diverging
+//! normalization notices within microseconds that its run is over.
 //!
 //! Supervision is *cooperative*: nothing is killed. An interrupted
 //! normalization returns an [`Interrupt`] outcome that the checking

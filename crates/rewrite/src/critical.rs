@@ -3,14 +3,14 @@
 //! When two axioms can both rewrite one term, the two results must be
 //! joinable or the axiom set equates things it should not — the paper's
 //! *consistency* concern ("If any two of these are contradictory, the
-//! axiomatization is inconsistent", §3). This module computes all critical
-//! pairs of a specification and classifies each as joinable or diverged.
+//! axiomatization is inconsistent", §3). This module enumerates the
+//! superpositions of a specification ([`superpositions`]) and classifies
+//! each as joinable or diverged ([`classify_superposition`]).
 
 use adt_core::{unify, Fuel, FuelSpent, Interrupt, Position, Spec, Subst, Term, VarId};
 
 use crate::engine::Rewriter;
 use crate::error::RewriteError;
-use crate::rule::RuleSet;
 use crate::Result;
 
 /// How a critical pair resolved.
@@ -77,35 +77,6 @@ impl CriticalPair {
     }
 }
 
-/// The result of a critical-pair analysis.
-///
-/// Because pairs mention freshly renamed variables, the analysis carries
-/// its own extended copy of the specification; render pair terms against
-/// [`CriticalPairAnalysis::spec`].
-#[derive(Debug, Clone)]
-pub struct CriticalPairAnalysis {
-    /// The input specification extended with the renamed-apart variables
-    /// used by the pairs.
-    pub spec: Spec,
-    /// All non-trivial critical pairs found.
-    pub pairs: Vec<CriticalPair>,
-}
-
-impl CriticalPairAnalysis {
-    /// Whether every pair joined — i.e. the rules are locally confluent as
-    /// far as this analysis can see.
-    pub fn all_joinable(&self) -> bool {
-        self.pairs.iter().all(CriticalPair::is_joinable)
-    }
-
-    /// The diverged pairs only.
-    pub fn diverged(&self) -> impl Iterator<Item = &CriticalPair> {
-        self.pairs
-            .iter()
-            .filter(|p| matches!(p.status, PairStatus::Diverged { .. }))
-    }
-}
-
 /// One superposition: a critical pair before joinability classification.
 ///
 /// Produced by [`superpositions`]; classified into a [`CriticalPair`] by
@@ -135,18 +106,20 @@ pub struct Superposition {
 pub struct SuperpositionSet {
     /// The input specification extended with renamed-apart variables.
     pub spec: Spec,
-    /// Superpositions in deterministic (outer rule, inner rule, position)
-    /// enumeration order.
+    /// Superpositions in declaration order: outer axiom, inner axiom,
+    /// position.
     pub superpositions: Vec<Superposition>,
 }
 
 /// Enumerates every non-trivial superposition of the specification's
 /// axioms *without* checking joinability.
 ///
-/// Trivial self-overlaps (a rule superposed on itself at the root) are
+/// Trivial self-overlaps (an axiom superposed on itself at the root) are
 /// skipped, as are overlaps at variable positions. The returned order is
-/// deterministic: outer rules in axiom order, inner rules in axiom order,
-/// positions in `subterms()` order.
+/// the declaration order of [`Spec::axioms`]: outer axiom first, then
+/// inner axiom, then position in `subterms()` order. It is the same on
+/// every run and at every job count, which is what lets pair indices key
+/// fault arming, retry lines and checkpoints.
 ///
 /// # Errors
 ///
@@ -154,7 +127,7 @@ pub struct SuperpositionSet {
 /// constructed (which would indicate a bug, not bad input).
 pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
     // Extend the signature with a renamed copy of every variable, so the
-    // two rules of a pair never share variables.
+    // two axioms of a pair never share variables.
     let mut sig = spec.sig().clone();
     let mut renaming = Subst::new();
     let var_ids: Vec<VarId> = sig.var_ids().collect();
@@ -176,13 +149,15 @@ pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
     )
     .map_err(crate::RewriteError::from)?;
 
-    let rules = RuleSet::from_spec(&extended);
-    let all_rules: Vec<_> = rules.iter().collect();
+    let axioms = extended.axioms();
+    // Each axiom renamed apart once, for its turns as the inner axiom.
+    let renamed: Vec<(Term, Term)> = axioms
+        .iter()
+        .map(|ax| (renaming.apply(ax.lhs()), renaming.apply(ax.rhs())))
+        .collect();
     let mut found = Vec::new();
-    for (oi, outer) in all_rules.iter().enumerate() {
-        for (ii, inner) in all_rules.iter().enumerate() {
-            let inner_lhs = renaming.apply(inner.lhs());
-            let inner_rhs = renaming.apply(inner.rhs());
+    for (oi, outer) in axioms.iter().enumerate() {
+        for (ii, (inner, (inner_lhs, inner_rhs))) in axioms.iter().zip(&renamed).enumerate() {
             for (pos, sub) in outer.lhs().subterms() {
                 if matches!(sub, Term::Var(_)) {
                     continue;
@@ -190,7 +165,7 @@ pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
                 if oi == ii && pos.is_empty() {
                     continue; // trivial self-overlap
                 }
-                let Some(unifier) = unify(sub, &inner_lhs) else {
+                let Some(unifier) = unify(sub, inner_lhs) else {
                     continue;
                 };
                 let subst = &unifier.subst;
@@ -235,34 +210,6 @@ pub fn classify_superposition(rw: &Rewriter<'_>, sp: &Superposition) -> Critical
         right: sp.right.clone(),
         status,
     }
-}
-
-/// Computes all critical pairs of the specification's axioms and checks
-/// each for joinability by normalization (with a bounded case-split
-/// fallback for conditional right-hand sides).
-///
-/// Trivial self-overlaps (a rule superposed on itself at the root) are
-/// skipped, as are overlaps at variable positions.
-///
-/// Equivalent to [`superpositions`] followed by [`classify_superposition`]
-/// on each pair in order.
-///
-/// # Errors
-///
-/// Returns an error only if the extended specification cannot be
-/// constructed (which would indicate a bug, not bad input).
-pub fn critical_pairs(spec: &Spec) -> Result<CriticalPairAnalysis> {
-    let set = superpositions(spec)?;
-    let rw = Rewriter::new(&set.spec);
-    let pairs = set
-        .superpositions
-        .iter()
-        .map(|sp| classify_superposition(&rw, sp))
-        .collect();
-    Ok(CriticalPairAnalysis {
-        spec: set.spec,
-        pairs,
-    })
 }
 
 /// Applies a (possibly triangular) unifier until fixpoint, so chained
@@ -311,6 +258,16 @@ mod tests {
     use super::*;
     use adt_core::SpecBuilder;
 
+    /// Every superposition of `spec`, classified in enumeration order.
+    fn classified(spec: &Spec) -> Vec<CriticalPair> {
+        let set = superpositions(spec).unwrap();
+        let rw = Rewriter::new(&set.spec);
+        set.superpositions
+            .iter()
+            .map(|sp| classify_superposition(&rw, sp))
+            .collect()
+    }
+
     #[test]
     fn orthogonal_spec_has_no_pairs() {
         // Queue-like axioms on disjoint constructor cases never overlap.
@@ -325,9 +282,9 @@ mod tests {
         b.axiom("z1", b.app(is_zero, [b.app(zero, [])]), tt);
         b.axiom("z2", b.app(is_zero, [b.app(succ, [Term::Var(x)])]), ff);
         let spec = b.build().unwrap();
-        let analysis = critical_pairs(&spec).unwrap();
-        assert!(analysis.pairs.is_empty());
-        assert!(analysis.all_joinable());
+        let pairs = classified(&spec);
+        assert!(pairs.is_empty());
+        assert!(pairs.iter().all(CriticalPair::is_joinable));
     }
 
     #[test]
@@ -341,9 +298,12 @@ mod tests {
         b.axiom("general", b.app(f, [Term::Var(x)]), b.app(c, []));
         b.axiom("specific", b.app(f, [b.app(c, [])]), b.app(c, []));
         let spec = b.build().unwrap();
-        let analysis = critical_pairs(&spec).unwrap();
-        assert!(!analysis.pairs.is_empty());
-        assert!(analysis.all_joinable(), "pairs: {:#?}", analysis.pairs);
+        let pairs = classified(&spec);
+        assert!(!pairs.is_empty());
+        assert!(
+            pairs.iter().all(CriticalPair::is_joinable),
+            "pairs: {pairs:#?}"
+        );
     }
 
     #[test]
@@ -358,9 +318,12 @@ mod tests {
         b.axiom("general", b.app(f, [Term::Var(x)]), b.app(c, []));
         b.axiom("specific", b.app(f, [b.app(c, [])]), b.app(d, []));
         let spec = b.build().unwrap();
-        let analysis = critical_pairs(&spec).unwrap();
-        assert!(!analysis.all_joinable());
-        let diverged: Vec<_> = analysis.diverged().collect();
+        let pairs = classified(&spec);
+        assert!(!pairs.iter().all(CriticalPair::is_joinable));
+        let diverged: Vec<_> = pairs
+            .iter()
+            .filter(|p| matches!(p.status, PairStatus::Diverged { .. }))
+            .collect();
         assert!(!diverged.is_empty());
         match &diverged[0].status {
             PairStatus::Diverged { left_nf, right_nf } => {
@@ -382,13 +345,12 @@ mod tests {
         b.axiom("outer", b.app(g, [b.app(f, [b.app(c, [])])]), b.app(c, []));
         b.axiom("inner", b.app(f, [b.app(c, [])]), b.app(d, []));
         let spec = b.build().unwrap();
-        let analysis = critical_pairs(&spec).unwrap();
-        let found = analysis
-            .pairs
+        let pairs = classified(&spec);
+        let found = pairs
             .iter()
             .any(|p| p.outer_rule == "outer" && p.inner_rule == "inner" && p.position == vec![0]);
-        assert!(found, "pairs: {:#?}", analysis.pairs);
+        assert!(found, "pairs: {pairs:#?}");
         // G(D) is stuck at G(D) on one side and C on the other — diverged.
-        assert!(!analysis.all_joinable());
+        assert!(!pairs.iter().all(CriticalPair::is_joinable));
     }
 }

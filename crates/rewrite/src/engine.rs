@@ -39,15 +39,14 @@
 //! needs one. Concurrent `normalize_id` calls on one session serialize
 //! on that lock.
 
-use std::time::Instant;
+use std::borrow::Cow;
 
 use adt_core::{
-    ExhaustionCause, Fuel, FuelSpent, OpId, Session, SortId, Spec, Supervisor, Term, TermArena,
-    TermId, TermNode, TermStore, VarId,
+    ExhaustionCause, Fuel, FuelSpent, OpId, RuleSet, Session, SortId, Spec, Supervisor, Term,
+    TermArena, TermId, TermNode, TermStore, VarId,
 };
 
 use crate::error::RewriteError;
-use crate::rule::{Rule, RuleSet};
 use crate::trace::Trace;
 use crate::Result;
 
@@ -103,10 +102,9 @@ fn lookup(asms: &Assumptions, cond: TermId) -> Option<bool> {
     asms.iter().rev().find(|&&(t, _)| t == cond).map(|&(_, b)| b)
 }
 
-/// How often (in steps) the wall-clock deadline and the supervisor are
-/// polled. Checking every step would put a syscall in the hot loop;
-/// every 1024th step bounds the overshoot while keeping the common
-/// (unsupervised, no-deadline) path branch-only.
+/// How often (in steps) the supervisor is polled. Checking every step
+/// would put a clock read in the hot loop; every 1024th step bounds the
+/// overshoot while keeping the common (unsupervised) path branch-only.
 const DEADLINE_CHECK_INTERVAL: u64 = 1024;
 
 pub(crate) struct EvalState {
@@ -114,10 +112,7 @@ pub(crate) struct EvalState {
     pub(crate) steps: u64,
     depth: usize,
     max_depth: usize,
-    /// Only sampled when the budget carries a deadline, so budgets
-    /// without one stay fully deterministic.
-    started: Option<Instant>,
-    /// The run's supervisor, polled at the deadline cadence.
+    /// The run's supervisor, polled every `DEADLINE_CHECK_INTERVAL` steps.
     supervisor: Supervisor,
     /// Cached `supervisor.is_active()` so the inert case costs one
     /// branch per poll window instead of two `Option` inspections.
@@ -133,7 +128,6 @@ impl EvalState {
             steps: 0,
             depth: 0,
             max_depth: 0,
-            started: budget.deadline.map(|_| Instant::now()),
             supervisor,
             supervised,
             trace,
@@ -159,22 +153,14 @@ impl EvalState {
         self.steps += 1;
         // Poll on the very first step as well: a short normalization must
         // still observe an already-expired deadline or cancellation.
-        if self.steps == 1 || self.steps.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-            if let (Some(deadline), Some(started)) = (budget.deadline, self.started) {
-                if started.elapsed() >= deadline {
-                    return Err(RewriteError::Exhausted {
-                        spent: self.spent(ExhaustionCause::Deadline),
-                        budget: *budget,
-                    });
-                }
-            }
-            if self.supervised {
-                if let Some(kind) = self.supervisor.interrupted() {
-                    return Err(RewriteError::Interrupted {
-                        kind,
-                        steps: self.steps,
-                    });
-                }
+        if self.supervised
+            && (self.steps == 1 || self.steps.is_multiple_of(DEADLINE_CHECK_INTERVAL))
+        {
+            if let Some(kind) = self.supervisor.interrupted() {
+                return Err(RewriteError::Interrupted {
+                    kind,
+                    steps: self.steps,
+                });
             }
         }
         Ok(())
@@ -255,7 +241,9 @@ impl EvalState {
 #[derive(Debug, Clone)]
 pub struct Rewriter<'a> {
     spec: &'a Spec,
-    rules: RuleSet,
+    /// Borrowed from the session by [`Rewriter::for_session`], owned
+    /// otherwise.
+    rules: Cow<'a, RuleSet>,
     budget: Fuel,
     /// Cooperative supervision (deadline/cancellation), polled by every
     /// normalization this rewriter runs. Inert by default.
@@ -414,7 +402,7 @@ impl<'a> Rewriter<'a> {
     pub fn new(spec: &'a Spec) -> Self {
         Rewriter {
             spec,
-            rules: RuleSet::from_spec(spec),
+            rules: Cow::Owned(RuleSet::from_spec(spec)),
             budget: Fuel::default(),
             supervisor: Supervisor::none(),
         }
@@ -425,29 +413,34 @@ impl<'a> Rewriter<'a> {
     pub fn with_rules(spec: &'a Spec, rules: RuleSet) -> Self {
         Rewriter {
             spec,
-            rules,
+            rules: Cow::Owned(rules),
             budget: Fuel::default(),
             supervisor: Supervisor::none(),
         }
     }
 
     /// Creates a rewriter that borrows a [`Session`]'s world: its spec
-    /// and a copy of its compiled rules. This is the constructor that
+    /// and its rule table, neither copied. This is the constructor that
     /// makes [`Rewriter::normalize_id`] eligible to evaluate in the
     /// session's store — the rules are the session's by construction.
     pub fn for_session(session: &'a Session) -> Self {
-        Rewriter::with_rules(session.spec(), session.rules().clone())
+        Rewriter {
+            spec: session.spec(),
+            rules: Cow::Borrowed(session.rules()),
+            budget: Fuel::default(),
+            supervisor: Supervisor::none(),
+        }
     }
 
     /// Replaces the step budget (number of reduction steps allowed per
-    /// normalization), keeping any depth or deadline bound.
+    /// normalization), keeping any depth bound.
     #[must_use]
     pub fn with_fuel(mut self, fuel: u64) -> Self {
         self.budget.steps = fuel;
         self
     }
 
-    /// Replaces the whole resource budget (steps, depth, deadline).
+    /// Replaces the whole resource budget (steps and depth).
     #[must_use]
     pub fn with_budget(mut self, budget: Fuel) -> Self {
         self.budget = budget;
@@ -460,8 +453,8 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Places this rewriter under a [`Supervisor`]: every normalization
-    /// polls the deadline/cancel token at the same cadence as the fuel
-    /// deadline check and fails with [`RewriteError::Interrupted`] once
+    /// polls the deadline/cancel token on its first step and every 1024
+    /// steps after, and fails with [`RewriteError::Interrupted`] once
     /// it fires. An inert supervisor (the default) costs one predicted
     /// branch per poll window.
     #[must_use]
@@ -473,11 +466,6 @@ impl<'a> Rewriter<'a> {
     /// The supervisor in effect for each normalization.
     pub fn supervisor(&self) -> &Supervisor {
         &self.supervisor
-    }
-
-    /// Adds an extra rule (tried after earlier rules with the same head).
-    pub fn add_rule(&mut self, rule: Rule) {
-        self.rules.add(rule);
     }
 
     /// The rule set in use.
@@ -1340,18 +1328,20 @@ mod tests {
 
     #[test]
     fn deadline_trips_on_divergence() {
+        use adt_core::{Deadline, Interrupt};
         use std::time::Duration;
         let spec = loop_spec();
         // An already-expired deadline with ample steps: the divergent
-        // term must stop at the first deadline poll.
-        let rw =
-            Rewriter::new(&spec).with_budget(Fuel::default().with_deadline(Duration::ZERO));
+        // term must stop at the first supervisor poll.
+        let rw = Rewriter::new(&spec)
+            .supervised(Supervisor::none().with_deadline(Deadline::after(Duration::ZERO)));
         let t = spec.sig().apply("F", vec![q(&spec, "C", vec![])]).unwrap();
         match rw.normalize(&t) {
-            Err(RewriteError::Exhausted { spent, .. }) => {
-                assert_eq!(spent.cause, adt_core::ExhaustionCause::Deadline);
-            }
-            other => panic!("expected deadline exhaustion, got {other:?}"),
+            Err(RewriteError::Interrupted {
+                kind: Interrupt::DeadlineExceeded,
+                steps,
+            }) => assert_eq!(steps, 1, "stopped at the first poll"),
+            other => panic!("expected a deadline interrupt, got {other:?}"),
         }
     }
 

@@ -84,11 +84,6 @@ impl fmt::Display for RewriteError {
                     budget.max_depth.unwrap_or(spent.depth),
                     spent.steps
                 ),
-                ExhaustionCause::Deadline => write!(
-                    f,
-                    "normalization hit its wall-clock deadline after {} step(s)",
-                    spent.steps
-                ),
             },
             RewriteError::Interrupted { kind, steps } => {
                 write!(

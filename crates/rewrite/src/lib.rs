@@ -14,13 +14,14 @@
 //!   `if-then-else` reduction, conditional *lifting* and branch merging
 //!   (needed when normal forms contain symbolic conditions, as in the
 //!   Symboltable representation proof), and a fuel limit.
-//! * [`RuleSet`] — axioms compiled into head-indexed rules, extensible with
-//!   extra rules (induction hypotheses, environment assumptions).
+//! * [`RuleSet`] — the spec's axioms indexed by head operation,
+//!   extensible with extra rules (induction hypotheses, environment
+//!   assumptions). Re-exported from `adt-core`, which owns it.
 //! * [`Trace`] — a step-by-step record of a normalization, printable as the
 //!   kind of derivation the paper walks through by hand.
-//! * [`critical_pairs`] — superposition of rule left-hand sides and
-//!   joinability checking, the machinery behind the consistency check in
-//!   `adt-check`.
+//! * [`superpositions`] and [`classify_superposition`] — overlaps of
+//!   axiom left-hand sides, in declaration order, and their joinability,
+//!   the machinery behind the consistency check in `adt-check`.
 //! * [`SymbolicSession`] — the paper's "symbolic interpretation" facility: a
 //!   little machine whose program variables hold normalized terms of the
 //!   algebra.
@@ -58,17 +59,16 @@ mod critical;
 mod engine;
 mod error;
 mod reference;
-mod rule;
 mod symbolic;
 mod trace;
 
+pub use adt_core::RuleSet;
 pub use critical::{
-    classify_superposition, critical_pairs, superpositions, CriticalPair, PairStatus,
-    Superposition, SuperpositionSet,
+    classify_superposition, superpositions, CriticalPair, PairStatus, Superposition,
+    SuperpositionSet,
 };
 pub use engine::{residual_conditionals, Normalization, Proof, Rewriter};
 pub use error::RewriteError;
-pub use rule::{Rule, RuleSet};
 pub use symbolic::SymbolicSession;
 pub use trace::{Step, Trace};
 

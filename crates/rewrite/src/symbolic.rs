@@ -88,14 +88,6 @@ impl<'a> SymbolicSession<'a> {
         }
     }
 
-    /// Starts a session that shares an existing rewriter configuration.
-    pub fn with_rewriter(rw: Rewriter<'a>) -> Self {
-        SymbolicSession {
-            rw,
-            env: HashMap::new(),
-        }
-    }
-
     /// The underlying rewriter.
     pub fn rewriter(&self) -> &Rewriter<'a> {
         &self.rw

@@ -11,10 +11,11 @@
 use std::collections::HashMap;
 
 use adt_check::parallel::{run_indexed, CheckStats};
+use adt_check::random_ctor_term;
 use adt_core::{display, DetRng, Term, VarId};
 
 use crate::eval::eval_with_env;
-use crate::gen::{sample_ctor_term, TermPool};
+use crate::gen::TermPool;
 use crate::model::Model;
 use crate::value::MValue;
 
@@ -194,7 +195,7 @@ pub fn check_axioms_jobs(
             for _ in 0..cfg.random_instances {
                 let sampled: Option<Vec<Term>> = var_sorts
                     .iter()
-                    .map(|&s| sample_ctor_term(spec.sig(), s, cfg.random_depth, &mut rng))
+                    .map(|&s| random_ctor_term(spec.sig(), s, cfg.random_depth, &mut rng))
                     .collect();
                 let Some(sampled) = sampled else { break };
                 instances.push(Instance {

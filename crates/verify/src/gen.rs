@@ -1,12 +1,13 @@
 //! Ground-term generation: the argument supply for bounded verification.
 //!
 //! Bounded model checking of axioms needs ground constructor terms of
-//! every sort, both exhaustively (up to a depth) and sampled at random
-//! (for depths the exhaustive enumeration cannot reach).
+//! every sort, enumerated exhaustively up to a depth. Deeper arguments
+//! are sampled at random by [`adt_check::random_ctor_term`], the seeded
+//! sampler the consistency probes use.
 
 use std::collections::HashMap;
 
-use adt_core::{DetRng, OpId, Signature, SortId, Term};
+use adt_core::{Signature, SortId, Term};
 
 /// Enumerates all ground constructor terms of `sort` with depth ≤
 /// `max_depth`, capped at `cap` terms (breadth-first by depth, so shallow
@@ -139,40 +140,6 @@ pub fn enumerate_terms(sig: &Signature, max_arg_depth: usize, cap_per_op: usize)
     out
 }
 
-/// Samples one random ground constructor term of `sort`, or `None` if the
-/// sort cannot be inhabited within `max_depth`.
-pub fn sample_ctor_term(
-    sig: &Signature,
-    sort: SortId,
-    max_depth: usize,
-    rng: &mut DetRng,
-) -> Option<Term> {
-    let ctors: Vec<OpId> = sig.constructors_of(sort).collect();
-    if ctors.is_empty() {
-        return None;
-    }
-    let usable: Vec<OpId> = if max_depth <= 1 {
-        ctors
-            .iter()
-            .copied()
-            .filter(|&c| sig.op(c).arity() == 0)
-            .collect()
-    } else {
-        ctors
-    };
-    if usable.is_empty() {
-        return None;
-    }
-    let ctor = usable[rng.below(usable.len())];
-    let args: Option<Vec<Term>> = sig
-        .op(ctor)
-        .args()
-        .iter()
-        .map(|&s| sample_ctor_term(sig, s, max_depth - 1, rng))
-        .collect();
-    Some(Term::App(ctor, args?))
-}
-
 /// A per-sort pool of enumerated ground constructor terms, shared by the
 /// checking passes.
 #[derive(Debug, Clone)]
@@ -269,18 +236,6 @@ mod tests {
             .filter(|t| matches!(t, Term::App(op, _) if *op == front))
             .count();
         assert_eq!(fronted, 3); // FRONT applied to each depth-2 queue
-    }
-
-    #[test]
-    fn sampling_is_well_sorted_and_bounded() {
-        let spec = queue_spec();
-        let queue = spec.sig().find_sort("Queue").unwrap();
-        let mut rng = DetRng::new(11);
-        for _ in 0..200 {
-            let t = sample_ctor_term(spec.sig(), queue, 5, &mut rng).unwrap();
-            assert!(t.depth() <= 5);
-            assert_eq!(t.sort(spec.sig()).unwrap(), queue);
-        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! at that argument is available as an **induction hypothesis** — an extra
 //! rewrite rule. Each case is then closed by the normalization prover.
 
-use adt_core::{OpId, SortId, Spec, Subst, Term, VarId};
-use adt_rewrite::{Proof, Rewriter, Rule, RuleSet};
+use adt_core::{Axiom, OpId, SortId, Spec, Subst, Term, VarId};
+use adt_rewrite::{Proof, Rewriter, RuleSet};
 
 /// The outcome of an induction proof attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +109,7 @@ pub fn prove_by_induction(
             let ih_lhs = ih_subst.apply(lhs);
             let ih_rhs = ih_subst.apply(rhs);
             if matches!(ih_lhs, Term::App(_, _)) {
-                rules.add(Rule::new(format!("IH{}", k + 1), ih_lhs, ih_rhs));
+                rules.add(Axiom::new(format!("IH{}", k + 1), ih_lhs, ih_rhs));
             }
         }
 

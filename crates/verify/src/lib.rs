@@ -66,7 +66,7 @@ pub use differential::{
     OracleMismatch,
 };
 pub use eval::{eval_ground, eval_with_env};
-pub use gen::{enumerate_ctor_terms, enumerate_terms, sample_ctor_term, TermPool};
+pub use gen::{enumerate_ctor_terms, enumerate_terms, TermPool};
 pub use homomorphism::{check_representation, RepCheckConfig, RepCheckReport, RepMismatch};
 pub use induction::{instantiate_case, prove_by_induction, with_lemma, InductionOutcome};
 pub use model::{Model, ModelBuilder, TableModel};

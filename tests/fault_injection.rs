@@ -48,6 +48,11 @@ axioms
 end
 ";
 
+/// Six heads with one contradictory pair of axioms each: twelve critical
+/// pairs whose verdicts all differ, so a pair index that named a
+/// different pair in the clean and the faulted run would show.
+const OVERLAP_HEADS: &str = include_str!("fixtures/overlap_heads.adt");
+
 /// A one-rule divergent system: every probe loops forever without fuel.
 const LOOP: &str = "type L
 ops
@@ -106,6 +111,31 @@ fn all_three_fault_kinds_are_contained_together() {
             &ProbeConfig::default(),
             &plan,
             &CheckConfig::jobs(jobs),
+        );
+        assert!(report.isolated(), "jobs {jobs}:\n{}", report.render());
+    }
+}
+
+#[test]
+fn faults_are_contained_on_pairs_under_six_heads() {
+    let spec = adt_dsl::parse(OVERLAP_HEADS).expect("fixture parses");
+    let plan = FaultSpec::parse("seed=7,panic=1,exhaust=1,slow=1,slow-ms=1").expect("plan parses");
+    for jobs in [1, 4] {
+        let report = fault_isolation_check(
+            &spec,
+            &ProbeConfig::default(),
+            &plan,
+            &CheckConfig::jobs(jobs),
+        );
+        let pairs = report
+            .phases
+            .iter()
+            .find(|p| p.phase == PAIRS)
+            .expect("the pairs phase is reported");
+        assert_eq!(pairs.items, 12, "jobs {jobs}");
+        assert!(
+            !pairs.faulted.is_empty(),
+            "jobs {jobs}: the plan arms a pair"
         );
         assert!(report.isolated(), "jobs {jobs}:\n{}", report.render());
     }

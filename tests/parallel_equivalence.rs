@@ -3,12 +3,16 @@
 //! to the sequential ones at every job count. Parallelism is an
 //! implementation detail of the engine; any observable difference is a
 //! merge-order bug.
+//!
+//! No shipped specification has a critical pair, so the consistency
+//! comparison also runs on a fixture with pairs under six heads, and the
+//! order those pairs are enumerated in is pinned.
 
 use adt_check::{
     check_completeness_with_config, check_consistency_with_config, CheckConfig, ProbeConfig,
 };
 use adt_core::{display, Fuel, Session, Term};
-use adt_rewrite::Rewriter;
+use adt_rewrite::{superpositions, Rewriter};
 use adt_structures::sources;
 use adt_verify::{differential_spec_check, enumerate_terms, DifferentialConfig};
 
@@ -35,10 +39,31 @@ fn completeness_reports_are_identical_across_job_counts() {
     }
 }
 
+/// Six heads `A`–`F`, each with two overlapping axioms that disagree.
+const OVERLAP_HEADS: &str = include_str!("fixtures/overlap_heads.adt");
+
+#[test]
+fn superpositions_come_out_in_declaration_order() {
+    let spec = adt_dsl::parse(OVERLAP_HEADS).expect("fixture parses");
+    let set = superpositions(&spec).expect("superpositions enumerate");
+    let found: Vec<String> = set
+        .superpositions
+        .iter()
+        .map(|sp| format!("{}/{}", sp.outer_rule, sp.inner_rule))
+        .collect();
+    let expected: Vec<String> = "abcdef"
+        .chars()
+        .flat_map(|op| [format!("{op}1/{op}2"), format!("{op}2/{op}1")])
+        .collect();
+    assert_eq!(found, expected);
+    assert!(set.superpositions.iter().all(|sp| sp.position.is_empty()));
+}
+
 #[test]
 fn consistency_reports_are_identical_across_job_counts() {
     let probe = ProbeConfig::default();
-    for (name, source) in sources::all() {
+    let fixture = ("overlap_heads", OVERLAP_HEADS);
+    for (name, source) in sources::all().into_iter().chain([fixture]) {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let seq = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(1));
         for jobs in [2, 4, 8] {
