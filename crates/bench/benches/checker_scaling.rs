@@ -19,8 +19,8 @@
 use adt_bench::harness::Group;
 use adt_bench::workloads::synthetic_spec as synthetic;
 use adt_check::{
-    check_completeness, check_completeness_with_config, check_consistency_with_config,
-    CheckConfig, ProbeConfig,
+    check_completeness, check_completeness_with_config, check_consistency_with_config, CheckConfig,
+    ProbeConfig,
 };
 
 fn main() {

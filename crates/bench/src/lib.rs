@@ -694,7 +694,8 @@ mod tests {
         fn sample_report() -> BenchReport {
             let mut r = BenchReport::new("full");
             r.benchmarks.push(row("rewrite_queue", "front/128", 5_000));
-            r.benchmarks.push(row("rewrite_queue", "queries_plain/32", 900));
+            r.benchmarks
+                .push(row("rewrite_queue", "queries_plain/32", 900));
             r.benchmarks[1].before_ns = Some(2_700);
             r
         }
@@ -736,7 +737,9 @@ mod tests {
             let mut after = sample_report();
             after.benchmarks.push(row("rewrite_queue", "drain/64", 10));
             let mut before = BenchReport::new("full");
-            before.benchmarks.push(row("rewrite_queue", "front/128", 20_000));
+            before
+                .benchmarks
+                .push(row("rewrite_queue", "front/128", 20_000));
             after.merge_before(&before);
             assert_eq!(after.benchmarks[0].before_ns, Some(20_000));
             // Untouched: no matching row in `before`.

@@ -121,7 +121,8 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
                 "rewrite_queue",
                 &format!("front/{n}"),
                 g.bench(&format!("front/{n}"), || {
-                    rw.normalize(std::hint::black_box(&front)).expect("normalizes")
+                    rw.normalize(std::hint::black_box(&front))
+                        .expect("normalizes")
                 }),
             );
         }
@@ -132,7 +133,8 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             "rewrite_queue",
             "is_empty/128",
             g.bench("is_empty/128", || {
-                rw.normalize(std::hint::black_box(&is_empty)).expect("normalizes")
+                rw.normalize(std::hint::black_box(&is_empty))
+                    .expect("normalizes")
             }),
         );
         let drain = queue_term(&spec, 64, 64, 7);
@@ -140,7 +142,8 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             "rewrite_queue",
             "drain/64",
             g.bench("drain/64", || {
-                rw.normalize(std::hint::black_box(&drain)).expect("normalizes")
+                rw.normalize(std::hint::black_box(&drain))
+                    .expect("normalizes")
             }),
         );
         // 32 alternating observers over one shared state; each
@@ -159,7 +162,11 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             g.bench(&format!("queries_plain/{queries}"), || {
                 observations
                     .iter()
-                    .map(|t| rw.normalize(std::hint::black_box(t)).expect("normalizes").size())
+                    .map(|t| {
+                        rw.normalize(std::hint::black_box(t))
+                            .expect("normalizes")
+                            .size()
+                    })
                     .sum::<usize>()
             }),
         );
@@ -191,8 +198,7 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
                 &format!("parallel/64ops_jobs{jobs}"),
                 g.bench(&format!("parallel/64ops_jobs{jobs}"), || {
                     let config = CheckConfig::jobs(jobs);
-                    let comp =
-                        check_completeness_with_config(std::hint::black_box(&big), &config);
+                    let comp = check_completeness_with_config(std::hint::black_box(&big), &config);
                     assert!(comp.is_sufficiently_complete());
                     let cons = check_consistency_with_config(&big, &probe, &config);
                     (comp.coverage().len(), cons.pairs_checked())
@@ -341,16 +347,17 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     for (group, row, baseline) in [
         ("session_reuse", "one_session/8x16", "fresh_per_check/8x16"),
         ("retry_ladder", "supervised/front96", "unsupervised/front96"),
-        ("retry_ladder", "rescue_two_pass/front96", "right_sized/front96"),
+        (
+            "retry_ladder",
+            "rescue_two_pass/front96",
+            "right_sized/front96",
+        ),
     ] {
         let before = rows
             .iter()
             .find(|r| r.group == group && r.name == baseline)
             .map(|r| r.median_ns);
-        if let Some(r) = rows
-            .iter_mut()
-            .find(|r| r.group == group && r.name == row)
-        {
+        if let Some(r) = rows.iter_mut().find(|r| r.group == group && r.name == row) {
             r.before_ns = before;
         }
     }
@@ -359,8 +366,7 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
 }
 
 fn read_report(path: &str) -> Result<BenchReport, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     BenchReport::from_json(&text).map_err(|e| format!("`{path}`: {e}"))
 }
 
@@ -375,8 +381,9 @@ fn run(opts: &Options) -> Result<(), String> {
 
     let json = report.to_json();
     match &opts.json {
-        Some(path) => std::fs::write(path, &json)
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?,
+        Some(path) => {
+            std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?
+        }
         None => print!("{json}"),
     }
 

@@ -486,7 +486,11 @@ pub fn check_completeness_with_config(spec: &Spec, config: &CheckConfig) -> Comp
         let analysis = match outcome {
             Supervised::Done(analysis) => analysis,
             Supervised::Stopped(kind) => {
-                coverage.push(OpCoverage::unanalysed(spec, op, Coverage::Interrupted { kind }));
+                coverage.push(OpCoverage::unanalysed(
+                    spec,
+                    op,
+                    Coverage::Interrupted { kind },
+                ));
                 continue;
             }
             Supervised::Failed(failure) => {

@@ -365,7 +365,12 @@ pub fn check_consistency_with_config(
         },
         |rw, sp, _| classify_superposition(rw, sp),
         |pair| retryable_pair(&pair.status),
-        |idx, sp| format!("critical pair #{idx} ({} / {})", sp.outer_rule, sp.inner_rule),
+        |idx, sp| {
+            format!(
+                "critical pair #{idx} ({} / {})",
+                sp.outer_rule, sp.inner_rule
+            )
+        },
         &mut stats,
     );
     stats.pairs_checked = pairs_checked;
@@ -831,10 +836,19 @@ mod tests {
             &probe,
             &CheckConfig::jobs(1).with_fuel(Fuel::steps(50)),
         );
-        assert_eq!(seq.verdict(), &ConsistencyVerdict::Exhausted, "{}", seq.summary());
+        assert_eq!(
+            seq.verdict(),
+            &ConsistencyVerdict::Exhausted,
+            "{}",
+            seq.summary()
+        );
         assert!(!seq.exhausted_probes().is_empty());
         assert_eq!(seq.exhausted_probes()[0].spent.steps, 50);
-        assert!(seq.summary().contains("exhausted probe"), "{}", seq.summary());
+        assert!(
+            seq.summary().contains("exhausted probe"),
+            "{}",
+            seq.summary()
+        );
 
         let par = check_consistency_with_config(
             &spec,

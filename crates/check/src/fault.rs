@@ -396,8 +396,18 @@ pub fn fault_isolation_check(
 
     let phases = vec![
         compare_phase(COMPLETENESS, plan, &comp_items, &comp_items_f),
-        compare_phase(PAIRS, plan, cons_clean.pair_verdicts(), cons_fault.pair_verdicts()),
-        compare_phase(PROBES, plan, cons_clean.probe_verdicts(), cons_fault.probe_verdicts()),
+        compare_phase(
+            PAIRS,
+            plan,
+            cons_clean.pair_verdicts(),
+            cons_fault.pair_verdicts(),
+        ),
+        compare_phase(
+            PROBES,
+            plan,
+            cons_clean.probe_verdicts(),
+            cons_fault.probe_verdicts(),
+        ),
     ];
 
     FaultIsolationReport {
@@ -559,7 +569,9 @@ mod tests {
             );
             assert!(report.isolated(), "jobs {jobs}:\n{}", report.render());
             assert!(report.faults_injected() > 0);
-            assert!(report.render().contains("non-faulted verdicts identical: yes"));
+            assert!(report
+                .render()
+                .contains("non-faulted verdicts identical: yes"));
         }
     }
 

@@ -58,17 +58,17 @@ mod lint;
 pub mod parallel;
 
 pub use classify::{classification_warnings, infer_constructors};
-pub use config::{CheckConfig, RetryFuel};
-pub use fault::{ArmedFaults, FaultSpec};
 pub use completeness::{
     check_completeness, check_completeness_session, check_completeness_with_config,
     CompletenessReport, Coverage, OpCoverage, PatternNote,
 };
+pub use config::{CheckConfig, RetryFuel};
 pub use consistency::{
     check_consistency, check_consistency_session, check_consistency_with_config, random_ctor_term,
     ConsistencyReport, ConsistencyVerdict, Contradiction, ExhaustedProbe, ProbeConfig,
 };
-pub use parallel::{CheckFailure, CheckStats, ItemOutcome};
+pub use fault::{ArmedFaults, FaultSpec};
 pub use lint::{
     overlap_warnings, overlapping_axioms, recursion_warnings, OverlapPair, RecursionWarning,
 };
+pub use parallel::{CheckFailure, CheckStats, ItemOutcome};

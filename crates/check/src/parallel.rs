@@ -153,7 +153,12 @@ where
 /// results are discarded wholesale and its items retried from scratch,
 /// and the checkers' rewriters keep no cache across attempts: every
 /// normalization builds and drops its own arena and cache.
-pub fn run_isolated<T, R, W, L>(jobs: usize, items: &[T], work: W, label: L) -> PoolRun<ItemOutcome<R>>
+pub fn run_isolated<T, R, W, L>(
+    jobs: usize,
+    items: &[T],
+    work: W,
+    label: L,
+) -> PoolRun<ItemOutcome<R>>
 where
     T: Sync,
     R: Send,
@@ -362,14 +367,22 @@ where
     );
     stats.absorb(&run.busy, run.elapsed, items.len());
     // Completeness budgets count case partitions, not rewrite steps.
-    let unit = if phase == COMPLETENESS { "budget" } else { "fuel" };
+    let unit = if phase == COMPLETENESS {
+        "budget"
+    } else {
+        "fuel"
+    };
     run.results
         .into_iter()
         .enumerate()
         .map(|(idx, outcome)| match outcome {
             ItemOutcome::Done(Ok((out, reached))) => {
                 if let Some((rung, steps)) = reached {
-                    let end = if retryable(&out) { "still exhausted" } else { "rescued" };
+                    let end = if retryable(&out) {
+                        "still exhausted"
+                    } else {
+                        "rescued"
+                    };
                     stats.retries.push(format!(
                         "{}: {end} at rung {rung} ({unit} {steps})",
                         label(idx, &items[idx])
@@ -564,7 +577,11 @@ mod tests {
             |i, _| format!("item #{i}"),
         );
         // The transient panic is absorbed by the retry: every item done.
-        let done: Vec<usize> = run.results.into_iter().filter_map(ItemOutcome::into_done).collect();
+        let done: Vec<usize> = run
+            .results
+            .into_iter()
+            .filter_map(ItemOutcome::into_done)
+            .collect();
         assert_eq!(done, (1..=8).collect::<Vec<_>>());
     }
 
@@ -589,7 +606,9 @@ mod tests {
             items: 10,
             ..CheckStats::default()
         };
-        stats.op_times.push(("FRONT".into(), Duration::from_millis(2)));
+        stats
+            .op_times
+            .push(("FRONT".into(), Duration::from_millis(2)));
         let text = stats.render();
         assert!(text.contains("4 job(s)"), "{text}");
         assert!(text.contains("FRONT"), "{text}");

@@ -151,7 +151,11 @@ impl Checkpoint {
                 let items = group
                     .field("items", Json::as_arr)?
                     .iter()
-                    .map(|v| v.as_str().map(str::to_owned).ok_or("verdict is not a string"))
+                    .map(|v| {
+                        v.as_str()
+                            .map(str::to_owned)
+                            .ok_or("verdict is not a string")
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
                 verdicts.push(VerdictGroup {
                     group: group.field("group", Json::as_str)?.to_owned(),
@@ -263,7 +267,9 @@ mod tests {
         assert!(ckpt.matches("deadbeef", "fuel=100;retry=none"));
         assert!(!ckpt.matches("deadbeef", "fuel=200;retry=none"));
         assert!(!ckpt.matches("cafef00d", "fuel=100;retry=none"));
-        let tampered = ckpt.render().replace("adt-checkpoint/v1", "adt-checkpoint/v9");
+        let tampered = ckpt
+            .render()
+            .replace("adt-checkpoint/v1", "adt-checkpoint/v9");
         assert!(Checkpoint::parse(&tampered).is_err());
     }
 

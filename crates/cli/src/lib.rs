@@ -162,9 +162,7 @@ fn parse_check_flags(args: &[String]) -> Result<(CheckOpts, Vec<String>), String
             }
             "--retry-fuel" => {
                 let Some(plan) = it.next() else {
-                    return Err(
-                        "--retry-fuel needs a plan, e.g. \"factor=4,rungs=3\"\n".to_owned()
-                    );
+                    return Err("--retry-fuel needs a plan, e.g. \"factor=4,rungs=3\"\n".to_owned());
                 };
                 opts.retry =
                     Some(RetryFuel::parse(plan).map_err(|e| format!("--retry-fuel: {e}\n"))?);
@@ -179,8 +177,7 @@ fn parse_check_flags(args: &[String]) -> Result<(CheckOpts, Vec<String>), String
                 let Some(plan) = it.next() else {
                     return Err("--faults needs a plan, e.g. \"seed=7,panic=1\"\n".to_owned());
                 };
-                opts.faults =
-                    Some(FaultSpec::parse(plan).map_err(|e| format!("--faults: {e}\n"))?);
+                opts.faults = Some(FaultSpec::parse(plan).map_err(|e| format!("--faults: {e}\n"))?);
             }
             _ => positional.push(arg.clone()),
         }
@@ -224,8 +221,12 @@ pub fn run(args: &[String]) -> Outcome {
                 Err(msg) => Outcome::usage(format!("{msg}{USAGE}")),
             },
             "batch" => cmd_batch(rest),
-            "fmt" => with_file(rest, 0, |session, _| Outcome::ok(print_spec(session.spec()))),
-            "eval" => with_file(rest, 1, |session, extra| cmd_eval(session, &extra[0], false)),
+            "fmt" => with_file(rest, 0, |session, _| {
+                Outcome::ok(print_spec(session.spec()))
+            }),
+            "eval" => with_file(rest, 1, |session, extra| {
+                cmd_eval(session, &extra[0], false)
+            }),
             "trace" => with_file(rest, 1, |session, extra| cmd_eval(session, &extra[0], true)),
             "prove" => cmd_prove(rest),
             "help" | "--help" | "-h" => Outcome::ok(USAGE.to_owned()),
@@ -328,7 +329,10 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
                 }
                 true
             } else if !report.undetermined_ops().is_empty() {
-                let _ = writeln!(section, "sufficiently complete: UNDETERMINED (partial analysis)");
+                let _ = writeln!(
+                    section,
+                    "sufficiently complete: UNDETERMINED (partial analysis)"
+                );
                 for line in report.prompts().lines() {
                     let _ = writeln!(section, "  {line}");
                 }
@@ -609,7 +613,11 @@ fn cmd_batch(args: &[String]) -> Outcome {
                 Err(diags) => Outcome::fail(diags.render(&source)),
             }
         });
-        let retried = if panics == 1 { " (retried after a panic)" } else { "" };
+        let retried = if panics == 1 {
+            " (retried after a panic)"
+        } else {
+            ""
+        };
         match verdict {
             BatchVerdict::Passed => {
                 passed += 1;
@@ -804,7 +812,11 @@ end
         assert_eq!(out.code, 0, "{}", out.output);
         assert!(out.output.contains("stats: 4 job(s)"), "{}", out.output);
         assert!(out.output.contains("utilization"), "{}", out.output);
-        assert!(out.output.contains("stats: session arena"), "{}", out.output);
+        assert!(
+            out.output.contains("stats: session arena"),
+            "{}",
+            out.output
+        );
         assert!(out.output.contains("normalization(s)"), "{}", out.output);
         assert!(!out.output.contains("memo"), "{}", out.output);
         let _ = fs::remove_file(path);
@@ -838,7 +850,8 @@ end
         assert!(out.output.contains("--jobs needs a number"));
     }
 
-    const LOOP: &str = "type L\nops\n  C: -> L ctor\n  F: L -> L\nvars\n  x: L\naxioms\n  [1] F(x) = F(x)\nend\n";
+    const LOOP: &str =
+        "type L\nops\n  C: -> L ctor\n  F: L -> L\nvars\n  x: L\naxioms\n  [1] F(x) = F(x)\nend\n";
 
     #[test]
     fn check_fuel_flag_surfaces_divergence_as_undetermined() {
@@ -1274,11 +1287,21 @@ end
         // A file of 100,000 `[` once overflowed the parser's stack; a
         // truncated checkpoint is the ordinary case of a killed write.
         let _ = fs::remove_file(&ck);
-        let _ = run(&args(&["check", "--checkpoint", ck.to_str().unwrap(), spec]));
+        let _ = run(&args(&[
+            "check",
+            "--checkpoint",
+            ck.to_str().unwrap(),
+            spec,
+        ]));
         let written = fs::read_to_string(&ck).expect("checkpoint written");
         for corrupt in ["[".repeat(100_000), written[..100].to_owned()] {
             fs::write(&ck, &corrupt).expect("checkpoint is writable");
-            let out = run(&args(&["check", "--checkpoint", ck.to_str().unwrap(), spec]));
+            let out = run(&args(&[
+                "check",
+                "--checkpoint",
+                ck.to_str().unwrap(),
+                spec,
+            ]));
             assert_eq!(out, plain, "checkpoint starting {:?}", &corrupt[..10]);
         }
         let _ = fs::remove_file(ck);
@@ -1379,9 +1402,8 @@ end
             out.output
         );
         assert!(
-            out.output.contains(
-                "batch: 3 spec(s) — 1 passed, 1 failed, 1 undetermined, 0 quarantined"
-            ),
+            out.output
+                .contains("batch: 3 spec(s) — 1 passed, 1 failed, 1 undetermined, 0 quarantined"),
             "{}",
             out.output
         );

@@ -119,7 +119,10 @@ pub fn run_repl(
                     "UNDETERMINED: evaluation panicked: {}",
                     crate::panic_text(&*payload)
                 )?;
-                writeln!(output, "(the session survives; :reset drops it if in doubt)")?;
+                writeln!(
+                    output,
+                    "(the session survives; :reset drops it if in doubt)"
+                )?;
             }
         }
     }
@@ -523,14 +526,10 @@ end
         // An already-expired budget interrupts on the very first rewrite
         // step; `:deadline off` restores normal evaluation — same session,
         // same term.
-        let out = drive(
-            ":deadline 0s\nFRONT(ADD(NEW, A))\n:deadline off\nFRONT(ADD(NEW, A))\n:quit\n",
-        );
+        let out =
+            drive(":deadline 0s\nFRONT(ADD(NEW, A))\n:deadline off\nFRONT(ADD(NEW, A))\n:quit\n");
         assert!(out.contains("per-line deadline set to 0s"), "{out}");
-        assert!(
-            out.contains("interrupted (deadline exceeded)"),
-            "{out}"
-        );
+        assert!(out.contains("interrupted (deadline exceeded)"), "{out}");
         assert!(out.contains("per-line deadline off"), "{out}");
         assert!(out.contains("A   ("), "{out}");
     }

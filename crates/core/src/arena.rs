@@ -281,9 +281,8 @@ impl TermArena {
         }
         // A 2^32-node arena is hundreds of gigabytes of terms; failing
         // loudly here is strictly better than aliasing two distinct terms.
-        let id = TermId(
-            u32::try_from(self.nodes.len()).expect("term arena exceeded the u32 id space"),
-        );
+        let id =
+            TermId(u32::try_from(self.nodes.len()).expect("term arena exceeded the u32 id space"));
         self.nodes.push(node);
         self.meta.push(meta);
         self.dedup.entry(meta.hash).or_default().push(id);
@@ -406,7 +405,8 @@ impl TermArena {
                 },
             }
         }
-        done.pop().expect("reconstruction produces exactly one root")
+        done.pop()
+            .expect("reconstruction produces exactly one root")
     }
 }
 
@@ -499,7 +499,8 @@ mod tests {
         sig.add_ctor("ADD", vec![queue, item], queue).unwrap();
         sig.add_ctor("A", vec![], item).unwrap();
         sig.add_op("FRONT", vec![queue], item).unwrap();
-        sig.add_op("IS_EMPTY?", vec![queue], sig.bool_sort()).unwrap();
+        sig.add_op("IS_EMPTY?", vec![queue], sig.bool_sort())
+            .unwrap();
         sig.add_var("q", queue).unwrap();
         sig.add_var("i", item).unwrap();
         sig
@@ -536,11 +537,7 @@ mod tests {
         let qv = Term::Var(sig.find_var("q").unwrap());
         let iv = Term::Var(sig.find_var("i").unwrap());
         let cond = sig.apply("IS_EMPTY?", vec![qv.clone()]).unwrap();
-        let t = Term::ite(
-            cond,
-            iv,
-            sig.apply("FRONT", vec![qv]).unwrap(),
-        );
+        let t = Term::ite(cond, iv, sig.apply("FRONT", vec![qv]).unwrap());
         let id = arena.intern(&t);
         assert_eq!(arena.to_term(id), t);
     }

@@ -116,10 +116,7 @@ mod tests {
     fn checked_index_accepts_the_full_u32_range() {
         assert_eq!(checked_index(0, "sort").unwrap(), 0);
         assert_eq!(checked_index(41, "sort").unwrap(), 41);
-        assert_eq!(
-            checked_index(u32::MAX as usize, "sort").unwrap(),
-            u32::MAX
-        );
+        assert_eq!(checked_index(u32::MAX as usize, "sort").unwrap(), u32::MAX);
     }
 
     #[cfg(target_pointer_width = "64")]

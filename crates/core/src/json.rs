@@ -345,7 +345,10 @@ mod tests {
         for (raw, quoted) in [
             ("say \"hi\" \\ back", r#""say \"hi\" \\ back""#),
             ("nl\n cr\r tab\t", r#""nl\n cr\r tab\t""#),
-            ("bell\u{7} nul\u{0} us\u{1f}", r#""bell\u0007 nul\u0000 us\u001f""#),
+            (
+                "bell\u{7} nul\u{0} us\u{1f}",
+                r#""bell\u0007 nul\u0000 us\u001f""#,
+            ),
             ("µs — Größe 量 🦀", "\"µs — Größe 量 🦀\""),
         ] {
             assert_eq!(quote(raw), quoted);
@@ -356,12 +359,19 @@ mod tests {
 
     #[test]
     fn numbers_keep_their_source_text() {
-        for (src, int) in [("0", Some(0)), ("466678070", Some(466_678_070)), ("19.70", None)] {
+        for (src, int) in [
+            ("0", Some(0)),
+            ("466678070", Some(466_678_070)),
+            ("19.70", None),
+        ] {
             let value = parse(src).unwrap();
             assert_eq!(value, Json::Num(src.to_owned()));
             assert_eq!(value.as_u64(), int);
         }
-        assert_eq!(parse("18446744073709551615").unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(
+            parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
         assert_eq!(parse("-1.5"), Ok(Json::Num("-1.5".to_owned())));
     }
 
@@ -378,7 +388,10 @@ mod tests {
         let first_z = value.field("z", Json::as_arr).unwrap();
         assert_eq!(first_z, [Json::Bool(true), Json::Arr(Vec::new())]);
         assert_eq!(value.field("a", Some), Ok(&Json::Obj(Vec::new())));
-        assert_eq!(value.field("z", Json::as_str), Err("field `z` has the wrong type".into()));
+        assert_eq!(
+            value.field("z", Json::as_str),
+            Err("field `z` has the wrong type".into())
+        );
         assert_eq!(value.field("q", Some), Err("missing field `q`".into()));
         assert!(Json::Bool(true).field("z", Some).is_err());
     }
@@ -394,9 +407,31 @@ mod tests {
     #[test]
     fn malformed_input_is_an_error() {
         for bad in [
-            "", " ", "{", "}", "[1,", "[1,]", "[1 2]", "{\"a\"}", "{\"a\": }", "{a: 1}",
-            "{\"a\": 1,}", "\"open", "\"bad \\x\"", "\"\\u12\"", "\"\\u12g4\"", "\"\\ud83e\"",
-            "\"raw\ncontrol\"", "tru", "null", "01", "-", "1.", ".5", "1e5", "+1",
+            "",
+            " ",
+            "{",
+            "}",
+            "[1,",
+            "[1,]",
+            "[1 2]",
+            "{\"a\"}",
+            "{\"a\": }",
+            "{a: 1}",
+            "{\"a\": 1,}",
+            "\"open",
+            "\"bad \\x\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"\\ud83e\"",
+            "\"raw\ncontrol\"",
+            "tru",
+            "null",
+            "01",
+            "-",
+            "1.",
+            ".5",
+            "1e5",
+            "+1",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

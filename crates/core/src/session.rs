@@ -218,7 +218,11 @@ mod tests {
     fn session_owns_compiled_rules_and_a_store() {
         let session = Session::new(tiny_spec());
         assert_eq!(session.rules().len(), 2);
-        assert_eq!(session.stats().arena_bytes, 0, "nothing is interned up front");
+        assert_eq!(
+            session.stats().arena_bytes,
+            0,
+            "nothing is interned up front"
+        );
         let zero = session.sig().apply("ZERO", vec![]).unwrap();
         let id = session.intern(&zero);
         assert_eq!(session.term(id), zero);
@@ -236,6 +240,9 @@ mod tests {
         let text = session.stats().render();
         assert!(text.contains("session arena 1 term(s)"), "{text}");
         assert!(!text.contains("memo"), "{text}");
-        assert!(text.contains("1 normalization(s), 7 rewrite step(s)"), "{text}");
+        assert!(
+            text.contains("1 normalization(s), 7 rewrite step(s)"),
+            "{text}"
+        );
     }
 }

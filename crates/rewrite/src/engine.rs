@@ -99,7 +99,10 @@ impl Proof {
 type Assumptions = Vec<(TermId, bool)>;
 
 fn lookup(asms: &Assumptions, cond: TermId) -> Option<bool> {
-    asms.iter().rev().find(|&&(t, _)| t == cond).map(|&(_, b)| b)
+    asms.iter()
+        .rev()
+        .find(|&&(t, _)| t == cond)
+        .map(|&(_, b)| b)
 }
 
 /// How often (in steps) the supervisor is polled. Checking every step

@@ -54,11 +54,7 @@ impl Rewriter<'_> {
     /// # Errors
     ///
     /// As for [`Rewriter::normalize`].
-    pub fn normalize_under_reference(
-        &self,
-        term: &Term,
-        asms: &[(Term, bool)],
-    ) -> Result<Term> {
+    pub fn normalize_under_reference(&self, term: &Term, asms: &[(Term, bool)]) -> Result<Term> {
         let mut st = EvalState::new(&self.budget(), self.supervisor().clone(), None);
         self.reference_eval(term.clone(), &mut st, &asms.to_vec())
     }

@@ -11,7 +11,12 @@ use adt_structures::specs::{queue_spec, symboltable_spec};
 
 /// Builds a ground Queue term of `adds` enqueues then `removes` dequeues,
 /// with items drawn from a seeded stream.
-fn queue_term(spec: &adt_core::Spec, adds: usize, removes: usize, rng: &mut DetRng) -> adt_core::Term {
+fn queue_term(
+    spec: &adt_core::Spec,
+    adds: usize,
+    removes: usize,
+    rng: &mut DetRng,
+) -> adt_core::Term {
     let sig = spec.sig();
     let items = ["A", "B", "C"];
     let mut t = sig.apply("NEW", vec![]).unwrap();
@@ -92,7 +97,10 @@ fn concurrent_symboltable_queries_share_one_session() {
         .collect();
 
     let plain = Rewriter::new(&spec).with_fuel(1_000_000_000);
-    let expected: Vec<_> = queries.iter().map(|t| plain.normalize(t).unwrap()).collect();
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|t| plain.normalize(t).unwrap())
+        .collect();
 
     let session = Session::new(spec.clone());
     let rw = Rewriter::for_session(&session).with_fuel(1_000_000_000);

@@ -19,8 +19,8 @@
 //!   while a LIFO model is caught on the first `FRONT(ADD(ADD(…)))`.
 
 use adt_check::{
-    check_completeness_with_config, check_consistency_with_config, CheckConfig,
-    CompletenessReport, ConsistencyReport, ProbeConfig,
+    check_completeness_with_config, check_consistency_with_config, CheckConfig, CompletenessReport,
+    ConsistencyReport, ProbeConfig,
 };
 use adt_core::{display, Fuel, Spec, Supervisor};
 use adt_rewrite::{RewriteError, Rewriter};

@@ -71,7 +71,7 @@ pub use homomorphism::{check_representation, RepCheckConfig, RepCheckReport, Rep
 pub use induction::{instantiate_case, prove_by_induction, with_lemma, InductionOutcome};
 pub use model::{Model, ModelBuilder, TableModel};
 pub use rep::{
-    translate_obligations, verify_obligation, Obligation, ObligationKind, ObligationOutcome,
-    OpMap, ProofConfig,
+    translate_obligations, verify_obligation, Obligation, ObligationKind, ObligationOutcome, OpMap,
+    ProofConfig,
 };
 pub use value::MValue;

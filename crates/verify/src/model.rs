@@ -158,7 +158,11 @@ impl<'a> ModelBuilder<'a> {
     ///
     /// Unknown names are collected and reported by [`ModelBuilder::build`].
     #[must_use]
-    pub fn op(mut self, name: &str, f: impl Fn(&[MValue]) -> MValue + Send + Sync + 'static) -> Self {
+    pub fn op(
+        mut self,
+        name: &str,
+        f: impl Fn(&[MValue]) -> MValue + Send + Sync + 'static,
+    ) -> Self {
         match self.spec.sig().find_op(name) {
             Some(id) => {
                 self.ops.insert(id, Arc::new(f));

@@ -36,7 +36,11 @@ fn synthetic(ctors: usize, obs: usize, seed: u64) -> (Spec, Vec<(usize, usize)>)
                 b.app(op, [b.app(ctor, [x.clone()])])
             };
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let rhs = if state.is_multiple_of(2) { b.tt() } else { b.ff() };
+            let rhs = if state.is_multiple_of(2) {
+                b.tt()
+            } else {
+                b.ff()
+            };
             b.axiom(format!("a{o}_{k}"), lhs, rhs);
             layout.push((o, k));
         }

@@ -19,7 +19,8 @@ use adt_verify::{differential_spec_check, enumerate_terms, DifferentialConfig};
 #[test]
 fn completeness_reports_are_identical_across_job_counts() {
     for (name, source) in sources::all() {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let seq = check_completeness_with_config(&spec, &CheckConfig::jobs(1));
         for jobs in [2, 4, 8] {
             let par = check_completeness_with_config(&spec, &CheckConfig::jobs(jobs));
@@ -64,18 +65,27 @@ fn consistency_reports_are_identical_across_job_counts() {
     let probe = ProbeConfig::default();
     let fixture = ("overlap_heads", OVERLAP_HEADS);
     for (name, source) in sources::all().into_iter().chain([fixture]) {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let seq = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(1));
         for jobs in [2, 4, 8] {
             let par = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(jobs));
-            assert_eq!(seq.is_consistent(), par.is_consistent(), "{name} at {jobs} jobs");
+            assert_eq!(
+                seq.is_consistent(),
+                par.is_consistent(),
+                "{name} at {jobs} jobs"
+            );
             assert_eq!(
                 seq.contradictions(),
                 par.contradictions(),
                 "{name} at {jobs} jobs"
             );
             assert_eq!(seq.summary(), par.summary(), "{name} at {jobs} jobs");
-            assert_eq!(seq.pairs_checked(), par.pairs_checked(), "{name} at {jobs} jobs");
+            assert_eq!(
+                seq.pairs_checked(),
+                par.pairs_checked(),
+                "{name} at {jobs} jobs"
+            );
             assert_eq!(seq.probes_run(), par.probes_run(), "{name} at {jobs} jobs");
         }
     }
@@ -87,7 +97,8 @@ fn the_differential_harness_agrees_on_every_shipped_spec() {
     // workspace-level exercise of the tentpole oracle.
     let cfg = DifferentialConfig::default();
     for (name, source) in sources::all() {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let report = differential_spec_check(&spec, &cfg);
         assert!(report.passed(), "{name}:\n{}", report.render());
     }
@@ -127,7 +138,8 @@ fn all_three_engines_agree_on_every_shipped_spec() {
     // visible difference is a soundness bug.
     let mut probes_checked = 0usize;
     for (name, source) in sources::all() {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let plain = Rewriter::new(&spec);
         let session = Session::new(spec.clone());
         let shared = Rewriter::for_session(&session);
@@ -141,10 +153,7 @@ fn all_three_engines_agree_on_every_shipped_spec() {
                 let _ = rw.normalize_id(&session, id);
             }
             let first = session_verdict(&session, &shared, &probe);
-            let oracle = verdict(
-                &plain,
-                plain.normalize_reference(&probe).map(|n| n.term),
-            );
+            let oracle = verdict(&plain, plain.normalize_reference(&probe).map(|n| n.term));
             let shown = display::term(spec.sig(), &probe);
             assert_eq!(fast, oracle, "{name}: plain vs reference on `{shown}`");
             assert_eq!(fast, first, "{name}: plain vs session on `{shown}`");
@@ -154,7 +163,10 @@ fn all_three_engines_agree_on_every_shipped_spec() {
             probes_checked += 1;
         }
     }
-    assert!(probes_checked > 100, "only {probes_checked} probes enumerated");
+    assert!(
+        probes_checked > 100,
+        "only {probes_checked} probes enumerated"
+    );
 }
 
 #[test]
@@ -164,7 +176,8 @@ fn work_sharing_never_changes_the_normal_form() {
     // step count may undercut the tree-walking oracle's — but never the
     // result. Pin both halves of that contract.
     for (name, source) in sources::all() {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let rw = Rewriter::new(&spec);
         for probe in enumerate_terms(spec.sig(), 2, 4) {
             let (Ok(fast), Ok(slow)) = (rw.normalize_full(&probe), rw.normalize_reference(&probe))
@@ -214,7 +227,8 @@ fn traced_runs_reach_the_same_normal_form_on_every_engine() {
     // store has been warmed with the same term, whose recorded normal
     // form must not short-circuit the derivation the trace captures.
     for (name, source) in sources::all() {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let session = Session::new(spec.clone());
         let plain = Rewriter::new(&spec);
         let shared = Rewriter::for_session(&session);
@@ -229,7 +243,9 @@ fn traced_runs_reach_the_same_normal_form_on_every_engine() {
             }
             // Warm the session, then trace again: the trace must still
             // record the whole derivation.
-            shared.normalize_id(&session, session.intern(&probe)).unwrap();
+            shared
+                .normalize_id(&session, session.intern(&probe))
+                .unwrap();
             let (warm, trace) = shared.normalize_traced(&probe).unwrap();
             assert_eq!(warm, base.term, "{name}: traced warm session on `{shown}`");
             assert!(
@@ -254,7 +270,8 @@ fn assumption_contexts_agree_with_the_reference_engine() {
     let budget = Fuel::default().with_max_depth(64);
     let mut contexts_checked = 0usize;
     for (name, source) in sources::all() {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let session = Session::new(spec.clone());
         let plain = Rewriter::new(&spec).with_budget(budget);
         let shared = Rewriter::for_session(&session).with_budget(budget);
@@ -269,14 +286,23 @@ fn assumption_contexts_agree_with_the_reference_engine() {
                     continue;
                 };
                 let oracle = plain.normalize_under_reference(ax.rhs(), &asms).unwrap();
-                assert_eq!(base, oracle, "{name}: `{shown}` under {value}, plain vs reference");
+                assert_eq!(
+                    base, oracle,
+                    "{name}: `{shown}` under {value}, plain vs reference"
+                );
                 let sessioned = shared.normalize_under(ax.rhs(), &asms).unwrap();
-                assert_eq!(base, sessioned, "{name}: `{shown}` under {value}, plain vs session");
+                assert_eq!(
+                    base, sessioned,
+                    "{name}: `{shown}` under {value}, plain vs session"
+                );
                 // Warm the session with the context-free normal form; the
                 // contextual one must not pick it up.
                 let _ = shared.normalize_id(&session, session.intern(ax.rhs()));
                 let warm = shared.normalize_under(ax.rhs(), &asms).unwrap();
-                assert_eq!(base, warm, "{name}: `{shown}` under {value}, cold vs warm session");
+                assert_eq!(
+                    base, warm,
+                    "{name}: `{shown}` under {value}, cold vs warm session"
+                );
                 contexts_checked += 1;
             }
         }
@@ -298,7 +324,8 @@ fn proofs_are_identical_across_engines() {
     // a clean exhaustion instead of a deep recursion.
     let budget = Fuel::default().with_max_depth(64);
     for (name, source) in sources::all() {
-        let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let session = Session::new(spec.clone());
         let plain = Rewriter::new(&spec).with_budget(budget);
         let shared = Rewriter::for_session(&session).with_budget(budget);

@@ -152,9 +152,14 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     // An id-native normalization evaluates in the session store, growing
     // it, and counts one more normalization.
     let sig = session.sig();
-    let args = vec![sig.apply("INIT", vec![]).unwrap(), sig.apply("ID_X", vec![]).unwrap()];
+    let args = vec![
+        sig.apply("INIT", vec![]).unwrap(),
+        sig.apply("ID_X", vec![]).unwrap(),
+    ];
     let id = session.intern(&sig.apply("IS_INBLOCK?", args).unwrap());
-    Rewriter::for_session(&session).normalize_id(&session, id).unwrap();
+    Rewriter::for_session(&session)
+        .normalize_id(&session, id)
+        .unwrap();
     let after_nf = session.stats();
     assert_eq!(after_nf.normalizations, after_cons.normalizations + 1);
     assert!(after_nf.rewrite_steps > after_cons.rewrite_steps);

@@ -68,7 +68,5 @@ fn every_shipped_spec_matches_its_golden_verdicts() {
 fn the_incomplete_queue_prompt_is_stable() {
     let spec = sources::load("queue_incomplete").unwrap();
     let report = check_completeness(&spec);
-    assert!(report
-        .prompts()
-        .contains("FRONT(ADD(queue_1, item_1)) = ?"));
+    assert!(report.prompts().contains("FRONT(ADD(queue_1, item_1)) = ?"));
 }

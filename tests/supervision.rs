@@ -19,8 +19,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use adt_check::{
-    check_completeness_with_config, check_consistency_with_config, CheckConfig,
-    ConsistencyVerdict, ProbeConfig,
+    check_completeness_with_config, check_consistency_with_config, CheckConfig, ConsistencyVerdict,
+    ProbeConfig,
 };
 use adt_cli::checkpoint::Checkpoint;
 use adt_core::{CancelToken, Supervisor};
@@ -28,7 +28,10 @@ use adt_structures::sources;
 
 fn temp_path(name: &str, suffix: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
-    path.push(format!("adt_supervision_{}_{name}{suffix}", std::process::id()));
+    path.push(format!(
+        "adt_supervision_{}_{name}{suffix}",
+        std::process::id()
+    ));
     path
 }
 
@@ -44,7 +47,8 @@ fn cli(args: &[&str]) -> adt_cli::Outcome {
 }
 
 fn cancelled_after(polls: u64) -> CheckConfig {
-    CheckConfig::jobs(1).with_supervisor(Supervisor::none().with_cancel(CancelToken::after_polls(polls)))
+    CheckConfig::jobs(1)
+        .with_supervisor(Supervisor::none().with_cancel(CancelToken::after_polls(polls)))
 }
 
 #[test]
@@ -91,7 +95,9 @@ fn seeded_cancellation_downgrades_completeness_without_failing_it() {
     assert!(!report.has_definite_missing());
     assert!(!report.undetermined_ops().is_empty());
     assert!(
-        report.prompts().contains("analysis interrupted (cancelled)"),
+        report
+            .prompts()
+            .contains("analysis interrupted (cancelled)"),
         "{}",
         report.prompts()
     );
@@ -107,8 +113,7 @@ fn immediate_cancellation_interrupts_everything_deterministically() {
     for jobs in [1, 4] {
         let token = CancelToken::new();
         token.cancel();
-        let cfg =
-            CheckConfig::jobs(jobs).with_supervisor(Supervisor::none().with_cancel(token));
+        let cfg = CheckConfig::jobs(jobs).with_supervisor(Supervisor::none().with_cancel(token));
         let report = check_consistency_with_config(&spec, &probe, &cfg);
         assert_eq!(report.verdict(), &ConsistencyVerdict::Interrupted);
         summaries.push(report.summary());
@@ -204,10 +209,21 @@ fn batch_supervises_a_directory_of_specs() {
     )
     .expect("spec is writable");
 
-    let out = cli(&["batch", "--fuel", "100", "--deadline", "10s", dir.to_str().unwrap()]);
+    let out = cli(&[
+        "batch",
+        "--fuel",
+        "100",
+        "--deadline",
+        "10s",
+        dir.to_str().unwrap(),
+    ]);
     assert_eq!(out.code, 0, "{}", out.output);
     assert!(out.output.contains("queue.adt: PASSED"), "{}", out.output);
-    assert!(out.output.contains("loop.adt: UNDETERMINED"), "{}", out.output);
+    assert!(
+        out.output.contains("loop.adt: UNDETERMINED"),
+        "{}",
+        out.output
+    );
     assert!(
         out.output
             .contains("batch: 2 spec(s) — 1 passed, 0 failed, 1 undetermined, 0 quarantined"),
