@@ -21,11 +21,13 @@ pub struct OverlapPair {
     pub fully_shadowed: bool,
 }
 
-/// Finds all pairs of same-head axioms whose left-hand sides overlap.
+/// Finds all pairs of same-head axioms whose left-hand sides overlap, in
+/// declaration order (earlier axiom first, then later axiom).
 ///
 /// Overlap is detected by unification after renaming apart; full
 /// shadowing by a one-way match of the earlier pattern onto the later
-/// one.
+/// one. Only axioms in one head bucket
+/// ([`Spec::axiom_indices_by_head`]) are compared.
 pub fn overlapping_axioms(spec: &Spec) -> Vec<OverlapPair> {
     // Rename-apart table: map every variable of the second axiom to a
     // fresh variable in an extended signature.
@@ -41,28 +43,33 @@ pub fn overlapping_axioms(spec: &Spec) -> Vec<OverlapPair> {
     }
 
     let axioms = spec.axioms();
-    let mut out = Vec::new();
-    for i in 0..axioms.len() {
-        for j in (i + 1)..axioms.len() {
-            let (a, b) = (&axioms[i], &axioms[j]);
-            if a.head_op() != b.head_op() || a.head_op().is_none() {
-                continue;
+    // (earlier, later, fully shadowed), sorted back into declaration
+    // order after the per-bucket scan.
+    let mut found = Vec::new();
+    for bucket in spec.axiom_indices_by_head() {
+        for (k, &j) in bucket.iter().enumerate().skip(1) {
+            let b_lhs = renaming.apply(axioms[j].lhs());
+            for &i in &bucket[..k] {
+                let a_lhs = axioms[i].lhs();
+                if unify(a_lhs, &b_lhs).is_none() {
+                    continue;
+                }
+                // The later axiom is dead iff the earlier one's pattern is
+                // at least as general (matches everything it matches).
+                let fully_shadowed = adt_core::match_pattern(a_lhs, &b_lhs).is_some();
+                found.push((i, j, fully_shadowed));
             }
-            let b_lhs = renaming.apply(b.lhs());
-            if unify(a.lhs(), &b_lhs).is_none() {
-                continue;
-            }
-            // The second axiom is dead iff the first's pattern is at
-            // least as general (matches everything the second matches).
-            let fully_shadowed = adt_core::match_pattern(a.lhs(), &b_lhs).is_some();
-            out.push(OverlapPair {
-                first: a.label().to_owned(),
-                second: b.label().to_owned(),
-                fully_shadowed,
-            });
         }
     }
-    out
+    found.sort_unstable();
+    found
+        .into_iter()
+        .map(|(i, j, fully_shadowed)| OverlapPair {
+            first: axioms[i].label().to_owned(),
+            second: axioms[j].label().to_owned(),
+            fully_shadowed,
+        })
+        .collect()
 }
 
 /// A recursion-shape warning for one axiom.
@@ -200,6 +207,36 @@ mod tests {
         assert!(pairs[0].fully_shadowed);
         let warnings = overlap_warnings(&spec);
         assert!(warnings[0].contains("can never fire"), "{warnings:?}");
+    }
+
+    #[test]
+    fn overlaps_under_several_heads_come_out_in_declaration_order() {
+        // Axioms of F and G interleaved: pairs are ordered by the earlier
+        // axiom, then the later one, whatever bucket they sit in.
+        let mut b = SpecBuilder::new("S");
+        let s = b.sort("S");
+        let c = b.ctor("C", [], s);
+        let f = b.op("F", [s], s);
+        let g = b.op("G", [s], s);
+        let x = Term::Var(b.var("x", s));
+        b.axiom("g1", b.app(g, [b.app(c, [])]), b.app(c, []));
+        b.axiom("f1", b.app(f, [x.clone()]), b.app(c, []));
+        b.axiom("g2", b.app(g, [x.clone()]), b.app(c, []));
+        b.axiom("f2", b.app(f, [b.app(c, [])]), b.app(c, []));
+        b.axiom("g3", b.app(g, [x]), b.app(c, []));
+        let spec = b.build().unwrap();
+        let pairs: Vec<_> = overlapping_axioms(&spec)
+            .into_iter()
+            .map(|p| (p.first, p.second, p.fully_shadowed))
+            .collect();
+        let expected = [
+            ("g1", "g2", false),
+            ("g1", "g3", false),
+            ("f1", "f2", true),
+            ("g2", "g3", true),
+        ]
+        .map(|(a, b, dead)| (a.to_owned(), b.to_owned(), dead));
+        assert_eq!(pairs, expected);
     }
 
     #[test]

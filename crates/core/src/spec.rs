@@ -56,6 +56,23 @@ impl Spec {
         self.axioms.iter().filter(move |a| a.head_op() == Some(op))
     }
 
+    /// Indices into [`Spec::axioms`] bucketed by the head operation of the
+    /// left-hand side: one bucket per operation of the signature, indexed
+    /// by [`OpId::index`], each in declaration order.
+    ///
+    /// Two left-hand sides can only unify when their heads agree, so code
+    /// that compares axioms pairwise walks one bucket instead of every
+    /// pair.
+    pub fn axiom_indices_by_head(&self) -> Vec<Vec<usize>> {
+        let mut buckets = vec![Vec::new(); self.sig.op_count()];
+        for (i, ax) in self.axioms.iter().enumerate() {
+            if let Some(op) = ax.head_op() {
+                buckets[op.index()].push(i);
+            }
+        }
+        buckets
+    }
+
     /// The sorts of interest — the sorts this specification defines.
     pub fn tois(&self) -> &[SortId] {
         &self.tois
@@ -382,6 +399,26 @@ mod tests {
         let front = spec.sig().find_op("FRONT").unwrap();
         let labels: Vec<_> = spec.axioms_for(front).map(|a| a.label()).collect();
         assert_eq!(labels, vec!["q4"]);
+    }
+
+    #[test]
+    fn axiom_indices_are_bucketed_by_head_in_declaration_order() {
+        let mut b = queue_builder();
+        let queue = b.sig().find_sort("Queue").unwrap();
+        let is_empty = b.sig().find_op("IS_EMPTY?").unwrap();
+        let add = b.sig().find_op("ADD").unwrap();
+        let q = b.var("q2", queue);
+        let i = b.var("i2", b.sig().find_sort("Item").unwrap());
+        let ff = b.ff();
+        let lhs = b.app(is_empty, [b.app(add, [Term::Var(q), Term::Var(i)])]);
+        b.axiom("q2", lhs, ff);
+        let spec = b.build().unwrap();
+        let buckets = spec.axiom_indices_by_head();
+        assert_eq!(buckets.len(), spec.sig().op_count());
+        let front = spec.sig().find_op("FRONT").unwrap();
+        assert_eq!(buckets[is_empty.index()], [0, 2]);
+        assert_eq!(buckets[front.index()], [1]);
+        assert!(buckets[add.index()].is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! superpositions of a specification ([`superpositions`]) and classifies
 //! each as joinable or diverged ([`classify_superposition`]).
 
-use adt_core::{unify, Fuel, FuelSpent, Interrupt, Position, Spec, Subst, Term, VarId};
+use adt_core::{unify, Axiom, Fuel, FuelSpent, Interrupt, Position, Spec, Subst, Term, VarId};
 
 use crate::engine::Rewriter;
 use crate::error::RewriteError;
@@ -121,13 +121,65 @@ pub struct SuperpositionSet {
 /// every run and at every job count, which is what lets pair indices key
 /// fault arming, retry lines and checkpoints.
 ///
+/// A non-variable subterm can only unify with a left-hand side of the
+/// same root operation, so the inner axioms are bucketed by root
+/// ([`Spec::axiom_indices_by_head`]). Each outer axiom lists its subterms
+/// once, gathers (inner axiom, position) candidates from the bucket of
+/// each subterm's root, sorts them into declaration order and unifies
+/// only those. The cost is one unification per candidate — the size of
+/// the buckets the positions hit — instead of one per axiom² × position.
+///
 /// # Errors
 ///
 /// Returns an error only if the extended specification cannot be
 /// constructed (which would indicate a bug, not bad input).
 pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
-    // Extend the signature with a renamed copy of every variable, so the
-    // two axioms of a pair never share variables.
+    let (extended, renamed) = rename_apart(spec)?;
+    let axioms = extended.axioms();
+    let by_root = extended.axiom_indices_by_head();
+    let mut found = Vec::new();
+    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    for (oi, outer) in axioms.iter().enumerate() {
+        let subterms = outer.lhs().subterms();
+        candidates.clear();
+        for (pi, (pos, sub)) in subterms.iter().enumerate() {
+            // Variables are skipped; a conditional or error subterm never
+            // unifies with a left-hand side, which is an application.
+            let Term::App(op, _) = sub else {
+                continue;
+            };
+            candidates.extend(
+                by_root[op.index()]
+                    .iter()
+                    .filter(|&&ii| !(ii == oi && pos.is_empty())) // trivial self-overlap
+                    .map(|&ii| (ii, pi)),
+            );
+        }
+        candidates.sort_unstable();
+        for &(ii, pi) in &candidates {
+            let (pos, sub) = &subterms[pi];
+            let (inner_lhs, inner_rhs) = &renamed[ii];
+            if let Some(unifier) = unify(sub, inner_lhs) {
+                found.push(superpose(
+                    outer,
+                    &axioms[ii],
+                    inner_rhs,
+                    pos,
+                    &unifier.subst,
+                ));
+            }
+        }
+    }
+    Ok(SuperpositionSet {
+        spec: extended,
+        superpositions: found,
+    })
+}
+
+/// The spec extended with a renamed copy of every variable, and each
+/// axiom's `(lhs, rhs)` renamed into those copies, so the two axioms of a
+/// pair never share variables.
+fn rename_apart(spec: &Spec) -> Result<(Spec, Vec<(Term, Term)>)> {
     let mut sig = spec.sig().clone();
     let mut renaming = Subst::new();
     let var_ids: Vec<VarId> = sig.var_ids().collect();
@@ -148,49 +200,35 @@ pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
         spec.params().to_vec(),
     )
     .map_err(crate::RewriteError::from)?;
-
-    let axioms = extended.axioms();
-    // Each axiom renamed apart once, for its turns as the inner axiom.
-    let renamed: Vec<(Term, Term)> = axioms
+    let renamed = extended
+        .axioms()
         .iter()
         .map(|ax| (renaming.apply(ax.lhs()), renaming.apply(ax.rhs())))
         .collect();
-    let mut found = Vec::new();
-    for (oi, outer) in axioms.iter().enumerate() {
-        for (ii, (inner, (inner_lhs, inner_rhs))) in axioms.iter().zip(&renamed).enumerate() {
-            for (pos, sub) in outer.lhs().subterms() {
-                if matches!(sub, Term::Var(_)) {
-                    continue;
-                }
-                if oi == ii && pos.is_empty() {
-                    continue; // trivial self-overlap
-                }
-                let Some(unifier) = unify(sub, inner_lhs) else {
-                    continue;
-                };
-                let subst = &unifier.subst;
-                let peak = deep_apply(subst, outer.lhs());
-                let left = deep_apply(subst, outer.rhs());
-                let replaced = outer
-                    .lhs()
-                    .replace_at(&pos, inner_rhs.clone())
-                    .expect("position came from subterms()");
-                let right = deep_apply(subst, &replaced);
-                found.push(Superposition {
-                    outer_rule: outer.label().to_owned(),
-                    inner_rule: inner.label().to_owned(),
-                    position: pos,
-                    peak,
-                    left,
-                    right,
-                });
-            }
-        }
+    Ok((extended, renamed))
+}
+
+/// The superposition of `inner` (renamed apart, right side `inner_rhs`)
+/// into `outer` at `pos`, under the unifier `subst` of the two.
+fn superpose(
+    outer: &Axiom,
+    inner: &Axiom,
+    inner_rhs: &Term,
+    pos: &Position,
+    subst: &Subst,
+) -> Superposition {
+    let replaced = outer
+        .lhs()
+        .replace_at(pos, inner_rhs.clone())
+        .expect("position came from subterms()");
+    Superposition {
+        outer_rule: outer.label().to_owned(),
+        inner_rule: inner.label().to_owned(),
+        position: pos.clone(),
+        peak: deep_apply(subst, outer.lhs()),
+        left: deep_apply(subst, outer.rhs()),
+        right: deep_apply(subst, &replaced),
     }
-    Ok(SuperpositionSet {
-        spec: extended,
-        superpositions: found,
-    })
 }
 
 /// Classifies one superposition as joinable, diverged, or unknown, by
@@ -256,7 +294,242 @@ fn undetermined(e: RewriteError) -> PairStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_core::SpecBuilder;
+    use adt_core::{DetRng, OpId, SpecBuilder};
+
+    /// The enumeration the root-operation index replaced: every triple of
+    /// outer axiom, inner axiom and non-variable position, unified. Kept
+    /// as the reference the index must agree with, order included.
+    fn naive_superpositions(spec: &Spec) -> Vec<Superposition> {
+        let (extended, renamed) = rename_apart(spec).unwrap();
+        let axioms = extended.axioms();
+        let mut found = Vec::new();
+        for (oi, outer) in axioms.iter().enumerate() {
+            for (ii, (inner, (inner_lhs, inner_rhs))) in axioms.iter().zip(&renamed).enumerate() {
+                for (pos, sub) in outer.lhs().subterms() {
+                    if matches!(sub, Term::Var(_)) || (oi == ii && pos.is_empty()) {
+                        continue;
+                    }
+                    if let Some(unifier) = unify(sub, inner_lhs) {
+                        found.push(superpose(outer, inner, inner_rhs, &pos, &unifier.subst));
+                    }
+                }
+            }
+        }
+        found
+    }
+
+    /// Asserts that the index and the naive loop agree on `spec`, and
+    /// returns the superpositions.
+    fn indexed_matches_naive(spec: &Spec) -> Vec<Superposition> {
+        let indexed = superpositions(spec).unwrap().superpositions;
+        assert_eq!(indexed, naive_superpositions(spec), "spec {}", spec.name());
+        indexed
+    }
+
+    /// Every `.adt` file in `dir` (relative to the workspace root),
+    /// parsed, in file-name order.
+    fn specs_in(dir: &str) -> Vec<Spec> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths: Vec<_> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "adt"))
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|p| {
+                let text = std::fs::read_to_string(p).unwrap();
+                adt_dsl::parse(&text).unwrap_or_else(|e| panic!("{}: {e:?}", p.display()))
+            })
+            .collect()
+    }
+
+    /// `(outer, inner, position)` of each superposition.
+    fn shape(sps: &[Superposition]) -> Vec<(&str, &str, Position)> {
+        sps.iter()
+            .map(|sp| {
+                (
+                    sp.outer_rule.as_str(),
+                    sp.inner_rule.as_str(),
+                    sp.position.clone(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn index_matches_naive_on_shipped_specs_and_fixtures() {
+        let specs = specs_in("specs");
+        assert_eq!(specs.len(), 12);
+        for spec in &specs {
+            indexed_matches_naive(spec);
+        }
+        // overlap_heads.adt (twelve root pairs under six heads) and
+        // f_h_pairs.adt (the pairs the fault-injection tests arm).
+        let fixtures = specs_in("tests/fixtures");
+        let pairs: Vec<_> = fixtures.iter().map(indexed_matches_naive).collect();
+        assert_eq!(pairs.iter().map(Vec::len).collect::<Vec<_>>(), [2, 12]);
+        assert_eq!(
+            shape(&pairs[0]),
+            [("f0", "f1", vec![]), ("f1", "f0", vec![])]
+        );
+    }
+
+    /// Sort `N` with `ZERO`, `SUCC`, unary `F`, `G`, and `SAME?: N N -> Bool`.
+    struct Nat {
+        b: SpecBuilder,
+        n: adt_core::SortId,
+        zero: OpId,
+        succ: OpId,
+        f: OpId,
+        g: OpId,
+        same: OpId,
+    }
+
+    fn nat_builder(name: &str) -> Nat {
+        let mut b = SpecBuilder::new(name);
+        let n = b.sort("N");
+        let zero = b.ctor("ZERO", [], n);
+        let succ = b.ctor("SUCC", [n], n);
+        let f = b.op("F", [n], n);
+        let g = b.op("G", [n], n);
+        let same = b.op("SAME?", [n, n], b.bool_sort());
+        Nat {
+            b,
+            n,
+            zero,
+            succ,
+            f,
+            g,
+            same,
+        }
+    }
+
+    #[test]
+    fn index_matches_naive_on_a_nested_overlap() {
+        // G(SUCC(F(ZERO))) = ZERO and F(ZERO) = SUCC(ZERO): the inner rule
+        // sits at position [0, 0], below the root.
+        let Nat {
+            mut b,
+            zero,
+            succ,
+            f,
+            g,
+            ..
+        } = nat_builder("Nested");
+        let z = b.app(zero, []);
+        let f_zero = b.app(f, [z.clone()]);
+        b.axiom("g1", b.app(g, [b.app(succ, [f_zero.clone()])]), z.clone());
+        b.axiom("f1", f_zero, b.app(succ, [z]));
+        let spec = b.build().unwrap();
+        let sps = indexed_matches_naive(&spec);
+        assert_eq!(shape(&sps), [("g1", "f1", vec![0, 0])]);
+    }
+
+    #[test]
+    fn index_matches_naive_on_a_non_root_self_overlap() {
+        // F(F(x)) = x overlaps itself at [0]: F(F(F(x'))).
+        let Nat { mut b, n, f, .. } = nat_builder("SelfOverlap");
+        let x = b.var("x", n);
+        b.axiom("ff", b.app(f, [b.app(f, [Term::Var(x)])]), Term::Var(x));
+        let spec = b.build().unwrap();
+        let sps = indexed_matches_naive(&spec);
+        assert_eq!(shape(&sps), [("ff", "ff", vec![0])]);
+    }
+
+    #[test]
+    fn index_matches_naive_on_a_non_linear_left_hand_side() {
+        // SAME?(x, x) = true against SAME?(ZERO, SUCC(y)) = false does not
+        // unify; against SAME?(y, ZERO) = false it does, at the root.
+        let Nat {
+            mut b,
+            n,
+            zero,
+            succ,
+            same,
+            ..
+        } = nat_builder("NonLinear");
+        let x = b.var("x", n);
+        let y = b.var("y", n);
+        let (tt, ff) = (b.tt(), b.ff());
+        let z = b.app(zero, []);
+        b.axiom("s1", b.app(same, [Term::Var(x), Term::Var(x)]), tt);
+        b.axiom(
+            "s2",
+            b.app(same, [z.clone(), b.app(succ, [Term::Var(y)])]),
+            ff.clone(),
+        );
+        b.axiom("s3", b.app(same, [Term::Var(y), z]), ff);
+        let spec = b.build().unwrap();
+        let sps = indexed_matches_naive(&spec);
+        assert_eq!(shape(&sps), [("s1", "s3", vec![]), ("s3", "s1", vec![])]);
+    }
+
+    /// A random pattern of sort `N` over `ZERO`, `SUCC`, `F`, `G` and the
+    /// variables `vars`.
+    fn random_pattern(nat: &Nat, vars: &[adt_core::VarId], rng: &mut DetRng, depth: usize) -> Term {
+        match rng.below(if depth == 0 { 2 } else { 5 }) {
+            0 => Term::Var(vars[rng.below(vars.len())]),
+            1 => nat.b.app(nat.zero, []),
+            k => {
+                let op = [nat.succ, nat.f, nat.g][k - 2];
+                nat.b.app(op, [random_pattern(nat, vars, rng, depth - 1)])
+            }
+        }
+    }
+
+    /// A seeded random spec of two to seven axioms headed by `F`, `G` or
+    /// `SAME?`, whose left-hand sides nest `F` and `G` and may repeat a
+    /// variable. The signature is small, so most specs overlap.
+    fn random_spec(seed: u64) -> Spec {
+        let mut rng = DetRng::new(seed);
+        let mut nat = nat_builder(&format!("Random{seed}"));
+        let n = nat.n;
+        let vars = [nat.b.var("x", n), nat.b.var("y", n), nat.b.var("z", n)];
+        for k in 0..2 + rng.below(6) {
+            let (lhs, rhs) = if rng.below(4) == 0 {
+                let args = [
+                    random_pattern(&nat, &vars, &mut rng, 2),
+                    random_pattern(&nat, &vars, &mut rng, 2),
+                ];
+                let rhs = if rng.flip() { nat.b.tt() } else { nat.b.ff() };
+                (nat.b.app(nat.same, args), rhs)
+            } else {
+                let head = if rng.flip() { nat.f } else { nat.g };
+                let lhs = nat.b.app(head, [random_pattern(&nat, &vars, &mut rng, 3)]);
+                let lhs_vars = lhs.vars();
+                let rhs = match lhs_vars.first() {
+                    Some(&v) if rng.flip() => Term::Var(v),
+                    _ => nat.b.app(nat.zero, []),
+                };
+                (lhs, rhs)
+            };
+            nat.b.axiom(format!("r{k}"), lhs, rhs);
+        }
+        nat.b.build().unwrap()
+    }
+
+    #[test]
+    fn index_matches_naive_on_seeded_random_specs() {
+        let (mut overlapping, mut pairs, mut non_root, mut self_overlaps) = (0, 0, 0, 0);
+        for seed in 0..200 {
+            let sps = indexed_matches_naive(&random_spec(seed));
+            overlapping += usize::from(!sps.is_empty());
+            pairs += sps.len();
+            non_root += sps.iter().filter(|sp| !sp.position.is_empty()).count();
+            self_overlaps += sps
+                .iter()
+                .filter(|sp| sp.outer_rule == sp.inner_rule)
+                .count();
+        }
+        // The corpus exercises what the index must get right: many pairs,
+        // pairs below the root, and axioms overlapping themselves.
+        assert!(overlapping >= 100, "{overlapping} of 200 specs overlap");
+        assert!(pairs >= 200, "{pairs} pairs");
+        assert!(non_root >= 50, "{non_root} non-root pairs");
+        assert!(self_overlaps >= 10, "{self_overlaps} self-overlaps");
+    }
 
     /// Every superposition of `spec`, classified in enumeration order.
     fn classified(spec: &Spec) -> Vec<CriticalPair> {
