@@ -3,7 +3,8 @@
 //!
 //! Measures a curated subset of the `benches/` workloads (rewrite_queue,
 //! checker_scaling, session_reuse, retry_ladder — all deterministic,
-//! seed 7) and emits the medians as machine-readable JSON. CI runs this
+//! seed 7) plus TB-1's symbolic_vs_direct (seed `0xC0FFEE`), and emits
+//! the medians as machine-readable JSON. CI runs this
 //! with `--quick --baseline BENCH_rewrite.json` to catch >2× regressions;
 //! the committed baseline itself is produced with `--merge-before` so it
 //! carries the pre-arena medians alongside the current ones.
@@ -18,13 +19,14 @@ use std::time::Duration;
 
 use adt_bench::harness::Group;
 use adt_bench::report::{regressions, BenchRecord, BenchReport};
-use adt_bench::workloads::{queue_term, synthetic_spec};
+use adt_bench::workloads::{queue_term, symtab_trace, synthetic_spec, SymOp};
 use adt_check::{
     check_completeness_with_config, check_consistency_with_config, CheckConfig, ProbeConfig,
 };
 use adt_core::{Deadline, Session, Supervisor};
-use adt_rewrite::Rewriter;
-use adt_structures::specs::queue_spec;
+use adt_rewrite::{Rewriter, SymbolicSession};
+use adt_structures::specs::{queue_spec, symboltable_spec};
+use adt_structures::{AttrList, Ident, SymbolTable};
 
 const USAGE: &str = "\
 usage: adt-bench [options]
@@ -81,6 +83,56 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         }
     }
     Ok(Some(opts))
+}
+
+const IDENTS: [&str; 3] = ["ID_X", "ID_Y", "ID_Z"];
+
+/// Runs a TB-1 trace on the real `SymbolTable` (a stack of chained hash
+/// arrays), returning the number of retrievals that find a declaration.
+fn run_direct(trace: &[SymOp]) -> usize {
+    let mut st: SymbolTable = SymbolTable::init();
+    let attrs = AttrList::new().with("a", "1");
+    let mut hits = 0;
+    for op in trace {
+        match op {
+            SymOp::Enter => st.enter_block(),
+            SymOp::Leave => st
+                .leave_block()
+                .expect("traces stay in the outermost block"),
+            SymOp::Add(i) => st.add(Ident::new(IDENTS[i % 3]), attrs.clone()),
+            SymOp::Retrieve(i) => {
+                hits += usize::from(st.retrieve(&Ident::new(IDENTS[i % 3])).is_ok())
+            }
+        }
+    }
+    hits
+}
+
+/// Runs the same trace op by op against the axioms, in the program
+/// variable `st` of a [`SymbolicSession`] with `ATTR_1` for every
+/// declaration, and counts the same retrievals.
+fn run_symbolic(session: &mut SymbolicSession, trace: &[SymOp]) -> usize {
+    let sig = session.session().sig();
+    let idents = IDENTS.map(|n| sig.apply(n, vec![]).expect("ident exists"));
+    let attr = sig.apply("ATTR_1", vec![]).expect("ATTR_1 exists");
+    let mut hits = 0;
+    session.assign("st", "INIT", []).expect("normalizes");
+    for op in trace {
+        let st = || "st".into();
+        let id = |i: usize| idents[i % 3].clone().into();
+        let bound = match *op {
+            SymOp::Enter => session.assign("st", "ENTERBLOCK", [st()]),
+            SymOp::Leave => session.assign("st", "LEAVEBLOCK", [st()]),
+            SymOp::Add(i) => session.assign("st", "ADD", [st(), id(i), attr.clone().into()]),
+            SymOp::Retrieve(i) => {
+                let found = session.call("RETRIEVE", [st(), id(i)]).expect("normalizes");
+                hits += usize::from(!found.is_error());
+                continue;
+            }
+        };
+        bound.expect("normalizes");
+    }
+    hits
 }
 
 /// The fixed benchmark set. Labels match the interactive `benches/`
@@ -341,6 +393,27 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         push("retry_ladder", "rescue_two_pass/front96", rescued);
     }
 
+    // symbolic_vs_direct (TB-1): one compiler-like trace, run directly
+    // and symbolically. Each symbolic run gets a fresh session, built
+    // outside the timing.
+    {
+        let g = group("symbolic_vs_direct");
+        let symtab = symboltable_spec();
+        for len in [16usize, 64, 256] {
+            let trace = symtab_trace(len, 8, 0xC0FFEE);
+            let direct = g.bench(&format!("direct/{len}"), || {
+                run_direct(std::hint::black_box(&trace))
+            });
+            let symbolic = g.bench_batched(
+                &format!("symbolic/{len}"),
+                || SymbolicSession::new(&symtab),
+                |mut session| run_symbolic(&mut session, std::hint::black_box(&trace)),
+            );
+            push("symbolic_vs_direct", &format!("direct/{len}"), direct);
+            push("symbolic_vs_direct", &format!("symbolic/{len}"), symbolic);
+        }
+    }
+
     // Comparison rows carry their counterpart's median as `before_ns`, so
     // the committed JSON reads as "reuse is this much faster" /
     // "supervision costs this much" without consulting a second report.
@@ -441,7 +514,17 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::*;
+
+    #[test]
+    fn symbolic_and_direct_runs_agree() {
+        let symtab = symboltable_spec();
+        for len in [16usize, 64, 256] {
+            let trace = symtab_trace(len, 8, 0xC0FFEE);
+            let mut session = SymbolicSession::new(&symtab);
+            assert_eq!(run_symbolic(&mut session, &trace), run_direct(&trace));
+        }
+    }
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

@@ -33,7 +33,7 @@ use adt_check::{
     overlap_warnings, recursion_warnings, CheckConfig, CheckStats, ConsistencyVerdict, FaultSpec,
     ProbeConfig, RetryFuel,
 };
-use adt_core::{display, Deadline, Fuel, Session, Spec, Supervisor};
+use adt_core::{display, Deadline, Fuel, Session, Spec, Supervisor, Term};
 use adt_dsl::{parse_session, parse_term, print_spec};
 use adt_rewrite::{Proof, Rewriter};
 
@@ -224,11 +224,16 @@ pub fn run(args: &[String]) -> Outcome {
             "fmt" => with_file(rest, 0, |session, _| {
                 Outcome::ok(print_spec(session.spec()))
             }),
-            "eval" => with_file(rest, 1, |session, extra| {
-                cmd_eval(session, &extra[0], false)
+            "eval" | "trace" => with_file(rest, 1, |session, extra| {
+                cmd_eval(session, &extra[0], cmd == "trace")
             }),
-            "trace" => with_file(rest, 1, |session, extra| cmd_eval(session, &extra[0], true)),
-            "prove" => cmd_prove(rest),
+            // adt prove <file> <lhs> = <rhs>
+            "prove" => match rest {
+                [_, _, eq, _] if eq == "=" => with_file(rest, 3, |session, extra| {
+                    cmd_prove(session, &extra[0], &extra[2])
+                }),
+                _ => Outcome::usage(USAGE.to_owned()),
+            },
             "help" | "--help" | "-h" => Outcome::ok(USAGE.to_owned()),
             other => Outcome::usage(format!("unknown command `{other}`\n{USAGE}")),
         },
@@ -651,50 +656,44 @@ fn cmd_batch(args: &[String]) -> Outcome {
 }
 
 fn cmd_eval(session: &Session, term_src: &str, trace: bool) -> Outcome {
-    let sig = session.sig();
     let term = match parse_term(session.spec(), term_src) {
         Ok(term) => term,
         Err(diags) => return Outcome::fail(diags.render(term_src)),
     };
-    let rw = Rewriter::for_session(session);
-    if trace {
-        match rw.normalize_traced(&term) {
-            Ok((nf, trace)) => {
-                let mut out = trace.render(sig).to_string();
-                let _ = writeln!(out, "normal form: {}", display::term(sig, &nf));
-                Outcome::ok(out)
-            }
-            Err(e) => Outcome::fail(format!("{e}\n")),
-        }
-    } else {
-        match rw.normalize_full(&term) {
-            Ok(norm) => {
-                session.note_normalizations(1, norm.steps);
-                Outcome::ok(format!(
-                    "{}   ({} step(s))\n",
-                    display::term(sig, &norm.term),
-                    norm.steps
-                ))
-            }
-            Err(e) => Outcome::fail(format!("{e}\n")),
-        }
+    match query(session, &term, trace, Supervisor::none()) {
+        Ok(out) => Outcome::ok(out),
+        Err(e) => Outcome::fail(e),
     }
 }
 
-fn cmd_prove(args: &[String]) -> Outcome {
-    // adt prove <file> <lhs> = <rhs>
-    if args.len() != 4 || args[2] != "=" {
-        return Outcome::usage(USAGE.to_owned());
+/// The reply of `adt eval`/`adt trace` and of the REPL's bare-term and
+/// `:trace` lines: `term` normalized cold, on a run-local store, so the
+/// reply never depends on earlier work in `session`. `Err` is the error line.
+pub(crate) fn query(
+    session: &Session,
+    term: &Term,
+    trace: bool,
+    supervisor: Supervisor,
+) -> Result<String, String> {
+    let sig = session.sig();
+    let rw = Rewriter::for_session(session).supervised(supervisor);
+    if trace {
+        let (nf, trace) = rw.normalize_traced(term).map_err(|e| format!("{e}\n"))?;
+        let mut out = trace.render(sig).to_string();
+        let _ = writeln!(out, "normal form: {}", display::term(sig, &nf));
+        Ok(out)
+    } else {
+        let norm = rw.normalize_full(term).map_err(|e| format!("{e}\n"))?;
+        session.note_normalizations(1, norm.steps);
+        Ok(format!(
+            "{}   ({} step(s))\n",
+            display::term(sig, &norm.term),
+            norm.steps
+        ))
     }
-    let (file, lhs_src, rhs_src) = (&args[0], &args[1], &args[3]);
-    let source = match fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => return Outcome::usage(format!("cannot read `{file}`: {e}\n")),
-    };
-    let session = match parse_session(&source) {
-        Ok(s) => s,
-        Err(diags) => return Outcome::fail(diags.render(&source)),
-    };
+}
+
+fn cmd_prove(session: &Session, lhs_src: &str, rhs_src: &str) -> Outcome {
     let spec = session.spec();
     let lhs = match parse_term(spec, lhs_src) {
         Ok(term) => term,
@@ -704,7 +703,7 @@ fn cmd_prove(args: &[String]) -> Outcome {
         Ok(term) => term,
         Err(diags) => return Outcome::fail(diags.render(rhs_src)),
     };
-    let rw = Rewriter::for_session(&session);
+    let rw = Rewriter::for_session(session);
     match rw.prove_equal(&lhs, &rhs, 8) {
         Ok(Proof::Proved { cases }) => Outcome::ok(format!("proved ({cases} case(s))\n")),
         Ok(Proof::Undecided {

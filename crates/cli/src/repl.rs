@@ -12,17 +12,24 @@
 //! queue> :prove FRONT(ADD(q, i)) = if IS_EMPTY?(q) then i else FRONT(q)
 //! proved (1 case)
 //! ```
+//!
+//! The REPL holds one [`SymbolicSession`], which `:reset` replaces:
+//! `NAME := term` binds a session id, evaluated in the session store,
+//! and every line's rewriter borrows the session's rules. Lines that
+//! print step counts — bare terms, `:trace` and `:prove` — run cold, so
+//! those replies never depend on earlier lines. A binding prints only
+//! its normal form, which the warm store gives as a cold run does
+//! whenever the cold run finishes within budget.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use adt_check::{CheckConfig, ConsistencyVerdict, ProbeConfig};
-use adt_core::{display, Deadline, Session, Spec, Subst, Supervisor, Term};
+use adt_core::{display, Deadline, Spec, Subst, Supervisor, Term};
 use adt_dsl::{lower_term_in, parse_term_source, Diagnostics};
-use adt_rewrite::{Proof, Rewriter};
+use adt_rewrite::{Proof, Rewriter, SymbolicSession};
 
 /// The REPL's help text.
 const REPL_HELP: &str = "commands:
@@ -55,12 +62,6 @@ enum ReplAction {
 /// Runs the REPL over `input`, writing to `output`. Returns the number of
 /// commands executed (used by tests; the binary ignores it).
 ///
-/// One [`Session`] lives for the whole REPL lifetime: every line's
-/// rewriter borrows its compiled rules, and the session counts every
-/// line's normalization. Lines are normalized cold, on run-local stores,
-/// so a reply never depends on earlier lines. `:reset` is the explicit
-/// way to drop that state.
-///
 /// # Errors
 ///
 /// Returns any I/O error from reading input or writing output.
@@ -69,8 +70,7 @@ pub fn run_repl(
     input: &mut dyn BufRead,
     output: &mut dyn Write,
 ) -> std::io::Result<usize> {
-    let mut session = Session::new(spec.clone());
-    let mut env: HashMap<String, Term> = HashMap::new();
+    let mut symbolic = SymbolicSession::new(spec);
     let mut deadline: Option<Duration> = None;
     let mut executed = 0;
     let prompt = spec.name().to_lowercase();
@@ -95,7 +95,7 @@ pub fn run_repl(
         // keeps its prompt. (`:reset` is the escape hatch if the panic left
         // the session's caches in a state the user no longer trusts.)
         let dispatched = catch_unwind(AssertUnwindSafe(|| {
-            dispatch(&session, &mut env, &mut deadline, line, &mut reply)
+            dispatch(&mut symbolic, &mut deadline, line, &mut reply)
         }));
         match dispatched {
             Ok(Ok(ReplAction::Continue)) => {
@@ -106,8 +106,7 @@ pub fn run_repl(
                 return Ok(executed);
             }
             Ok(Ok(ReplAction::Reset)) => {
-                session = Session::new(spec.clone());
-                env.clear();
+                symbolic = SymbolicSession::new(spec);
                 output.write_all(reply.as_bytes())?;
             }
             Ok(Err(diags)) => {
@@ -130,22 +129,26 @@ pub fn run_repl(
 
 /// Executes one REPL line into `reply`.
 fn dispatch(
-    session: &Session,
-    env: &mut HashMap<String, Term>,
+    symbolic: &mut SymbolicSession,
     deadline: &mut Option<Duration>,
     line: &str,
     reply: &mut String,
 ) -> Result<ReplAction, Diagnostics> {
-    let spec = session.spec();
     // Every line with a `:deadline` in force gets a supervisor armed NOW,
     // so the budget covers exactly this line's evaluation.
     let supervisor = match *deadline {
         Some(budget) => Supervisor::none().with_deadline(Deadline::after(budget)),
         None => Supervisor::none(),
     };
-    // Cheap per line (a rule-set clone). Each line is normalized cold,
-    // so its reply — step count included — is the same on any line.
-    let rw = Rewriter::for_session(session).supervised(supervisor.clone());
+    if !line.starts_with(':') {
+        if let Some((name, term_src)) = line.split_once(":=") {
+            symbolic.set_supervisor(supervisor);
+            return bind(symbolic, name.trim(), term_src.trim(), reply);
+        }
+    }
+    let symbolic = &*symbolic;
+    let session = symbolic.session();
+    let spec = session.spec();
     if let Some(rest) = line.strip_prefix(':') {
         let (cmd, arg) = match rest.split_once(char::is_whitespace) {
             Some((c, a)) => (c, a.trim()),
@@ -180,13 +183,13 @@ fn dispatch(
             #[cfg(test)]
             "__panic" => panic!("injected repl panic"),
             "vars" => {
-                if env.is_empty() {
+                let names = symbolic.bound_vars();
+                if names.is_empty() {
                     reply.push_str("no session variables bound\n");
                 }
-                let mut names: Vec<&String> = env.keys().collect();
-                names.sort();
                 for name in names {
-                    let _ = writeln!(reply, "{name} = {}", display::term(spec.sig(), &env[name]));
+                    let value = symbolic.get(name).expect("listed names are bound");
+                    let _ = writeln!(reply, "{name} = {}", display::term(spec.sig(), &value));
                 }
             }
             "axioms" => {
@@ -195,15 +198,9 @@ fn dispatch(
                 }
             }
             "trace" => {
-                let term = parse_in_env(spec, env, arg)?;
-                match rw.normalize_traced(&term) {
-                    Ok((nf, trace)) => {
-                        reply.push_str(&trace.render(spec.sig()).to_string());
-                        let _ = writeln!(reply, "normal form: {}", display::term(spec.sig(), &nf));
-                    }
-                    Err(e) => {
-                        let _ = writeln!(reply, "{e}");
-                    }
+                let term = parse_in_env(symbolic, arg)?;
+                match crate::query(session, &term, true, supervisor) {
+                    Ok(text) | Err(text) => reply.push_str(&text),
                 }
             }
             "check" => {
@@ -251,8 +248,8 @@ fn dispatch(
                     let _ = writeln!(reply, "unknown specification variable `{var_name}`");
                     return Ok(ReplAction::Continue);
                 };
-                let lhs = parse_in_env(spec, env, lhs_src.trim())?;
-                let rhs = parse_in_env(spec, env, rhs_src.trim())?;
+                let lhs = parse_in_env(symbolic, lhs_src.trim())?;
+                let rhs = parse_in_env(symbolic, rhs_src.trim())?;
                 match adt_verify::prove_by_induction(spec, &lhs, &rhs, var, 8) {
                     Ok(adt_verify::InductionOutcome::Proved { cases }) => {
                         let names: Vec<&str> = cases.iter().map(|(n, _)| n.as_str()).collect();
@@ -279,8 +276,9 @@ fn dispatch(
                     reply.push_str("usage: :prove <term> = <term>\n");
                     return Ok(ReplAction::Continue);
                 };
-                let lhs = parse_in_env(spec, env, lhs_src.trim())?;
-                let rhs = parse_in_env(spec, env, rhs_src.trim())?;
+                let lhs = parse_in_env(symbolic, lhs_src.trim())?;
+                let rhs = parse_in_env(symbolic, rhs_src.trim())?;
+                let rw = Rewriter::for_session(session).supervised(supervisor);
                 match rw.prove_equal(&lhs, &rhs, 8) {
                     Ok(Proof::Proved { cases }) => {
                         let _ = writeln!(reply, "proved ({cases} case(s))");
@@ -305,37 +303,30 @@ fn dispatch(
         return Ok(ReplAction::Continue);
     }
 
-    // `NAME := term` or a bare term.
-    if let Some((name, term_src)) = line.split_once(":=") {
-        let name = name.trim();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            let _ = writeln!(reply, "bad session variable name `{name}`");
-            return Ok(ReplAction::Continue);
-        }
-        let term = parse_in_env(spec, env, term_src.trim())?;
-        match rw.normalize_full(&term) {
-            Ok(norm) => {
-                session.note_normalizations(1, norm.steps);
-                let _ = writeln!(reply, "{name} = {}", display::term(spec.sig(), &norm.term));
-                env.insert(name.to_owned(), norm.term);
-            }
-            Err(e) => {
-                let _ = writeln!(reply, "{e}");
-            }
-        }
+    let term = parse_in_env(symbolic, line)?;
+    match crate::query(session, &term, false, supervisor) {
+        Ok(text) | Err(text) => reply.push_str(&text),
+    }
+    Ok(ReplAction::Continue)
+}
+
+/// `NAME := term`: binds the normal form of `term` in the session.
+fn bind(
+    symbolic: &mut SymbolicSession,
+    name: &str,
+    term_src: &str,
+    reply: &mut String,
+) -> Result<ReplAction, Diagnostics> {
+    if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        let _ = writeln!(reply, "bad session variable name `{name}`");
         return Ok(ReplAction::Continue);
     }
-
-    let term = parse_in_env(spec, env, line)?;
-    match rw.normalize_full(&term) {
-        Ok(norm) => {
-            session.note_normalizations(1, norm.steps);
-            let _ = writeln!(
-                reply,
-                "{}   ({} step(s))",
-                display::term(spec.sig(), &norm.term),
-                norm.steps
-            );
+    let term = parse_in_env(symbolic, term_src)?;
+    match symbolic.set(name, term) {
+        Ok(nf) => {
+            let session = symbolic.session();
+            let nf = session.term(nf);
+            let _ = writeln!(reply, "{name} = {}", display::term(session.sig(), &nf));
         }
         Err(e) => {
             let _ = writeln!(reply, "{e}");
@@ -347,25 +338,23 @@ fn dispatch(
 /// Parses a term that may mention session variables: the signature is
 /// temporarily extended with one typed variable per binding, and the
 /// bindings are substituted in afterwards.
-fn parse_in_env(
-    spec: &Spec,
-    env: &HashMap<String, Term>,
-    source: &str,
-) -> Result<Term, Diagnostics> {
+fn parse_in_env(symbolic: &SymbolicSession, source: &str) -> Result<Term, Diagnostics> {
     let ast = parse_term_source(source)?;
+    let spec = symbolic.session().spec();
     let mut sig = spec.sig().clone();
     let mut subst = Subst::new();
-    for (name, value) in env {
+    for name in symbolic.bound_vars() {
         if sig.find_var(name).is_some() || sig.find_op(name).is_some() {
             continue; // spec names shadow session bindings
         }
+        let value = symbolic.get(name).expect("listed names are bound");
         let sort = value
             .sort(spec.sig())
             .expect("bound values are normalized well-sorted terms");
         let var = sig
             .add_var(name, sort)
             .expect("binding names were checked unique");
-        subst.bind(var, value.clone());
+        subst.bind(var, value);
     }
     let term = lower_term_in(&sig, &ast, None)?;
     Ok(subst.apply(&term))

@@ -34,7 +34,9 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::error::EngineError;
 use crate::ids::{OpId, SortId, VarId};
+use crate::signature::Signature;
 use crate::term::Term;
 
 /// A [`Hasher`] that passes an already-mixed `u64` key through unchanged.
@@ -221,6 +223,24 @@ impl TermArena {
     #[inline]
     pub fn depth(&self, id: TermId) -> u32 {
         self.meta[id.index()].depth
+    }
+
+    /// The sort of the denoted term, read off its head symbol (through
+    /// `then`-branches). Arguments are not re-checked: interned terms
+    /// were sort-checked when built.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::DanglingId`] if the head operation is not in `sig`.
+    pub fn sort_of(&self, sig: &Signature, mut id: TermId) -> Result<SortId, EngineError> {
+        loop {
+            match self.node(id) {
+                TermNode::Var(v) => return Ok(sig.var(*v).sort()),
+                TermNode::Error(s) => return Ok(*s),
+                TermNode::App(op, _) => return Ok(sig.try_op(*op)?.result()),
+                TermNode::Ite(_, t, _) => id = *t,
+            }
+        }
     }
 
     fn meta_of(&self, node: &TermNode) -> Meta {

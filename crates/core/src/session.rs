@@ -28,10 +28,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::arena::{TermId, TermStore};
+use crate::ids::OpId;
 use crate::rules::RuleSet;
 use crate::signature::Signature;
 use crate::spec::Spec;
 use crate::term::Term;
+use crate::Result;
 
 /// A snapshot of a session's observability counters.
 ///
@@ -156,6 +158,30 @@ impl Session {
     /// Interns a term into the session store.
     pub fn intern(&self, term: &Term) -> TermId {
         self.store().arena_mut().intern(term)
+    }
+
+    /// Interns `op(args…)` over session ids: hash-consed, O(arity).
+    ///
+    /// # Errors
+    ///
+    /// The arity and sort errors [`Signature::apply`] gives.
+    ///
+    /// # Panics
+    ///
+    /// If `op` or an argument is not from this session.
+    pub fn app(&self, op: OpId, args: &[TermId]) -> Result<TermId> {
+        let sig = self.sig();
+        let mut store = self.store();
+        let arena = store.arena();
+        sig.check_app(
+            op,
+            args.iter().map(|&a| {
+                Ok(arena
+                    .sort_of(sig, a)
+                    .expect("session terms are built over the session's signature"))
+            }),
+        )?;
+        Ok(store.arena_mut().app(op, args.to_vec()))
     }
 
     /// Materializes the term a session id denotes.

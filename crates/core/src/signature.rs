@@ -372,25 +372,39 @@ impl Signature {
     /// an argument has the wrong sort.
     pub fn apply(&self, name: &str, args: Vec<Term>) -> Result<Term> {
         let op = self.op_named(name)?;
+        self.check_app(op, args.iter().map(|a| a.sort(self)))?;
+        Ok(Term::App(op, args))
+    }
+
+    /// Checks an application of `op` whose arguments have the given
+    /// sorts, and returns its result sort. The sorts are drawn in order,
+    /// so an argument's own error surfaces at its position.
+    /// [`Signature::apply`], [`Term::sort`] and `Session::app` all check
+    /// applications here, so they report the same errors.
+    pub(crate) fn check_app(
+        &self,
+        op: OpId,
+        arg_sorts: impl ExactSizeIterator<Item = Result<SortId>>,
+    ) -> Result<SortId> {
         let info = self.op(op);
-        if info.arity() != args.len() {
+        if info.arity() != arg_sorts.len() {
             return Err(CoreError::ArityMismatch {
-                op: name.into(),
+                op: info.name().into(),
                 expected: info.arity(),
-                found: args.len(),
+                found: arg_sorts.len(),
             });
         }
-        for (i, (arg, &expected)) in args.iter().zip(info.args()).enumerate() {
-            let found = arg.sort(self)?;
+        for (i, (found, &expected)) in arg_sorts.zip(info.args()).enumerate() {
+            let found = found?;
             if found != expected {
                 return Err(CoreError::SortMismatch {
-                    context: format!("argument {} of {}", i + 1, name),
+                    context: format!("argument {} of {}", i + 1, info.name()),
                     expected: self.sort(expected).name().into(),
                     found: self.sort(found).name().into(),
                 });
             }
         }
-        Ok(Term::App(op, args))
+        Ok(info.result())
     }
 
     /// Number of declared sorts (including built-ins).

@@ -80,27 +80,7 @@ impl Term {
         match self {
             Term::Var(v) => Ok(sig.var(*v).sort()),
             Term::Error(s) => Ok(*s),
-            Term::App(op, args) => {
-                let info = sig.op(*op);
-                if info.arity() != args.len() {
-                    return Err(CoreError::ArityMismatch {
-                        op: info.name().into(),
-                        expected: info.arity(),
-                        found: args.len(),
-                    });
-                }
-                for (i, (arg, &expected)) in args.iter().zip(info.args()).enumerate() {
-                    let found = arg.sort(sig)?;
-                    if found != expected {
-                        return Err(CoreError::SortMismatch {
-                            context: format!("argument {} of {}", i + 1, info.name()),
-                            expected: sig.sort(expected).name().into(),
-                            found: sig.sort(found).name().into(),
-                        });
-                    }
-                }
-                Ok(info.result())
-            }
+            Term::App(op, args) => sig.check_app(*op, args.iter().map(|a| a.sort(sig))),
             Term::Ite(ite) => {
                 let cond_sort = ite.cond.sort(sig)?;
                 if cond_sort != sig.bool_sort() {

@@ -5,6 +5,7 @@
 //! in triangular-solved form with an occurs check, so the returned
 //! substitution is idempotent and finite.
 
+use crate::ids::VarId;
 use crate::subst::Subst;
 use crate::term::Term;
 
@@ -40,59 +41,60 @@ pub struct Unifier {
 /// assert_eq!(u.subst.apply(&lhs), u.subst.apply(&rhs));
 /// ```
 pub fn unify(a: &Term, b: &Term) -> Option<Unifier> {
+    let mut bindings = Bindings::new();
+    if !unify_into(a, b, &mut bindings) {
+        return None;
+    }
     let mut subst = Subst::new();
-    if unify_into(a, b, &mut subst) {
-        Some(Unifier { subst })
-    } else {
-        None
+    for (var, term) in bindings {
+        subst.bind(var, term.clone());
     }
+    Some(Unifier { subst })
 }
 
-fn resolve(term: &Term, subst: &Subst) -> Term {
-    // Walk variable chains until a non-variable or unbound variable.
-    let mut cur = term.clone();
-    loop {
-        match &cur {
-            Term::Var(v) => match subst.get(*v) {
-                Some(t) => cur = t.clone(),
-                None => return cur,
-            },
-            _ => return cur,
+/// The unifier under construction, in triangular form. Every bound term
+/// is a subterm of one of the two inputs, so bindings borrow them: only
+/// a successful unification clones anything, once per binding.
+type Bindings<'t> = Vec<(VarId, &'t Term)>;
+
+fn lookup<'t>(var: VarId, bindings: &Bindings<'t>) -> Option<&'t Term> {
+    bindings.iter().find(|(v, _)| *v == var).map(|&(_, t)| t)
+}
+
+/// Walks variable chains until a non-variable or an unbound variable.
+fn resolve<'t>(mut term: &'t Term, bindings: &Bindings<'t>) -> &'t Term {
+    while let Term::Var(v) = term {
+        match lookup(*v, bindings) {
+            Some(t) => term = t,
+            None => break,
         }
     }
+    term
 }
 
-fn occurs(var: crate::ids::VarId, term: &Term, subst: &Subst) -> bool {
+fn occurs(var: VarId, term: &Term, bindings: &Bindings<'_>) -> bool {
     match term {
-        Term::Var(v) => {
-            if *v == var {
-                return true;
-            }
-            match subst.get(*v) {
-                Some(t) => occurs(var, &t.clone(), subst),
-                None => false,
-            }
-        }
+        Term::Var(v) => *v == var || lookup(*v, bindings).is_some_and(|t| occurs(var, t, bindings)),
         Term::Error(_) => false,
-        Term::App(_, args) => args.iter().any(|a| occurs(var, a, subst)),
+        Term::App(_, args) => args.iter().any(|a| occurs(var, a, bindings)),
         Term::Ite(ite) => {
-            occurs(var, &ite.cond, subst)
-                || occurs(var, &ite.then_branch, subst)
-                || occurs(var, &ite.else_branch, subst)
+            occurs(var, &ite.cond, bindings)
+                || occurs(var, &ite.then_branch, bindings)
+                || occurs(var, &ite.else_branch, bindings)
         }
     }
 }
 
-fn unify_into(a: &Term, b: &Term, subst: &mut Subst) -> bool {
-    let a = resolve(a, subst);
-    let b = resolve(b, subst);
-    match (&a, &b) {
+fn unify_into<'t>(a: &'t Term, b: &'t Term, bindings: &mut Bindings<'t>) -> bool {
+    let a = resolve(a, bindings);
+    let b = resolve(b, bindings);
+    match (a, b) {
         (Term::Var(v1), Term::Var(v2)) if v1 == v2 => true,
         (Term::Var(v), other) | (other, Term::Var(v)) => {
-            if occurs(*v, other, subst) {
+            if occurs(*v, other, bindings) {
                 false
             } else {
-                subst.bind(*v, other.clone());
+                bindings.push((*v, other));
                 true
             }
         }
@@ -103,12 +105,12 @@ fn unify_into(a: &Term, b: &Term, subst: &mut Subst) -> bool {
                 && args1
                     .iter()
                     .zip(args2)
-                    .all(|(x, y)| unify_into(x, y, subst))
+                    .all(|(x, y)| unify_into(x, y, bindings))
         }
         (Term::Ite(x), Term::Ite(y)) => {
-            unify_into(&x.cond, &y.cond, subst)
-                && unify_into(&x.then_branch, &y.then_branch, subst)
-                && unify_into(&x.else_branch, &y.else_branch, subst)
+            unify_into(&x.cond, &y.cond, bindings)
+                && unify_into(&x.then_branch, &y.then_branch, bindings)
+                && unify_into(&x.else_branch, &y.else_branch, bindings)
         }
         _ => false,
     }
@@ -117,7 +119,6 @@ fn unify_into(a: &Term, b: &Term, subst: &mut Subst) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::VarId;
     use crate::signature::Signature;
 
     struct Fixture {

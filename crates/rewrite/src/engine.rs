@@ -42,8 +42,8 @@
 use std::borrow::Cow;
 
 use adt_core::{
-    ExhaustionCause, Fuel, FuelSpent, OpId, RuleSet, Session, SortId, Spec, Supervisor, Term,
-    TermArena, TermId, TermNode, TermStore, VarId,
+    ExhaustionCause, Fuel, FuelSpent, OpId, RuleSet, Session, Spec, Supervisor, Term, TermArena,
+    TermId, TermNode, TermStore, VarId,
 };
 
 use crate::error::RewriteError;
@@ -761,7 +761,7 @@ impl<'a> Rewriter<'a> {
                     }
                     if matches!(cx.arena().node(cond), TermNode::Error(_)) {
                         st.tick(&self.budget)?;
-                        let sort = self.branch_sort(cx.arena(), then_id)?;
+                        let sort = cx.arena().sort_of(self.spec.sig(), then_id)?;
                         let result = cx.arena_mut().error(sort);
                         if st.tracing() {
                             let redex = reify_ite(cx.arena(), cond, then_id, else_id);
@@ -923,26 +923,6 @@ impl<'a> Rewriter<'a> {
     /// for trace output only.
     fn reify_app(&self, arena: &TermArena, op: OpId, args: &[TermId]) -> Term {
         Term::App(op, args.iter().map(|&a| arena.to_term(a)).collect())
-    }
-
-    /// The sort of the term `id` denotes, read off its head symbol
-    /// (following `then`-branches through conditionals).
-    ///
-    /// Strict error propagation only needs the *sort* of the poisoned
-    /// conditional; terms reaching the engine were already validated
-    /// when built, so no well-sortedness re-check happens here — and
-    /// unlike `Term::sort` this never recurses into arguments, so it is
-    /// safe on terms of any size.
-    fn branch_sort(&self, arena: &TermArena, mut id: TermId) -> Result<SortId> {
-        let sig = self.spec.sig();
-        loop {
-            match arena.node(id) {
-                TermNode::Var(v) => return Ok(sig.var(*v).sort()),
-                TermNode::Error(s) => return Ok(*s),
-                TermNode::App(op, _) => return Ok(sig.try_op(*op)?.result()),
-                TermNode::Ite(_, t, _) => id = *t,
-            }
-        }
     }
 }
 

@@ -18,11 +18,21 @@
 //!
 //! run directly against the axioms, no implementation required — the
 //! "significant loss in efficiency" relative to a real implementation is
-//! measured by the `symbolic_vs_direct` benchmark.
+//! measured by the `symbolic_vs_direct` rows of `adt-bench`.
+//!
+//! The machine is one [`Session`] plus an environment of session
+//! [`TermId`]s: a call builds its application from ids ([`Session::app`])
+//! and evaluates it in the session store ([`Rewriter::normalize_id`]).
+//! Trees are made only for the values `get`, `call` and `eval` return.
+//!
+//! **Fuel caveat.** The store's normal-form table outlives each call, so
+//! a warm session answers as a cold run does whenever the cold run
+//! finishes within budget; where the cold run would exhaust, it may
+//! still answer.
 
 use std::collections::HashMap;
 
-use adt_core::{Spec, Term};
+use adt_core::{Session, Spec, Supervisor, Term, TermId};
 
 use crate::engine::Rewriter;
 use crate::error::RewriteError;
@@ -70,60 +80,82 @@ impl From<Term> for SymArg {
 /// session.assign("x", "ZERO", [])?;
 /// session.assign("x", "SUCC", ["x".into()])?;
 /// session.assign("x", "PRED", ["x".into()])?;
-/// assert_eq!(session.get("x").unwrap(), &spec.sig().apply("ZERO", vec![])?);
+/// assert_eq!(session.get("x").unwrap(), spec.sig().apply("ZERO", vec![])?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct SymbolicSession<'a> {
-    rw: Rewriter<'a>,
-    env: HashMap<String, Term>,
+pub struct SymbolicSession {
+    session: Session,
+    env: HashMap<String, TermId>,
+    supervisor: Supervisor,
 }
 
-impl<'a> SymbolicSession<'a> {
+impl SymbolicSession {
     /// Starts a session over `spec` with the default fuel limit.
-    pub fn new(spec: &'a Spec) -> Self {
+    pub fn new(spec: &Spec) -> Self {
         SymbolicSession {
-            rw: Rewriter::new(spec),
+            session: Session::new(spec.clone()),
             env: HashMap::new(),
+            supervisor: Supervisor::none(),
         }
     }
 
-    /// The underlying rewriter.
-    pub fn rewriter(&self) -> &Rewriter<'a> {
-        &self.rw
+    /// The session the program variables live in.
+    pub fn session(&self) -> &Session {
+        &self.session
+    }
+
+    /// Places every later evaluation under `supervisor` (see
+    /// [`Rewriter::supervised`]).
+    pub fn set_supervisor(&mut self, supervisor: Supervisor) {
+        self.supervisor = supervisor;
     }
 
     /// The current value of a program variable.
-    pub fn get(&self, name: &str) -> Option<&Term> {
-        self.env.get(name)
+    pub fn get(&self, name: &str) -> Option<Term> {
+        self.env.get(name).map(|&id| self.session.term(id))
     }
 
-    /// Binds a program variable to a term (normalized first).
+    /// Binds a program variable to a term (normalized first), returning
+    /// the session id of the bound normal form.
     ///
     /// # Errors
     ///
     /// Returns any normalization error.
-    pub fn set(&mut self, name: &str, term: Term) -> Result<&Term> {
-        let nf = self.rw.normalize(&term)?;
-        Ok(self
-            .env
-            .entry(name.to_owned())
-            .and_modify(|t| *t = nf.clone())
-            .or_insert(nf))
+    pub fn set(&mut self, name: &str, term: Term) -> Result<TermId> {
+        let nf = self.normalize(self.session.intern(&term))?;
+        self.env.insert(name.to_owned(), nf);
+        Ok(nf)
     }
 
-    fn resolve(&self, arg: SymArg) -> Result<Term> {
-        match arg {
-            SymArg::Lit(t) => Ok(t),
-            SymArg::Ref(name) => {
-                self.env
-                    .get(&name)
-                    .cloned()
-                    .ok_or_else(|| RewriteError::Session {
-                        detail: format!("program variable `{name}` is unbound"),
-                    })
-            }
-        }
+    fn normalize(&self, id: TermId) -> Result<TermId> {
+        Rewriter::for_session(&self.session)
+            .supervised(self.supervisor.clone())
+            .normalize_id(&self.session, id)
+    }
+
+    /// Builds `op(args…)` in the session store, unevaluated. A literal
+    /// argument is sort-checked in full before it is interned.
+    fn apply(&self, op: &str, args: impl IntoIterator<Item = SymArg>) -> Result<TermId> {
+        let sig = self.session.sig();
+        let ids = args
+            .into_iter()
+            .map(|arg| match arg {
+                SymArg::Lit(t) => {
+                    t.sort(sig)?;
+                    Ok(self.session.intern(&t))
+                }
+                SymArg::Ref(name) => {
+                    self.env
+                        .get(&name)
+                        .copied()
+                        .ok_or_else(|| RewriteError::Session {
+                            detail: format!("program variable `{name}` is unbound"),
+                        })
+                }
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(self.session.app(sig.op_named(op)?, &ids)?)
     }
 
     /// Applies an operation of the specification to the given arguments
@@ -134,16 +166,13 @@ impl<'a> SymbolicSession<'a> {
     /// Returns an error for unknown operations, unbound variable
     /// references, ill-sorted applications, or normalization failure.
     pub fn call(&self, op: &str, args: impl IntoIterator<Item = SymArg>) -> Result<Term> {
-        let resolved: Vec<Term> = args
-            .into_iter()
-            .map(|a| self.resolve(a))
-            .collect::<Result<_>>()?;
-        let term = self.rw.spec().sig().apply(op, resolved)?;
-        self.rw.normalize(&term)
+        let nf = self.normalize(self.apply(op, args)?)?;
+        Ok(self.session.term(nf))
     }
 
     /// `var := op(args…)` — applies an operation and binds the normalized
     /// result to a program variable, as in the paper's program segments.
+    /// Returns the session id of the bound normal form.
     ///
     /// # Errors
     ///
@@ -153,13 +182,10 @@ impl<'a> SymbolicSession<'a> {
         var: &str,
         op: &str,
         args: impl IntoIterator<Item = SymArg>,
-    ) -> Result<&Term> {
-        let value = self.call(op, args)?;
-        Ok(self
-            .env
-            .entry(var.to_owned())
-            .and_modify(|t| *t = value.clone())
-            .or_insert(value))
+    ) -> Result<TermId> {
+        let nf = self.normalize(self.apply(op, args)?)?;
+        self.env.insert(var.to_owned(), nf);
+        Ok(nf)
     }
 
     /// Normalizes an arbitrary term in this session's specification.
@@ -168,7 +194,8 @@ impl<'a> SymbolicSession<'a> {
     ///
     /// Returns any normalization error.
     pub fn eval(&self, term: &Term) -> Result<Term> {
-        self.rw.normalize(term)
+        let nf = self.normalize(self.session.intern(term))?;
+        Ok(self.session.term(nf))
     }
 
     /// The names of all bound program variables, sorted.
@@ -249,7 +276,7 @@ mod tests {
             .sig()
             .apply("ADD", vec![spec.sig().apply("NEW", vec![]).unwrap(), b])
             .unwrap();
-        assert_eq!(s.get("x").unwrap(), &expected);
+        assert_eq!(s.get("x").unwrap(), expected);
 
         let front = s.call("FRONT", ["x".into()]).unwrap();
         assert_eq!(front, spec.sig().apply("B", vec![]).unwrap());
@@ -290,11 +317,11 @@ mod tests {
         s.assign("x", "NEW", []).unwrap();
         s.assign("x", "REMOVE", ["x".into()]).unwrap(); // REMOVE(NEW) = error
         let queue = spec.sig().find_sort("Queue").unwrap();
-        assert_eq!(s.get("x").unwrap(), &Term::Error(queue));
+        assert_eq!(s.get("x").unwrap(), Term::Error(queue));
         // Further operations stay error.
         let a = spec.sig().apply("A", vec![]).unwrap();
         s.assign("x", "ADD", ["x".into(), a.into()]).unwrap();
-        assert_eq!(s.get("x").unwrap(), &Term::Error(queue));
+        assert_eq!(s.get("x").unwrap(), Term::Error(queue));
     }
 
     #[test]

@@ -89,7 +89,7 @@ end
     session.assign("x", "REMOVE", ["x".into()])?;
     println!(
         "\nafter NEW; ADD A; ADD B; REMOVE:  x = {}",
-        adt_core::display::term(sig, session.get("x").expect("x is bound"))
+        adt_core::display::term(sig, &session.get("x").expect("x is bound"))
     );
 
     // 5. And check a real Rust implementation against the axioms.

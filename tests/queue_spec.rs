@@ -158,5 +158,5 @@ fn symbolic_interpretation_runs_queue_programs() {
     session.assign("x", "REMOVE", ["x".into()]).unwrap();
     session.assign("x", "REMOVE", ["x".into()]).unwrap();
     let queue_sort = spec.sig().find_sort("Queue").unwrap();
-    assert_eq!(session.get("x").unwrap(), &Term::Error(queue_sort));
+    assert_eq!(session.get("x").unwrap(), Term::Error(queue_sort));
 }
