@@ -533,55 +533,6 @@ pub mod workloads {
         out
     }
 
-    /// Builds the ground Symboltable *term* corresponding to the
-    /// state-building prefix of a trace (ENTER/ADD/LEAVE; RETRIEVE ops are
-    /// returned separately as observer applications on the final state).
-    ///
-    /// The specification's sample identifiers stand in for the trace's
-    /// identifier indices (reduced modulo 3) and `ATTR_1` is used for
-    /// every declaration — the shape of the term, not the payload, is
-    /// what drives the rewriting cost.
-    pub fn symtab_term(spec: &Spec, trace: &[SymOp]) -> (Term, Vec<Term>) {
-        let sig = spec.sig();
-        let idents = ["ID_X", "ID_Y", "ID_Z"];
-        let mut state = sig.apply("INIT", vec![]).expect("INIT exists");
-        let mut depth = 1usize;
-        let mut observers = Vec::new();
-        let attr = sig.apply("ATTR_1", vec![]).expect("ATTR_1 exists");
-        for op in trace {
-            match op {
-                SymOp::Enter => {
-                    depth += 1;
-                    state = sig.apply("ENTERBLOCK", vec![state]).expect("well-sorted");
-                }
-                SymOp::Leave => {
-                    if depth > 1 {
-                        depth -= 1;
-                        state = sig.apply("LEAVEBLOCK", vec![state]).expect("well-sorted");
-                    }
-                }
-                SymOp::Add(i) => {
-                    let id = sig.apply(idents[i % 3], vec![]).expect("ident exists");
-                    state = sig
-                        .apply("ADD", vec![state, id, attr.clone()])
-                        .expect("well-sorted");
-                }
-                SymOp::Retrieve(i) => {
-                    let id = sig.apply(idents[i % 3], vec![]).expect("ident exists");
-                    observers.push((id, ()));
-                }
-            }
-        }
-        let observers = observers
-            .into_iter()
-            .map(|(id, ())| {
-                sig.apply("RETRIEVE", vec![state.clone(), id])
-                    .expect("well-sorted")
-            })
-            .collect();
-        (state, observers)
-    }
-
     /// Builds a ground Queue term of `adds` enqueues followed by
     /// `removes` dequeues.
     pub fn queue_term(spec: &Spec, adds: usize, removes: usize, seed: u64) -> Term {
@@ -609,7 +560,7 @@ pub mod workloads {
 mod tests {
     use super::workloads::*;
     use adt_rewrite::Rewriter;
-    use adt_structures::specs::{queue_spec, symboltable_spec};
+    use adt_structures::specs::queue_spec;
 
     #[test]
     fn streams_are_deterministic() {
@@ -634,21 +585,6 @@ mod tests {
                 _ => {}
             }
             assert!(depth >= 1);
-        }
-    }
-
-    #[test]
-    fn symtab_terms_normalize() {
-        let spec = symboltable_spec();
-        let trace = symtab_trace(60, 5, 11);
-        let (state, observers) = symtab_term(&spec, &trace);
-        let rw = Rewriter::new(&spec);
-        // The state normalizes to a constructor term (LEAVEBLOCKs fold away).
-        let state_nf = rw.normalize(&state).unwrap();
-        assert!(state_nf.is_constructor_term(spec.sig()));
-        for obs in observers {
-            let nf = rw.normalize(&obs).unwrap();
-            assert!(nf.is_constructor_term(spec.sig()) || nf.is_error());
         }
     }
 

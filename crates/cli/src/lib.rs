@@ -216,7 +216,7 @@ pub fn run(args: &[String]) -> Outcome {
         [cmd, rest @ ..] => match cmd.as_str() {
             "check" => match parse_check_flags(rest) {
                 Ok((opts, positional)) => {
-                    with_file(&positional, 0, |session, _| cmd_check(session, &opts))
+                    with_file(&positional, 0, |session, _| cmd_check(session, &opts).0)
                 }
                 Err(msg) => Outcome::usage(format!("{msg}{USAGE}")),
             },
@@ -262,7 +262,8 @@ fn with_file(
     }
 }
 
-fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
+/// `adt check`: the report to print, and the verdict `adt batch` counts.
+fn cmd_check(session: &Session, opts: &CheckOpts) -> (Outcome, BatchVerdict) {
     let spec = session.spec();
     let mut config = CheckConfig::jobs(opts.jobs);
     if let Some(steps) = opts.fuel {
@@ -280,13 +281,18 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
         if opts.checkpoint.is_some() {
             // Fault runs are deliberately non-representative; caching their
             // verdicts would poison a later real resume.
-            return Outcome::usage(format!(
-                "--checkpoint cannot be combined with --faults\n{USAGE}"
-            ));
+            return (
+                Outcome::usage(format!(
+                    "--checkpoint cannot be combined with --faults\n{USAGE}"
+                )),
+                BatchVerdict::Failed,
+            );
         }
         // The fault harness compares faulted runs with a fault-free one
         // and reports that comparison instead of the usual verdicts.
-        return cmd_check_faults(spec, plan, &config);
+        let outcome = cmd_check_faults(spec, plan, &config);
+        let verdict = BatchVerdict::of(&outcome, false);
+        return (outcome, verdict);
     }
 
     // A checkpoint is keyed on the spec's canonical text and the parts of
@@ -312,12 +318,15 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
         spec.axioms().len()
     );
     let mut failed = false;
+    // Set by a phase that ran out of fuel or time before its verdict.
+    let mut undetermined = false;
 
     // ---- completeness phase (cached section replayed verbatim) ----
     let mut completeness = None;
     match ckpt.as_ref().and_then(|(_, c)| c.phase("completeness")) {
         Some(cached) => {
             failed |= cached.failed;
+            undetermined |= opens_undetermined(&cached.section);
             out.push_str(&cached.section);
         }
         None => {
@@ -341,6 +350,7 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
                 for line in report.prompts().lines() {
                     let _ = writeln!(section, "  {line}");
                 }
+                undetermined = true;
                 false
             } else {
                 let _ = writeln!(section, "sufficiently complete: yes");
@@ -371,6 +381,7 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
     match ckpt.as_ref().and_then(|(_, c)| c.phase("consistency")) {
         Some(cached) => {
             failed |= cached.failed;
+            undetermined |= opens_undetermined(&cached.section);
             out.push_str(&cached.section);
         }
         None => {
@@ -394,6 +405,7 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
                     for line in report.summary().lines().skip(1) {
                         let _ = writeln!(section, "  {line}");
                     }
+                    undetermined = true;
                     false
                 }
                 ConsistencyVerdict::Interrupted => {
@@ -404,6 +416,7 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
                     for line in report.summary().lines().skip(1) {
                         let _ = writeln!(section, "  {line}");
                     }
+                    undetermined = true;
                     false
                 }
                 ConsistencyVerdict::Inconsistent | ConsistencyVerdict::Unknown => {
@@ -476,11 +489,23 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
         out.push_str(&session.stats().render());
     }
 
-    if failed {
+    let outcome = if failed {
         Outcome::fail(out)
     } else {
         Outcome::ok(out)
-    }
+    };
+    let verdict = BatchVerdict::of(&outcome, undetermined);
+    (outcome, verdict)
+}
+
+/// Whether a phase section replayed from a checkpoint opens with an
+/// UNDETERMINED verdict line (`sufficiently complete: …` or
+/// `consistent: …`, as [`cmd_check`] writes them).
+fn opens_undetermined(section: &str) -> bool {
+    section
+        .lines()
+        .next()
+        .is_some_and(|header| header.contains(": UNDETERMINED"))
 }
 
 /// The configuration fingerprint checkpoints are validated against.
@@ -528,24 +553,27 @@ enum BatchVerdict {
     Quarantined(String),
 }
 
-/// Maps one `adt check` outcome onto a batch verdict.
-fn classify_batch(outcome: &Outcome) -> BatchVerdict {
-    if outcome.code != 0 {
-        BatchVerdict::Failed
-    } else if outcome.output.contains("UNDETERMINED") {
-        BatchVerdict::Undetermined
-    } else {
-        BatchVerdict::Passed
+impl BatchVerdict {
+    /// The verdict of a check that exited with `outcome`, given whether a
+    /// phase ended UNDETERMINED: a nonzero exit is a definite failure.
+    fn of(outcome: &Outcome, undetermined: bool) -> Self {
+        if outcome.code != 0 {
+            BatchVerdict::Failed
+        } else if undetermined {
+            BatchVerdict::Undetermined
+        } else {
+            BatchVerdict::Passed
+        }
     }
 }
 
 /// Runs one spec's check with panic isolation: a first panic earns one
 /// retry (transient faults happen), a second quarantines the spec. Returns
 /// the verdict and how many attempts panicked.
-fn supervise_spec(check: impl Fn() -> Outcome) -> (BatchVerdict, u32) {
+fn supervise_spec(check: impl Fn() -> BatchVerdict) -> (BatchVerdict, u32) {
     for attempt in 0u32..2 {
         match catch_unwind(AssertUnwindSafe(&check)) {
-            Ok(outcome) => return (classify_batch(&outcome), attempt),
+            Ok(verdict) => return (verdict, attempt),
             Err(payload) if attempt == 0 => drop(payload),
             Err(payload) => return (BatchVerdict::Quarantined(panic_text(&*payload)), 2),
         }
@@ -607,15 +635,15 @@ fn cmd_batch(args: &[String]) -> Outcome {
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
         let (verdict, panics) = supervise_spec(|| {
-            let source = match fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => return Outcome::fail(format!("cannot read `{}`: {e}\n", path.display())),
+            // An unreadable or unparsable file is a definite failure.
+            let Ok(source) = fs::read_to_string(path) else {
+                return BatchVerdict::Failed;
             };
             match parse_session(&source) {
                 // cmd_check re-arms Deadline::after at entry, so each spec
                 // starts with the full --deadline budget.
-                Ok(session) => cmd_check(&session, &opts),
-                Err(diags) => Outcome::fail(diags.render(&source)),
+                Ok(session) => cmd_check(&session, &opts).1,
+                Err(_) => BatchVerdict::Failed,
             }
         });
         let retried = if panics == 1 {
@@ -1435,7 +1463,7 @@ end
             if calls.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("transient fault");
             }
-            Outcome::ok("consistent: yes\n".to_owned())
+            BatchVerdict::Passed
         });
         assert_eq!(verdict, BatchVerdict::Passed);
         assert_eq!(panics, 1);
@@ -1449,12 +1477,43 @@ end
     }
 
     #[test]
-    fn classify_batch_maps_outcomes_onto_verdicts() {
-        let ok = Outcome::ok("consistent: yes\n".to_owned());
-        assert_eq!(classify_batch(&ok), BatchVerdict::Passed);
-        let undet = Outcome::ok("consistent: UNDETERMINED (…)\n".to_owned());
-        assert_eq!(classify_batch(&undet), BatchVerdict::Undetermined);
-        let bad = Outcome::fail("consistent: NO\n".to_owned());
-        assert_eq!(classify_batch(&bad), BatchVerdict::Failed);
+    fn batch_verdict_comes_from_the_checks_not_the_report_text() {
+        // A spec whose own names contain the word UNDETERMINED passes
+        // both checks; batch must count it as passed.
+        let spec = "type UNDETERMINED
+ops
+  ZERO: -> UNDETERMINED ctor
+  SUCC: UNDETERMINED -> UNDETERMINED ctor
+  IS_ZERO?: UNDETERMINED -> Bool
+vars
+  n: UNDETERMINED
+axioms
+  [z1] IS_ZERO?(ZERO) = true
+  [z2] IS_ZERO?(SUCC(n)) = false
+end
+";
+        let dir = batch_dir("undetermined_name", &[("undetermined.adt", spec)]);
+        let file = dir.join("undetermined.adt");
+        let out = run(&args(&["check", file.to_str().unwrap()]));
+        assert_eq!(out.code, 0, "{}", out.output);
+        assert!(
+            out.output.contains("sufficiently complete: yes"),
+            "{}",
+            out.output
+        );
+        assert!(out.output.contains("consistent: yes"), "{}", out.output);
+        let out = run(&args(&["batch", dir.to_str().unwrap()]));
+        assert!(
+            out.output.contains("undetermined.adt: PASSED"),
+            "{}",
+            out.output
+        );
+        assert!(
+            out.output
+                .contains("batch: 1 spec(s) — 1 passed, 0 failed, 0 undetermined, 0 quarantined"),
+            "{}",
+            out.output
+        );
+        let _ = fs::remove_dir_all(dir);
     }
 }

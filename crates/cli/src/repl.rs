@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use adt_check::{CheckConfig, ConsistencyVerdict, ProbeConfig};
 use adt_core::{display, Deadline, Spec, Subst, Supervisor, Term};
-use adt_dsl::{lower_term_in, parse_term_source, Diagnostics};
+use adt_dsl::{lower_term_in, parse_term_source, Diagnostics, Span};
 use adt_rewrite::{Proof, Rewriter, SymbolicSession};
 
 /// The REPL's help text.
@@ -143,7 +143,7 @@ fn dispatch(
     if !line.starts_with(':') {
         if let Some((name, term_src)) = line.split_once(":=") {
             symbolic.set_supervisor(supervisor);
-            return bind(symbolic, name.trim(), term_src.trim(), reply);
+            return bind(symbolic, line, name.trim(), term_src.trim(), reply);
         }
     }
     let symbolic = &*symbolic;
@@ -152,7 +152,9 @@ fn dispatch(
     if let Some(rest) = line.strip_prefix(':') {
         let (cmd, arg) = match rest.split_once(char::is_whitespace) {
             Some((c, a)) => (c, a.trim()),
-            None => (rest, ""),
+            // An empty argument still sits at the end of the line, so an
+            // error about it points there.
+            None => (rest, &rest[rest.len()..]),
         };
         match cmd {
             "quit" | "q" => return Ok(ReplAction::Quit),
@@ -198,7 +200,7 @@ fn dispatch(
                 }
             }
             "trace" => {
-                let term = parse_in_env(symbolic, arg)?;
+                let term = parse_in_env(symbolic, line, arg)?;
                 match crate::query(session, &term, true, supervisor) {
                     Ok(text) | Err(text) => reply.push_str(&text),
                 }
@@ -248,8 +250,8 @@ fn dispatch(
                     let _ = writeln!(reply, "unknown specification variable `{var_name}`");
                     return Ok(ReplAction::Continue);
                 };
-                let lhs = parse_in_env(symbolic, lhs_src.trim())?;
-                let rhs = parse_in_env(symbolic, rhs_src.trim())?;
+                let lhs = parse_in_env(symbolic, line, lhs_src.trim())?;
+                let rhs = parse_in_env(symbolic, line, rhs_src.trim())?;
                 match adt_verify::prove_by_induction(spec, &lhs, &rhs, var, 8) {
                     Ok(adt_verify::InductionOutcome::Proved { cases }) => {
                         let names: Vec<&str> = cases.iter().map(|(n, _)| n.as_str()).collect();
@@ -276,8 +278,8 @@ fn dispatch(
                     reply.push_str("usage: :prove <term> = <term>\n");
                     return Ok(ReplAction::Continue);
                 };
-                let lhs = parse_in_env(symbolic, lhs_src.trim())?;
-                let rhs = parse_in_env(symbolic, rhs_src.trim())?;
+                let lhs = parse_in_env(symbolic, line, lhs_src.trim())?;
+                let rhs = parse_in_env(symbolic, line, rhs_src.trim())?;
                 let rw = Rewriter::for_session(session).supervised(supervisor);
                 match rw.prove_equal(&lhs, &rhs, 8) {
                     Ok(Proof::Proved { cases }) => {
@@ -303,7 +305,7 @@ fn dispatch(
         return Ok(ReplAction::Continue);
     }
 
-    let term = parse_in_env(symbolic, line)?;
+    let term = parse_in_env(symbolic, line, line)?;
     match crate::query(session, &term, false, supervisor) {
         Ok(text) | Err(text) => reply.push_str(&text),
     }
@@ -313,6 +315,7 @@ fn dispatch(
 /// `NAME := term`: binds the normal form of `term` in the session.
 fn bind(
     symbolic: &mut SymbolicSession,
+    line: &str,
     name: &str,
     term_src: &str,
     reply: &mut String,
@@ -321,7 +324,7 @@ fn bind(
         let _ = writeln!(reply, "bad session variable name `{name}`");
         return Ok(ReplAction::Continue);
     }
-    let term = parse_in_env(symbolic, term_src)?;
+    let term = parse_in_env(symbolic, line, term_src)?;
     match symbolic.set(name, term) {
         Ok(nf) => {
             let session = symbolic.session();
@@ -337,8 +340,33 @@ fn bind(
 
 /// Parses a term that may mention session variables: the signature is
 /// temporarily extended with one typed variable per binding, and the
-/// bindings are substituted in afterwards.
-fn parse_in_env(symbolic: &SymbolicSession, source: &str) -> Result<Term, Diagnostics> {
+/// bindings are substituted in afterwards. `source` is a slice of the
+/// input `line`; diagnostics come back with spans into `line`, so they
+/// render with the caret under the offending text.
+fn parse_in_env(symbolic: &SymbolicSession, line: &str, source: &str) -> Result<Term, Diagnostics> {
+    parse_term_in_env(symbolic, source).map_err(|diags| {
+        let offset = offset_in(line, source);
+        let mut shifted = Diagnostics::new();
+        for d in diags.items() {
+            let span = Span::new(d.span.start + offset, d.span.end + offset);
+            shifted.error(span, d.message.clone());
+        }
+        shifted
+    })
+}
+
+/// Byte offset of `part` within `line`, or 0 when `part` is not a slice
+/// of `line`.
+fn offset_in(line: &str, part: &str) -> usize {
+    let offset = (part.as_ptr() as usize).wrapping_sub(line.as_ptr() as usize);
+    if offset.saturating_add(part.len()) <= line.len() {
+        offset
+    } else {
+        0
+    }
+}
+
+fn parse_term_in_env(symbolic: &SymbolicSession, source: &str) -> Result<Term, Diagnostics> {
     let ast = parse_term_source(source)?;
     let spec = symbolic.session().spec();
     let mut sig = spec.sig().clone();
@@ -443,6 +471,26 @@ end
         let out = drive("FRONT(ZORP)\nFRONT(ADD(NEW, A))\n:quit\n");
         assert!(out.contains("unknown name `ZORP`"), "{out}");
         assert!(out.contains("A   ("), "{out}");
+    }
+
+    #[test]
+    fn errors_in_command_terms_point_at_the_offending_text() {
+        let out = drive(":trace FRONT(ZORP)\nx := FRONT(ZORP)\n:trace\n:quit\n");
+        assert!(
+            out.contains(
+                "  --> line 1, column 14\n   | :trace FRONT(ZORP)\n   |              ^^^^\n"
+            ),
+            "{out}"
+        );
+        assert!(
+            out.contains("  --> line 1, column 12\n   | x := FRONT(ZORP)\n   |            ^^^^\n"),
+            "{out}"
+        );
+        // A missing term is reported just past the end of the line.
+        assert!(
+            out.contains("  --> line 1, column 7\n   | :trace\n   |       ^\n"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! 1. **As an algebraic specification** ([`specs`]) — Queue (§3),
 //!    Symboltable, Stack and Array (§4), the combined
 //!    representation-level specification with the primed operations and
-//!    the abstraction function Φ, and the Knowlist extension — built
-//!    programmatically and mirrored as `.adt` source files under the
-//!    repository's `specs/` directory ([`sources`]).
+//!    the abstraction function Φ, and the Knowlist extension — each
+//!    loaded from its `.adt` source file under the repository's `specs/`
+//!    directory ([`sources`]), its only definition.
 //! 2. **As an efficient Rust implementation** — a growable ring-buffer
 //!    FIFO ([`Fifo`]), the paper's fixed-capacity ring buffer with top
 //!    pointer ([`RingQueue`]), the PL/I pointer-list stack as a persistent

@@ -1,10 +1,12 @@
 //! The `.adt` source files shipped in the repository's `specs/`
 //! directory, embedded and loadable.
 //!
-//! Every specification exists both programmatically (the [`crate::specs`]
-//! builders) and as text in the specification language; the
-//! `spec_sources` integration test checks the two are semantically equal,
-//! so the files never drift from the code.
+//! Each file is the only definition of its specification: `adt check`,
+//! `adt batch` and the REPL read it from disk, and the Rust API
+//! ([`crate::specs`]) loads the embedded copy through [`load`]. A file is
+//! parsed at most once per process; later loads return clones.
+
+use std::sync::OnceLock;
 
 use adt_core::Spec;
 use adt_dsl::Diagnostics;
@@ -35,25 +37,28 @@ pub const DATABASE: &str = include_str!("../../../specs/database.adt");
 /// multiple-return-values workaround via a Pair type).
 pub const ARITHMETIC: &str = include_str!("../../../specs/arithmetic.adt");
 
+const FILES: [(&str, &str); 12] = [
+    ("queue", QUEUE),
+    ("queue_incomplete", QUEUE_INCOMPLETE),
+    ("stack", STACK),
+    ("array", ARRAY),
+    ("symboltable", SYMBOLTABLE),
+    ("symboltable_rep", SYMBOLTABLE_REP),
+    ("knowlist", KNOWLIST),
+    ("symboltable_kl", SYMBOLTABLE_KL),
+    ("list", LIST),
+    ("set", SET),
+    ("database", DATABASE),
+    ("arithmetic", ARITHMETIC),
+];
+
 /// All embedded sources, by file stem.
 pub fn all() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("queue", QUEUE),
-        ("queue_incomplete", QUEUE_INCOMPLETE),
-        ("stack", STACK),
-        ("array", ARRAY),
-        ("symboltable", SYMBOLTABLE),
-        ("symboltable_rep", SYMBOLTABLE_REP),
-        ("knowlist", KNOWLIST),
-        ("symboltable_kl", SYMBOLTABLE_KL),
-        ("list", LIST),
-        ("set", SET),
-        ("database", DATABASE),
-        ("arithmetic", ARITHMETIC),
-    ]
+    FILES.to_vec()
 }
 
-/// Parses an embedded source by file stem.
+/// Parses an embedded source by file stem. The first call for a file
+/// parses it; every later call returns a clone of that result.
 ///
 /// # Errors
 ///
@@ -64,19 +69,27 @@ pub fn all() -> Vec<(&'static str, &'static str)> {
 ///
 /// Panics if `name` is not one of the embedded file stems.
 pub fn load(name: &str) -> Result<Spec, Diagnostics> {
-    let source = all()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("unknown embedded specification `{name}`"))
-        .1;
-    adt_dsl::parse(source)
+    static PARSED: [OnceLock<Result<Spec, Diagnostics>>; FILES.len()] =
+        [const { OnceLock::new() }; FILES.len()];
+    let index = FILES
+        .iter()
+        .position(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("unknown embedded specification `{name}`"));
+    PARSED[index]
+        .get_or_init(|| adt_dsl::parse(FILES[index].1))
+        .clone()
+}
+
+/// [`load`] for a file this crate's tests keep parseable: the loaders in
+/// [`crate::specs`] go through here.
+pub(crate) fn shipped(name: &str) -> Spec {
+    load(name).unwrap_or_else(|diags| panic!("specs/{name}.adt does not parse: {diags}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::specs;
-    use adt_dsl::semantically_equal;
 
     #[test]
     fn every_embedded_source_parses() {
@@ -88,70 +101,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queue_file_matches_the_programmatic_spec() {
-        let from_file = load("queue").unwrap();
-        assert!(semantically_equal(&from_file, &specs::queue_spec()));
+    /// Declaration-ordered names of a spec's sorts, operations and
+    /// variables, and its axiom labels in order.
+    fn declarations(spec: &Spec) -> [Vec<String>; 4] {
+        let sig = spec.sig();
+        [
+            sig.sort_ids()
+                .map(|id| sig.sort(id).name().to_owned())
+                .collect(),
+            sig.op_ids()
+                .map(|id| sig.op(id).name().to_owned())
+                .collect(),
+            sig.var_ids()
+                .map(|id| sig.var(id).name().to_owned())
+                .collect(),
+            spec.axioms()
+                .iter()
+                .map(|ax| ax.label().to_owned())
+                .collect(),
+        ]
     }
 
     #[test]
-    fn queue_incomplete_file_matches() {
-        let from_file = load("queue_incomplete").unwrap();
-        assert!(semantically_equal(
-            &from_file,
-            &specs::queue_spec_incomplete()
-        ));
-    }
-
-    #[test]
-    fn stack_file_matches() {
-        let from_file = load("stack").unwrap();
-        assert!(semantically_equal(&from_file, &specs::stack_spec()));
-    }
-
-    #[test]
-    fn array_file_matches() {
-        let from_file = load("array").unwrap();
-        assert!(semantically_equal(&from_file, &specs::array_spec()));
-    }
-
-    #[test]
-    fn symboltable_file_matches() {
-        let from_file = load("symboltable").unwrap();
-        assert!(semantically_equal(&from_file, &specs::symboltable_spec()));
-    }
-
-    #[test]
-    fn symboltable_rep_file_matches() {
-        let from_file = load("symboltable_rep").unwrap();
-        assert!(semantically_equal(&from_file, &specs::symtab_rep_spec()));
-    }
-
-    #[test]
-    fn knowlist_file_matches() {
-        let from_file = load("knowlist").unwrap();
-        assert!(semantically_equal(&from_file, &specs::knowlist_spec()));
-    }
-
-    #[test]
-    fn symboltable_kl_file_matches() {
-        let from_file = load("symboltable_kl").unwrap();
-        assert!(semantically_equal(
-            &from_file,
-            &specs::symboltable_kl_spec()
-        ));
-    }
-
-    #[test]
-    fn list_file_matches() {
-        let from_file = load("list").unwrap();
-        assert!(semantically_equal(&from_file, &specs::list_spec()));
-    }
-
-    #[test]
-    fn set_file_matches() {
-        let from_file = load("set").unwrap();
-        assert!(semantically_equal(&from_file, &specs::set_spec()));
+    fn every_spec_function_is_its_file() {
+        type SpecFn = fn() -> Spec;
+        let table: [(&str, SpecFn); 10] = [
+            ("queue", specs::queue_spec),
+            ("queue_incomplete", specs::queue_spec_incomplete),
+            ("stack", specs::stack_spec),
+            ("array", specs::array_spec),
+            ("symboltable", specs::symboltable_spec),
+            ("symboltable_rep", specs::symtab_rep_spec),
+            ("knowlist", specs::knowlist_spec),
+            ("symboltable_kl", specs::symboltable_kl_spec),
+            ("list", specs::list_spec),
+            ("set", specs::set_spec),
+        ];
+        for (name, spec_fn) in table {
+            let source = FILES.iter().find(|(n, _)| *n == name).unwrap().1;
+            let parsed = adt_dsl::parse(source).unwrap();
+            let spec = spec_fn();
+            assert_eq!(spec.name(), parsed.name(), "specs/{name}.adt: spec name");
+            assert_eq!(
+                declarations(&spec),
+                declarations(&parsed),
+                "specs/{name}.adt: declaration order"
+            );
+            assert_eq!(spec, parsed, "specs/{name}.adt");
+        }
     }
 
     #[test]

@@ -1,80 +1,20 @@
 //! The Array of §4 (axioms 17–20).
 
-use adt_core::{Spec, SpecBuilder, Term};
+use adt_core::Spec;
 
-use super::{install_attribute_lists, install_identifiers};
+use crate::sources::shipped;
 
-/// Builds the Array specification of §4 (axioms 17–20): a map from
+/// The Array specification of §4, from `specs/array.adt`: a map from
 /// `Identifier` to `AttributeList` with last-write-wins lookup.
-///
-/// ```text
-/// (17) IS_UNDEFINED?(EMPTY, id) = true
-/// (18) IS_UNDEFINED?(ASSIGN(arr, id, attrs), id1) =
-///        if ISSAME?(id, id1) then false else IS_UNDEFINED?(arr, id1)
-/// (19) READ(EMPTY, id) = error
-/// (20) READ(ASSIGN(arr, id, attrs), id1) =
-///        if ISSAME?(id, id1) then attrs else READ(arr, id1)
-/// ```
 pub fn array_spec() -> Spec {
-    let mut b = SpecBuilder::new("Array");
-    let array = b.sort("Array");
-    let ident = install_identifiers(&mut b);
-    let attrs_sort = install_attribute_lists(&mut b);
-    let empty = b.ctor("EMPTY", [], array);
-    let assign = b.ctor("ASSIGN", [array, ident, attrs_sort], array);
-    let read = b.op("READ", [array, ident], attrs_sort);
-    let is_undef = b.op("IS_UNDEFINED?", [array, ident], b.bool_sort());
-    let issame = b.sig().find_op("ISSAME?").expect("installed above");
-
-    let arr = Term::Var(b.var("arr", array));
-    let id = Term::Var(b.var("id", ident));
-    let id1 = Term::Var(b.var("id1", ident));
-    let attrs = Term::Var(b.var("attrs", attrs_sort));
-    let tt = b.tt();
-
-    b.axiom("17", b.app(is_undef, [b.app(empty, []), id.clone()]), tt);
-    b.axiom(
-        "18",
-        b.app(
-            is_undef,
-            [
-                b.app(assign, [arr.clone(), id.clone(), attrs.clone()]),
-                id1.clone(),
-            ],
-        ),
-        Term::ite(
-            b.app(issame, [id.clone(), id1.clone()]),
-            b.ff(),
-            b.app(is_undef, [arr.clone(), id1.clone()]),
-        ),
-    );
-    b.axiom(
-        "19",
-        b.app(read, [b.app(empty, []), id.clone()]),
-        Term::Error(attrs_sort),
-    );
-    b.axiom(
-        "20",
-        b.app(
-            read,
-            [
-                b.app(assign, [arr.clone(), id.clone(), attrs.clone()]),
-                id1.clone(),
-            ],
-        ),
-        Term::ite(
-            b.app(issame, [id, id1.clone()]),
-            attrs,
-            b.app(read, [arr, id1]),
-        ),
-    );
-    b.build().expect("the Array specification is well-formed")
+    shipped("array")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adt_check::{check_completeness, check_consistency};
+    use adt_core::Term;
     use adt_rewrite::Rewriter;
 
     #[test]

@@ -1,174 +1,28 @@
 //! The Knowlist extension (§4, end): adapting the Symboltable when the
 //! language acquires "knows lists".
-//!
-//! "Within the specification of type Symboltable, all relations, and only
-//! those relations, that explicitly deal with the ENTERBLOCK operation
-//! would have to be altered."
 
-use adt_core::{Spec, SpecBuilder, Term};
+use adt_core::Spec;
 
-use super::{install_attribute_lists, install_identifiers};
+use crate::sources::shipped;
 
-/// Builds the standalone Knowlist specification:
-///
-/// ```text
-/// IS_IN?(CREATE, id) = false
-/// IS_IN?(APPEND(klist, id), id1) = if ISSAME?(id, id1) then true
-///                                  else IS_IN?(klist, id1)
-/// ```
-///
-/// (The paper prints the first axiom as `IS_IN?(CREATE) = false`, eliding
-/// the identifier argument; it is restored here.)
+/// The standalone Knowlist specification, from `specs/knowlist.adt`.
 pub fn knowlist_spec() -> Spec {
-    let mut b = SpecBuilder::new("Knowlist");
-    let kl = b.sort("Knowlist");
-    let ident = install_identifiers(&mut b);
-    install_knowlist_ops(&mut b, kl, ident);
-    b.build()
-        .expect("the Knowlist specification is well-formed")
+    shipped("knowlist")
 }
 
-fn install_knowlist_ops(b: &mut SpecBuilder, kl: adt_core::SortId, ident: adt_core::SortId) {
-    let create = b.ctor("CREATE", [], kl);
-    let append = b.ctor("APPEND", [kl, ident], kl);
-    let is_in = b.op("IS_IN?", [kl, ident], b.bool_sort());
-    let issame = b.sig().find_op("ISSAME?").expect("identifiers installed");
-    let klist = Term::Var(b.var("klist", kl));
-    let kid = Term::Var(b.var("kid", ident));
-    let kid1 = Term::Var(b.var("kid1", ident));
-    let ff = b.ff();
-    b.axiom("k1", b.app(is_in, [b.app(create, []), kid.clone()]), ff);
-    b.axiom(
-        "k2",
-        b.app(
-            is_in,
-            [b.app(append, [klist.clone(), kid.clone()]), kid1.clone()],
-        ),
-        Term::ite(
-            b.app(issame, [kid, kid1.clone()]),
-            b.tt(),
-            b.app(is_in, [klist, kid1]),
-        ),
-    );
-}
-
-/// Builds the Symboltable-with-knows-lists specification: identical to
-/// [`super::symboltable_spec`] except that `ENTERBLOCK` takes a
-/// `Knowlist`, and the three ENTERBLOCK axioms change:
-///
-/// ```text
-/// (2')  LEAVEBLOCK(ENTERBLOCK(symtab, klist)) = symtab
-/// (5')  IS_INBLOCK?(ENTERBLOCK(symtab, klist), id) = false
-/// (8')  RETRIEVE(ENTERBLOCK(symtab, klist), id) =
-///         if IS_IN?(klist, id) then RETRIEVE(symtab, id) else error
-/// ```
-///
-/// Every other axiom is carried over verbatim; compare with
-/// [`super::axiom_diff`] to see that mechanically.
+/// The Symboltable-with-knows-lists specification, from
+/// `specs/symboltable_kl.adt`: [`super::symboltable_spec`] with an
+/// `ENTERBLOCK` that takes a `Knowlist` and the three ENTERBLOCK axioms
+/// changed; [`super::axiom_diff`] shows that mechanically.
 pub fn symboltable_kl_spec() -> Spec {
-    let mut b = SpecBuilder::new("SymboltableKL");
-    let st = b.sort("Symboltable");
-    let kl = b.sort("Knowlist");
-    let ident = install_identifiers(&mut b);
-    let attrs_sort = install_attribute_lists(&mut b);
-    install_knowlist_ops(&mut b, kl, ident);
-    let is_in = b.sig().find_op("IS_IN?").expect("installed above");
-    let issame = b.sig().find_op("ISSAME?").expect("installed above");
-
-    let init = b.ctor("INIT", [], st);
-    let enter = b.ctor("ENTERBLOCK", [st, kl], st);
-    let add = b.ctor("ADD", [st, ident, attrs_sort], st);
-    let leave = b.op("LEAVEBLOCK", [st], st);
-    let inblock = b.op("IS_INBLOCK?", [st, ident], b.bool_sort());
-    let retrieve = b.op("RETRIEVE", [st, ident], attrs_sort);
-
-    let s = Term::Var(b.var("symtab", st));
-    // `klist` was already declared by the Knowlist installer.
-    let klist = Term::Var(b.sig().find_var("klist").expect("installed above"));
-    let id = Term::Var(b.var("id", ident));
-    let id1 = Term::Var(b.var("id1", ident));
-    let attrs = Term::Var(b.var("attrs", attrs_sort));
-    let ff = b.ff();
-
-    b.axiom("1", b.app(leave, [b.app(init, [])]), Term::Error(st));
-    b.axiom(
-        "2",
-        b.app(leave, [b.app(enter, [s.clone(), klist.clone()])]),
-        s.clone(),
-    );
-    b.axiom(
-        "3",
-        b.app(leave, [b.app(add, [s.clone(), id.clone(), attrs.clone()])]),
-        b.app(leave, [s.clone()]),
-    );
-    b.axiom(
-        "4",
-        b.app(inblock, [b.app(init, []), id.clone()]),
-        ff.clone(),
-    );
-    b.axiom(
-        "5",
-        b.app(
-            inblock,
-            [b.app(enter, [s.clone(), klist.clone()]), id.clone()],
-        ),
-        ff,
-    );
-    b.axiom(
-        "6",
-        b.app(
-            inblock,
-            [
-                b.app(add, [s.clone(), id.clone(), attrs.clone()]),
-                id1.clone(),
-            ],
-        ),
-        Term::ite(
-            b.app(issame, [id.clone(), id1.clone()]),
-            b.tt(),
-            b.app(inblock, [s.clone(), id1.clone()]),
-        ),
-    );
-    b.axiom(
-        "7",
-        b.app(retrieve, [b.app(init, []), id.clone()]),
-        Term::Error(attrs_sort),
-    );
-    b.axiom(
-        "8",
-        b.app(
-            retrieve,
-            [b.app(enter, [s.clone(), klist.clone()]), id.clone()],
-        ),
-        Term::ite(
-            b.app(is_in, [klist, id.clone()]),
-            b.app(retrieve, [s.clone(), id.clone()]),
-            Term::Error(attrs_sort),
-        ),
-    );
-    b.axiom(
-        "9",
-        b.app(
-            retrieve,
-            [
-                b.app(add, [s.clone(), id.clone(), attrs.clone()]),
-                id1.clone(),
-            ],
-        ),
-        Term::ite(
-            b.app(issame, [id, id1.clone()]),
-            attrs,
-            b.app(retrieve, [s, id1]),
-        ),
-    );
-    b.build()
-        .expect("the Symboltable-with-knows-lists specification is well-formed")
+    shipped("symboltable_kl")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adt_check::{check_completeness, check_consistency};
+    use adt_core::Term;
     use adt_rewrite::Rewriter;
 
     #[test]

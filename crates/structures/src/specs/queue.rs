@@ -1,76 +1,20 @@
 //! The Queue of §3 (axioms 1–6).
 
-use adt_core::{Spec, SpecBuilder, Term};
+use adt_core::Spec;
 
-/// Builds the Queue specification of §3, with `Item` instantiated by the
-/// three constants `A`, `B`, `C`.
-///
-/// ```text
-/// (1) IS_EMPTY?(NEW) = true
-/// (2) IS_EMPTY?(ADD(q, i)) = false
-/// (3) FRONT(NEW) = error
-/// (4) FRONT(ADD(q, i)) = if IS_EMPTY?(q) then i else FRONT(q)
-/// (5) REMOVE(NEW) = error
-/// (6) REMOVE(ADD(q, i)) = if IS_EMPTY?(q) then NEW else ADD(REMOVE(q), i)
-/// ```
+use crate::sources::shipped;
+
+/// The Queue specification of §3, from `specs/queue.adt`, with `Item`
+/// instantiated by the three constants `A`, `B`, `C`.
 pub fn queue_spec() -> Spec {
-    build(true)
+    shipped("queue")
 }
 
-/// The same specification with axiom 4 *omitted* — the paper's running
-/// example of an insufficiently complete axiom set ("Boundary conditions
-/// … are particularly likely to be overlooked"; here it is the general
-/// case of `FRONT` that is missing, which the checker must prompt for).
+/// The same specification with axiom 4 *omitted*, from
+/// `specs/queue_incomplete.adt` — the paper's running example of an
+/// insufficiently complete axiom set, which the checker must prompt for.
 pub fn queue_spec_incomplete() -> Spec {
-    build(false)
-}
-
-fn build(include_axiom_4: bool) -> Spec {
-    let mut b = SpecBuilder::new("Queue");
-    let queue = b.sort("Queue");
-    let item = b.param_sort("Item");
-    let new = b.ctor("NEW", [], queue);
-    let add = b.ctor("ADD", [queue, item], queue);
-    let front = b.op("FRONT", [queue], item);
-    let remove = b.op("REMOVE", [queue], queue);
-    let is_empty = b.op("IS_EMPTY?", [queue], b.bool_sort());
-    for c in ["A", "B", "C"] {
-        b.ctor(c, [], item);
-    }
-    let q = Term::Var(b.var("q", queue));
-    let i = Term::Var(b.var("i", item));
-    let tt = b.tt();
-    let ff = b.ff();
-
-    b.axiom("1", b.app(is_empty, [b.app(new, [])]), tt);
-    b.axiom(
-        "2",
-        b.app(is_empty, [b.app(add, [q.clone(), i.clone()])]),
-        ff,
-    );
-    b.axiom("3", b.app(front, [b.app(new, [])]), Term::Error(item));
-    if include_axiom_4 {
-        b.axiom(
-            "4",
-            b.app(front, [b.app(add, [q.clone(), i.clone()])]),
-            Term::ite(
-                b.app(is_empty, [q.clone()]),
-                i.clone(),
-                b.app(front, [q.clone()]),
-            ),
-        );
-    }
-    b.axiom("5", b.app(remove, [b.app(new, [])]), Term::Error(queue));
-    b.axiom(
-        "6",
-        b.app(remove, [b.app(add, [q.clone(), i.clone()])]),
-        Term::ite(
-            b.app(is_empty, [q.clone()]),
-            b.app(new, []),
-            b.app(add, [b.app(remove, [q]), i]),
-        ),
-    );
-    b.build().expect("the Queue specification is well-formed")
+    shipped("queue_incomplete")
 }
 
 #[cfg(test)]

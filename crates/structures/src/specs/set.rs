@@ -1,103 +1,20 @@
-//! Finite sets — a data structure the paper does not develop but whose
-//! algebraic specification is the canonical exercise in the tradition
-//! the paper founded (and the first type where *constructors are not
-//! free*: INSERT is idempotent and commutative up to observation).
+//! Finite sets — a data structure the paper does not develop, and the
+//! first type here whose constructors are not free.
 
-use adt_core::{Spec, SpecBuilder, Term};
+use adt_core::Spec;
 
-/// Builds the Set specification:
-///
-/// ```text
-/// MEMBER?(EMPTYSET, e) = false
-/// MEMBER?(INSERT(s, e), e1) = if SAME?(e, e1) then true else MEMBER?(s, e1)
-/// DELETE(EMPTYSET, e) = EMPTYSET
-/// DELETE(INSERT(s, e), e1) = if SAME?(e, e1) then DELETE(s, e1)
-///                            else INSERT(DELETE(s, e1), e)
-/// IS_EMPTYSET?(EMPTYSET) = true
-/// IS_EMPTYSET?(INSERT(s, e)) = false
-/// ```
-///
-/// Note `DELETE` must recurse *past* a match (`DELETE(s, e1)`, not `s`):
-/// INSERT chains may contain duplicates, and deletion removes every
-/// occurrence — a classic subtlety the completeness/consistency checkers
-/// and the model check both guard.
+use crate::sources::shipped;
+
+/// The Set specification, from `specs/set.adt`.
 pub fn set_spec() -> Spec {
-    let mut b = SpecBuilder::new("Set");
-    let set = b.sort("Set");
-    let elem = b.param_sort("Elem");
-    for c in ["E1", "E2", "E3"] {
-        b.ctor(c, [], elem);
-    }
-    let same = b.op("SAME?", [elem, elem], b.bool_sort());
-    // SAME? is the diagonal over the sample elements.
-    for (i, a) in ["E1", "E2", "E3"].iter().enumerate() {
-        for (j, c) in ["E1", "E2", "E3"].iter().enumerate() {
-            let lhs = Term::App(
-                same,
-                vec![
-                    Term::constant(b.sig().find_op(a).expect("declared")),
-                    Term::constant(b.sig().find_op(c).expect("declared")),
-                ],
-            );
-            let rhs = if i == j { b.tt() } else { b.ff() };
-            b.axiom(format!("same_{i}{j}"), lhs, rhs);
-        }
-    }
-
-    let empty = b.ctor("EMPTYSET", [], set);
-    let insert = b.ctor("INSERT", [set, elem], set);
-    let member = b.op("MEMBER?", [set, elem], b.bool_sort());
-    let delete = b.op("DELETE", [set, elem], set);
-    let is_empty = b.op("IS_EMPTYSET?", [set], b.bool_sort());
-
-    let s = Term::Var(b.var("s", set));
-    let e = Term::Var(b.var("e", elem));
-    let e1 = Term::Var(b.var("e1", elem));
-    let tt = b.tt();
-    let ff = b.ff();
-
-    b.axiom(
-        "m1",
-        b.app(member, [b.app(empty, []), e.clone()]),
-        ff.clone(),
-    );
-    b.axiom(
-        "m2",
-        b.app(member, [b.app(insert, [s.clone(), e.clone()]), e1.clone()]),
-        Term::ite(
-            b.app(same, [e.clone(), e1.clone()]),
-            b.tt(),
-            b.app(member, [s.clone(), e1.clone()]),
-        ),
-    );
-    b.axiom(
-        "d1",
-        b.app(delete, [b.app(empty, []), e.clone()]),
-        b.app(empty, []),
-    );
-    b.axiom(
-        "d2",
-        b.app(delete, [b.app(insert, [s.clone(), e.clone()]), e1.clone()]),
-        Term::ite(
-            b.app(same, [e.clone(), e1.clone()]),
-            b.app(delete, [s.clone(), e1.clone()]),
-            b.app(insert, [b.app(delete, [s.clone(), e1.clone()]), e.clone()]),
-        ),
-    );
-    b.axiom("e1_", b.app(is_empty, [b.app(empty, [])]), tt);
-    b.axiom(
-        "e2_",
-        b.app(is_empty, [b.app(insert, [s.clone(), e.clone()])]),
-        ff,
-    );
-
-    b.build().expect("the Set specification is well-formed")
+    shipped("set")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adt_check::{check_completeness, check_consistency};
+    use adt_core::Term;
     use adt_rewrite::Rewriter;
 
     fn apply(spec: &Spec, op: &str, args: Vec<Term>) -> Term {

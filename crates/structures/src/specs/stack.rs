@@ -1,66 +1,20 @@
 //! The Stack of §4 (axioms 10–16).
 
-use adt_core::{Spec, SpecBuilder, Term};
+use adt_core::Spec;
 
-/// Builds the Stack specification of §4 (axioms 10–16), with the element
-/// parameter sort `Elem` instantiated by two constants.
-///
-/// In the paper the stack holds Arrays; the specification itself is a
-/// schema over any element type, so the standalone version uses a neutral
-/// parameter. `REPLACE` is the paper's derived operation (axiom 16):
-/// `REPLACE(stk, e) = if IS_NEWSTACK?(stk) then error else PUSH(POP(stk), e)`.
+use crate::sources::shipped;
+
+/// The Stack specification of §4, from `specs/stack.adt`, with the
+/// element parameter sort `Elem` instantiated by two constants.
 pub fn stack_spec() -> Spec {
-    let mut b = SpecBuilder::new("Stack");
-    let stack = b.sort("Stack");
-    let elem = b.param_sort("Elem");
-    for c in ["E1", "E2"] {
-        b.ctor(c, [], elem);
-    }
-    let newstack = b.ctor("NEWSTACK", [], stack);
-    let push = b.ctor("PUSH", [stack, elem], stack);
-    let pop = b.op("POP", [stack], stack);
-    let top = b.op("TOP", [stack], elem);
-    let is_new = b.op("IS_NEWSTACK?", [stack], b.bool_sort());
-    let replace = b.op("REPLACE", [stack, elem], stack);
-    let stk = Term::Var(b.var("stk", stack));
-    let e = Term::Var(b.var("e", elem));
-    let tt = b.tt();
-    let ff = b.ff();
-
-    b.axiom("10", b.app(is_new, [b.app(newstack, [])]), tt);
-    b.axiom(
-        "11",
-        b.app(is_new, [b.app(push, [stk.clone(), e.clone()])]),
-        ff,
-    );
-    b.axiom("12", b.app(pop, [b.app(newstack, [])]), Term::Error(stack));
-    b.axiom(
-        "13",
-        b.app(pop, [b.app(push, [stk.clone(), e.clone()])]),
-        stk.clone(),
-    );
-    b.axiom("14", b.app(top, [b.app(newstack, [])]), Term::Error(elem));
-    b.axiom(
-        "15",
-        b.app(top, [b.app(push, [stk.clone(), e.clone()])]),
-        e.clone(),
-    );
-    b.axiom(
-        "16",
-        b.app(replace, [stk.clone(), e.clone()]),
-        Term::ite(
-            b.app(is_new, [stk.clone()]),
-            Term::Error(stack),
-            b.app(push, [b.app(pop, [stk]), e]),
-        ),
-    );
-    b.build().expect("the Stack specification is well-formed")
+    shipped("stack")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adt_check::{check_completeness, check_consistency};
+    use adt_core::Term;
     use adt_rewrite::Rewriter;
 
     #[test]

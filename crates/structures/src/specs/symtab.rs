@@ -1,114 +1,19 @@
 //! The Symboltable of §4 (axioms 1–9).
 
-use adt_core::{Spec, SpecBuilder, Term};
+use adt_core::Spec;
 
-use super::{install_attribute_lists, install_identifiers};
+use crate::sources::shipped;
 
-/// Builds the Symboltable specification of §4:
-///
-/// ```text
-/// (1) LEAVEBLOCK(INIT) = error
-/// (2) LEAVEBLOCK(ENTERBLOCK(symtab)) = symtab
-/// (3) LEAVEBLOCK(ADD(symtab, id, attrs)) = LEAVEBLOCK(symtab)
-/// (4) IS_INBLOCK?(INIT, id) = false
-/// (5) IS_INBLOCK?(ENTERBLOCK(symtab), id) = false
-/// (6) IS_INBLOCK?(ADD(symtab, id, attrs), id1) =
-///       if ISSAME?(id, id1) then true else IS_INBLOCK?(symtab, id1)
-/// (7) RETRIEVE(INIT, id) = error
-/// (8) RETRIEVE(ENTERBLOCK(symtab), id) = RETRIEVE(symtab, id)
-/// (9) RETRIEVE(ADD(symtab, id, attrs), id1) =
-///       if ISSAME?(id, id1) then attrs else RETRIEVE(symtab, id1)
-/// ```
-///
-/// "Not only does it define an abstract type that can be used in the
-/// specification of various parts of the compiler, but it also provides a
-/// complete self-contained specification for a major subsystem of the
-/// compiler."
+/// The Symboltable specification of §4, from `specs/symboltable.adt`.
 pub fn symboltable_spec() -> Spec {
-    let mut b = SpecBuilder::new("Symboltable");
-    let st = b.sort("Symboltable");
-    let ident = install_identifiers(&mut b);
-    let attrs_sort = install_attribute_lists(&mut b);
-
-    let init = b.ctor("INIT", [], st);
-    let enter = b.ctor("ENTERBLOCK", [st], st);
-    let add = b.ctor("ADD", [st, ident, attrs_sort], st);
-    let leave = b.op("LEAVEBLOCK", [st], st);
-    let inblock = b.op("IS_INBLOCK?", [st, ident], b.bool_sort());
-    let retrieve = b.op("RETRIEVE", [st, ident], attrs_sort);
-    let issame = b.sig().find_op("ISSAME?").expect("installed above");
-
-    let s = Term::Var(b.var("symtab", st));
-    let id = Term::Var(b.var("id", ident));
-    let id1 = Term::Var(b.var("id1", ident));
-    let attrs = Term::Var(b.var("attrs", attrs_sort));
-    let ff = b.ff();
-
-    b.axiom("1", b.app(leave, [b.app(init, [])]), Term::Error(st));
-    b.axiom("2", b.app(leave, [b.app(enter, [s.clone()])]), s.clone());
-    b.axiom(
-        "3",
-        b.app(leave, [b.app(add, [s.clone(), id.clone(), attrs.clone()])]),
-        b.app(leave, [s.clone()]),
-    );
-    b.axiom(
-        "4",
-        b.app(inblock, [b.app(init, []), id.clone()]),
-        ff.clone(),
-    );
-    b.axiom(
-        "5",
-        b.app(inblock, [b.app(enter, [s.clone()]), id.clone()]),
-        ff,
-    );
-    b.axiom(
-        "6",
-        b.app(
-            inblock,
-            [
-                b.app(add, [s.clone(), id.clone(), attrs.clone()]),
-                id1.clone(),
-            ],
-        ),
-        Term::ite(
-            b.app(issame, [id.clone(), id1.clone()]),
-            b.tt(),
-            b.app(inblock, [s.clone(), id1.clone()]),
-        ),
-    );
-    b.axiom(
-        "7",
-        b.app(retrieve, [b.app(init, []), id.clone()]),
-        Term::Error(attrs_sort),
-    );
-    b.axiom(
-        "8",
-        b.app(retrieve, [b.app(enter, [s.clone()]), id.clone()]),
-        b.app(retrieve, [s.clone(), id.clone()]),
-    );
-    b.axiom(
-        "9",
-        b.app(
-            retrieve,
-            [
-                b.app(add, [s.clone(), id.clone(), attrs.clone()]),
-                id1.clone(),
-            ],
-        ),
-        Term::ite(
-            b.app(issame, [id, id1.clone()]),
-            attrs,
-            b.app(retrieve, [s, id1]),
-        ),
-    );
-    b.build()
-        .expect("the Symboltable specification is well-formed")
+    shipped("symboltable")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adt_check::{check_completeness, check_consistency};
+    use adt_core::Term;
     use adt_rewrite::Rewriter;
 
     #[test]
@@ -126,6 +31,27 @@ mod tests {
 
     fn sig_apply(spec: &Spec, op: &str, args: Vec<Term>) -> Term {
         spec.sig().apply(op, args).unwrap()
+    }
+
+    #[test]
+    fn issame_is_the_diagonal() {
+        let spec = symboltable_spec();
+        let rw = Rewriter::new(&spec);
+        for (i, a) in crate::specs::SAMPLE_IDENTIFIERS.iter().enumerate() {
+            for (j, b) in crate::specs::SAMPLE_IDENTIFIERS.iter().enumerate() {
+                let same = sig_apply(
+                    &spec,
+                    "ISSAME?",
+                    vec![sig_apply(&spec, a, vec![]), sig_apply(&spec, b, vec![])],
+                );
+                let expected = if i == j {
+                    spec.sig().tt()
+                } else {
+                    spec.sig().ff()
+                };
+                assert_eq!(rw.normalize(&same).unwrap(), expected, "ISSAME?({a}, {b})");
+            }
+        }
     }
 
     #[test]
