@@ -3,8 +3,9 @@
 //!
 //! Measures a curated subset of the `benches/` workloads (rewrite_queue,
 //! checker_scaling, session_reuse, retry_ladder — all deterministic,
-//! seed 7) plus TB-1's symbolic_vs_direct (seed `0xC0FFEE`), and emits
-//! the medians as machine-readable JSON. CI runs this
+//! seed 7) plus TB-1's symbolic_vs_direct (seed `0xC0FFEE`) and TB-5's
+//! verification_depth (seed 1), and emits the medians as
+//! machine-readable JSON. CI runs this
 //! with `--quick --baseline BENCH_rewrite.json` to catch >2× regressions;
 //! the committed baseline itself is produced with `--merge-before` so it
 //! carries the pre-arena medians alongside the current ones.
@@ -25,8 +26,14 @@ use adt_check::{
 };
 use adt_core::{Deadline, Session, Supervisor};
 use adt_rewrite::{Rewriter, SymbolicSession};
-use adt_structures::specs::{queue_spec, symboltable_spec};
+use adt_structures::models::{array_model, fifo_model, symtab_model};
+use adt_structures::specs::{
+    array_spec, queue_spec, symboltable_spec, symtab_rep_op_map, symtab_rep_spec,
+};
 use adt_structures::{AttrList, Ident, SymbolTable};
+use adt_verify::{
+    check_axioms, translate_obligations, verify_obligation, AxiomCheckConfig, ProofConfig,
+};
 
 const USAGE: &str = "\
 usage: adt-bench [options]
@@ -412,6 +419,80 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             push("symbolic_vs_direct", &format!("direct/{len}"), direct);
             push("symbolic_vs_direct", &format!("symbolic/{len}"), symbolic);
         }
+    }
+
+    // verification_depth (TB-5): the cost of mechanical verification (§4).
+    // `bounded_check/{depth}` checks the Queue axioms against the FIFO
+    // as the enumeration depth grows (the instance count grows
+    // geometrically; the cost per instance stays flat); the `*_ex9` rows
+    // check the Symboltable and Array models at the EX-9 depth, the
+    // configuration of `tests/impl_verification.rs` and of perfbench's
+    // `rep_verify`. The last row is the full Musser-style proof of the
+    // Symboltable representation: translate all 18 obligations and prove
+    // each under Assumption 1.
+    {
+        let g = group("verification_depth");
+        let queue = queue_spec();
+        let fifo = fifo_model(&queue);
+        for depth in [3usize, 4, 5, 6] {
+            let cfg = AxiomCheckConfig {
+                max_depth: depth,
+                cap_per_sort: 1_000,
+                max_instances_per_axiom: 100_000,
+                random_instances: 0,
+                random_depth: depth,
+                seed: 1,
+            };
+            let name = format!("bounded_check/{depth}");
+            let m = g.bench(&name, || {
+                let report = check_axioms(&fifo, std::hint::black_box(&cfg));
+                assert!(report.passed());
+                report.instances_checked
+            });
+            push("verification_depth", &name, m);
+        }
+
+        let ex9 = AxiomCheckConfig {
+            max_depth: 5,
+            cap_per_sort: 80,
+            max_instances_per_axiom: 6_000,
+            random_instances: 200,
+            random_depth: 10,
+            seed: 1,
+        };
+        let symtab = symboltable_spec();
+        let array = array_spec();
+        for (name, model) in [
+            ("symtab_ex9", symtab_model(&symtab)),
+            ("array_ex9", array_model(&array)),
+        ] {
+            let name = format!("bounded_check/{name}");
+            let m = g.bench(&name, || {
+                let report = check_axioms(&model, std::hint::black_box(&ex9));
+                assert!(report.passed());
+                report.instances_checked
+            });
+            push("verification_depth", &name, m);
+        }
+
+        let rep = symtab_rep_spec();
+        let proof = ProofConfig::default().restrict("Stack", &["PUSH"]);
+        let m = g.bench("symboltable_representation_proof", || {
+            let (ext, obligations) =
+                translate_obligations(&symtab, &rep, &symtab_rep_op_map(), Some("PHI"))
+                    .expect("the Symboltable representation translates");
+            let proved = obligations
+                .iter()
+                .filter(|ob| {
+                    verify_obligation(&ext, ob, &proof)
+                        .expect("no engine error")
+                        .is_proved()
+                })
+                .count();
+            assert_eq!(proved, 18);
+            proved
+        });
+        push("verification_depth", "symboltable_representation_proof", m);
     }
 
     // Comparison rows carry their counterpart's median as `before_ns`, so

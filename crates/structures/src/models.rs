@@ -20,34 +20,46 @@ use crate::linked_stack::LinkedStack;
 use crate::ring::RingQueue;
 use crate::symbol_table::SymbolTable;
 
+/// The structure inside a model value. Observers read it in place; a
+/// constructor clones it before changing it, because the value may be
+/// shared (the axiom checker evaluates each enumerated argument once).
+///
+/// # Panics
+///
+/// Panics if `v` does not hold a `T`: the checkers pass only well-sorted,
+/// non-`error` arguments.
+fn data<T: 'static>(v: &MValue) -> &T {
+    v.downcast::<T>().expect("a well-sorted model value")
+}
+
 /// A model of the Queue specification ([`crate::specs::queue_spec`]) over
 /// the growable ring-buffer [`Fifo`].
 pub fn fifo_model(spec: &Spec) -> TableModel<'_> {
-    let fifo = |v: &MValue| -> Fifo<String> { v.downcast::<Fifo<String>>().unwrap().clone() };
+    type Q = Fifo<String>;
     let mut b = ModelBuilder::new(spec)
-        .op("NEW", |_| MValue::data(Fifo::<String>::new()))
-        .op("ADD", move |args| {
-            let mut q = fifo(&args[0]);
+        .op("NEW", |_| MValue::data(Q::new()))
+        .op("ADD", |args| {
+            let mut q = data::<Q>(&args[0]).clone();
             q.add(args[1].as_str().unwrap().to_owned());
             MValue::data(q)
         })
-        .op("FRONT", move |args| match fifo(&args[0]).front() {
+        .op("FRONT", |args| match data::<Q>(&args[0]).front() {
             Some(s) => MValue::Str(s.clone()),
             None => MValue::Error,
         })
-        .op("REMOVE", move |args| {
-            let mut q = fifo(&args[0]);
+        .op("REMOVE", |args| {
+            let mut q = data::<Q>(&args[0]).clone();
             match q.remove() {
                 Some(_) => MValue::data(q),
                 None => MValue::Error,
             }
         })
-        .op("IS_EMPTY?", move |args| {
-            MValue::Bool(fifo(&args[0]).is_empty())
+        .op("IS_EMPTY?", |args| {
+            MValue::Bool(data::<Q>(&args[0]).is_empty())
         })
-        .eq("Queue", move |a, b| {
-            a.downcast::<Fifo<String>>()
-                .zip(b.downcast::<Fifo<String>>())
+        .eq("Queue", |a, b| {
+            a.downcast::<Q>()
+                .zip(b.downcast::<Q>())
                 .map(|(x, y)| x == y)
                 .unwrap_or(false)
         });
@@ -78,38 +90,35 @@ pub fn fifo_phi(spec: &Spec) -> impl Fn(&MValue) -> Term + '_ {
 /// workloads that stay within `capacity` — a *conditionally correct*
 /// representation, checked under the [`max_add_chain`] assumption.
 pub fn ring_model(spec: &Spec, capacity: usize) -> TableModel<'_> {
-    let ring =
-        |v: &MValue| -> RingQueue<String> { v.downcast::<RingQueue<String>>().unwrap().clone() };
+    type Q = RingQueue<String>;
     let mut b = ModelBuilder::new(spec)
-        .op("NEW", move |_| {
-            MValue::data(RingQueue::<String>::new(capacity))
-        })
-        .op("ADD", move |args| {
-            let mut q = ring(&args[0]);
+        .op("NEW", move |_| MValue::data(Q::new(capacity)))
+        .op("ADD", |args| {
+            let mut q = data::<Q>(&args[0]).clone();
             match q.add(args[1].as_str().unwrap().to_owned()) {
                 Ok(()) => MValue::data(q),
                 Err(_) => MValue::Error,
             }
         })
-        .op("FRONT", move |args| match ring(&args[0]).front() {
+        .op("FRONT", |args| match data::<Q>(&args[0]).front() {
             Some(s) => MValue::Str(s.clone()),
             None => MValue::Error,
         })
-        .op("REMOVE", move |args| {
-            let mut q = ring(&args[0]);
+        .op("REMOVE", |args| {
+            let mut q = data::<Q>(&args[0]).clone();
             match q.remove() {
                 Some(_) => MValue::data(q),
                 None => MValue::Error,
             }
         })
-        .op("IS_EMPTY?", move |args| {
-            MValue::Bool(ring(&args[0]).is_empty())
+        .op("IS_EMPTY?", |args| {
+            MValue::Bool(data::<Q>(&args[0]).is_empty())
         })
-        .eq("Queue", move |a, b| {
+        .eq("Queue", |a, b| {
             // Equality of bounded queues is Φ-equality: same live elements
             // in order, regardless of physical layout (Φ⁻¹ one-to-many).
-            a.downcast::<RingQueue<String>>()
-                .zip(b.downcast::<RingQueue<String>>())
+            a.downcast::<Q>()
+                .zip(b.downcast::<Q>())
                 .map(|(x, y)| x.abstract_value() == y.abstract_value())
                 .unwrap_or(false)
         });
@@ -141,37 +150,35 @@ pub fn ring_phi(spec: &Spec) -> impl Fn(&MValue) -> Term + '_ {
 /// representation whose Φ⁻¹ is the most dramatically one-to-many (every
 /// front/back split of the same sequence is a distinct concrete state).
 pub fn two_stack_model(spec: &Spec) -> TableModel<'_> {
-    use crate::two_stack_queue::TwoStackQueue;
-    let tsq = |v: &MValue| -> TwoStackQueue<String> {
-        v.downcast::<TwoStackQueue<String>>().unwrap().clone()
-    };
+    type Q = crate::two_stack_queue::TwoStackQueue<String>;
     let mut b = ModelBuilder::new(spec)
-        .op("NEW", |_| MValue::data(TwoStackQueue::<String>::new()))
-        .op("ADD", move |args| {
-            let mut q = tsq(&args[0]);
+        .op("NEW", |_| MValue::data(Q::new()))
+        .op("ADD", |args| {
+            let mut q = data::<Q>(&args[0]).clone();
             q.add(args[1].as_str().unwrap().to_owned());
             MValue::data(q)
         })
-        .op("FRONT", move |args| {
-            let mut q = tsq(&args[0]);
+        .op("FRONT", |args| {
+            // `front` may move the back stack over, so it takes `&mut`.
+            let mut q = data::<Q>(&args[0]).clone();
             match q.front() {
                 Some(s) => MValue::Str(s.clone()),
                 None => MValue::Error,
             }
         })
-        .op("REMOVE", move |args| {
-            let mut q = tsq(&args[0]);
+        .op("REMOVE", |args| {
+            let mut q = data::<Q>(&args[0]).clone();
             match q.remove() {
                 Some(_) => MValue::data(q),
                 None => MValue::Error,
             }
         })
-        .op("IS_EMPTY?", move |args| {
-            MValue::Bool(tsq(&args[0]).is_empty())
+        .op("IS_EMPTY?", |args| {
+            MValue::Bool(data::<Q>(&args[0]).is_empty())
         })
-        .eq("Queue", move |a, b| {
-            a.downcast::<TwoStackQueue<String>>()
-                .zip(b.downcast::<TwoStackQueue<String>>())
+        .eq("Queue", |a, b| {
+            a.downcast::<Q>()
+                .zip(b.downcast::<Q>())
                 .map(|(x, y)| x == y) // Φ-equality
                 .unwrap_or(false)
         });
@@ -228,34 +235,33 @@ pub fn max_add_chain(spec: &Spec, term: &Term) -> usize {
 /// A model of the Stack specification ([`crate::specs::stack_spec`]) over
 /// the persistent [`LinkedStack`].
 pub fn stack_model(spec: &Spec) -> TableModel<'_> {
-    let stack = |v: &MValue| -> LinkedStack<String> {
-        v.downcast::<LinkedStack<String>>().unwrap().clone()
-    };
+    // A persistent stack: every operation takes `&self`.
+    type S = LinkedStack<String>;
     let mut b = ModelBuilder::new(spec)
-        .op("NEWSTACK", |_| MValue::data(LinkedStack::<String>::new()))
-        .op("PUSH", move |args| {
-            MValue::data(stack(&args[0]).push(args[1].as_str().unwrap().to_owned()))
+        .op("NEWSTACK", |_| MValue::data(S::new()))
+        .op("PUSH", |args| {
+            MValue::data(data::<S>(&args[0]).push(args[1].as_str().unwrap().to_owned()))
         })
-        .op("POP", move |args| match stack(&args[0]).pop() {
+        .op("POP", |args| match data::<S>(&args[0]).pop() {
             Some(s) => MValue::data(s),
             None => MValue::Error,
         })
-        .op("TOP", move |args| match stack(&args[0]).top() {
+        .op("TOP", |args| match data::<S>(&args[0]).top() {
             Some(s) => MValue::Str(s.clone()),
             None => MValue::Error,
         })
-        .op("IS_NEWSTACK?", move |args| {
-            MValue::Bool(stack(&args[0]).is_new())
+        .op("IS_NEWSTACK?", |args| {
+            MValue::Bool(data::<S>(&args[0]).is_new())
         })
-        .op("REPLACE", move |args| {
-            match stack(&args[0]).replace(args[1].as_str().unwrap().to_owned()) {
+        .op("REPLACE", |args| {
+            match data::<S>(&args[0]).replace(args[1].as_str().unwrap().to_owned()) {
                 Some(s) => MValue::data(s),
                 None => MValue::Error,
             }
         })
-        .eq("Stack", move |a, b| {
-            a.downcast::<LinkedStack<String>>()
-                .zip(b.downcast::<LinkedStack<String>>())
+        .eq("Stack", |a, b| {
+            a.downcast::<S>()
+                .zip(b.downcast::<S>())
                 .map(|(x, y)| x == y)
                 .unwrap_or(false)
         });
@@ -300,25 +306,25 @@ pub fn array_model_with<A>(spec: &Spec) -> TableModel<'_>
 where
     A: ScopeArray<String> + Send + Sync + 'static,
 {
-    let arr = |v: &MValue| -> A { v.downcast::<A>().unwrap().clone() };
+    let universe = sample_ident_universe();
     let mut b = ModelBuilder::new(spec)
         .op("EMPTY", |_| MValue::data(A::empty()))
-        .op("ASSIGN", move |args| {
-            let mut a = arr(&args[0]);
+        .op("ASSIGN", |args| {
+            let mut a = data::<A>(&args[0]).clone();
             a.assign(
                 Ident::new(args[1].as_str().unwrap()),
                 args[2].as_str().unwrap().to_owned(),
             );
             MValue::data(a)
         })
-        .op("READ", move |args| {
-            match arr(&args[0]).read(&Ident::new(args[1].as_str().unwrap())) {
+        .op("READ", |args| {
+            match data::<A>(&args[0]).read(&Ident::new(args[1].as_str().unwrap())) {
                 Some(v) => MValue::Str(v.clone()),
                 None => MValue::Error,
             }
         })
-        .op("IS_UNDEFINED?", move |args| {
-            MValue::Bool(arr(&args[0]).is_undefined(&Ident::new(args[1].as_str().unwrap())))
+        .op("IS_UNDEFINED?", |args| {
+            MValue::Bool(data::<A>(&args[0]).is_undefined(&Ident::new(args[1].as_str().unwrap())))
         })
         .op("ISSAME?", |args| {
             MValue::Bool(args[0].as_str() == args[1].as_str())
@@ -328,9 +334,7 @@ where
                 (Some(x), Some(y)) => (x, y),
                 _ => return false,
             };
-            sample_ident_universe()
-                .iter()
-                .all(|id| x.read(id) == y.read(id))
+            universe.iter().all(|id| x.read(id) == y.read(id))
         });
     for name in crate::specs::SAMPLE_IDENTIFIERS
         .iter()
@@ -352,33 +356,31 @@ pub fn array_model(spec: &Spec) -> TableModel<'_> {
 /// canonical [`SortedSet`](crate::SortedSet); equality is structural
 /// because the representation is canonical.
 pub fn set_model(spec: &Spec) -> TableModel<'_> {
-    use crate::sorted_set::SortedSet;
-    let set =
-        |v: &MValue| -> SortedSet<String> { v.downcast::<SortedSet<String>>().unwrap().clone() };
+    type S = crate::sorted_set::SortedSet<String>;
     let mut b = ModelBuilder::new(spec)
-        .op("EMPTYSET", |_| MValue::data(SortedSet::<String>::new()))
-        .op("INSERT", move |args| {
-            let mut s = set(&args[0]);
+        .op("EMPTYSET", |_| MValue::data(S::new()))
+        .op("INSERT", |args| {
+            let mut s = data::<S>(&args[0]).clone();
             s.insert(args[1].as_str().unwrap().to_owned());
             MValue::data(s)
         })
-        .op("MEMBER?", move |args| {
-            MValue::Bool(set(&args[0]).contains(&args[1].as_str().unwrap().to_owned()))
+        .op("MEMBER?", |args| {
+            MValue::Bool(data::<S>(&args[0]).contains(&args[1].as_str().unwrap().to_owned()))
         })
-        .op("DELETE", move |args| {
-            let mut s = set(&args[0]);
+        .op("DELETE", |args| {
+            let mut s = data::<S>(&args[0]).clone();
             s.remove(&args[1].as_str().unwrap().to_owned());
             MValue::data(s)
         })
-        .op("IS_EMPTYSET?", move |args| {
-            MValue::Bool(set(&args[0]).is_empty())
+        .op("IS_EMPTYSET?", |args| {
+            MValue::Bool(data::<S>(&args[0]).is_empty())
         })
         .op("SAME?", |args| {
             MValue::Bool(args[0].as_str() == args[1].as_str())
         })
-        .eq("Set", move |a, b| {
-            a.downcast::<SortedSet<String>>()
-                .zip(b.downcast::<SortedSet<String>>())
+        .eq("Set", |a, b| {
+            a.downcast::<S>()
+                .zip(b.downcast::<S>())
                 .map(|(x, y)| x == y)
                 .unwrap_or(false)
         });
@@ -391,50 +393,40 @@ pub fn set_model(spec: &Spec) -> TableModel<'_> {
 /// A model of the List specification ([`crate::specs::list_spec`]):
 /// lists as `Vec<String>`, naturals as `i64`.
 pub fn list_model(spec: &Spec) -> TableModel<'_> {
-    let list = |v: &MValue| -> Vec<String> { v.downcast::<Vec<String>>().unwrap().clone() };
+    type L = Vec<String>;
     let mut b = ModelBuilder::new(spec)
-        .op("NIL", |_| MValue::data(Vec::<String>::new()))
-        .op("CONS", move |args| {
-            let mut l = list(&args[1]);
-            l.insert(0, args[0].as_str().unwrap().to_owned());
+        .op("NIL", |_| MValue::data(L::new()))
+        .op("CONS", |args| {
+            let mut l = vec![args[0].as_str().unwrap().to_owned()];
+            l.extend_from_slice(data::<L>(&args[1]));
             MValue::data(l)
         })
-        .op("HEAD", move |args| match list(&args[0]).first() {
+        .op("HEAD", |args| match data::<L>(&args[0]).first() {
             Some(e) => MValue::Str(e.clone()),
             None => MValue::Error,
         })
-        .op("TAIL", move |args| {
-            let l = list(&args[0]);
-            if l.is_empty() {
-                MValue::Error
-            } else {
-                MValue::data(l[1..].to_vec())
-            }
+        .op("TAIL", |args| match data::<L>(&args[0]).split_first() {
+            Some((_, tail)) => MValue::data(tail.to_vec()),
+            None => MValue::Error,
         })
-        .op("IS_NIL?", move |args| {
-            MValue::Bool(list(&args[0]).is_empty())
+        .op("IS_NIL?", |args| {
+            MValue::Bool(data::<L>(&args[0]).is_empty())
         })
-        .op("APPEND", move |args| {
-            let mut l = list(&args[0]);
-            l.extend(list(&args[1]));
-            MValue::data(l)
+        .op("APPEND", |args| {
+            MValue::data([data::<L>(&args[0]).as_slice(), data::<L>(&args[1])].concat())
         })
-        .op("LENGTH", move |args| {
-            MValue::Int(list(&args[0]).len() as i64)
+        .op("LENGTH", |args| {
+            MValue::Int(data::<L>(&args[0]).len() as i64)
         })
-        .op("REVERSE", move |args| {
-            let mut l = list(&args[0]);
-            l.reverse();
-            MValue::data(l)
+        .op("REVERSE", |args| {
+            MValue::data(data::<L>(&args[0]).iter().rev().cloned().collect::<L>())
         })
         .op("ZERO", |_| MValue::Int(0))
         .op("SUCC", |args| MValue::Int(args[0].as_int().unwrap() + 1))
         .op("PLUS", |args| {
             MValue::Int(args[0].as_int().unwrap() + args[1].as_int().unwrap())
         })
-        .eq("List", move |a, b| {
-            a.downcast::<Vec<String>>() == b.downcast::<Vec<String>>()
-        });
+        .eq("List", |a, b| a.downcast::<L>() == b.downcast::<L>());
     for name in ["E1", "E2", "E3"] {
         b = b.op(name, move |_| MValue::Str(name.to_owned()));
     }
@@ -448,32 +440,32 @@ pub fn list_model(spec: &Spec) -> TableModel<'_> {
 /// [`SymbolTable::observationally_eq`] over the sample identifiers.
 pub fn symtab_model(spec: &Spec) -> TableModel<'_> {
     type St = SymbolTable<HashArray<AttrList>>;
-    let st = |v: &MValue| -> St { v.downcast::<St>().unwrap().clone() };
     let attr_of = |v: &MValue| AttrList::new().with("name", v.as_str().unwrap());
+    let universe = sample_ident_universe();
     let mut b = ModelBuilder::new(spec)
         .op("INIT", |_| MValue::data(St::init()))
-        .op("ENTERBLOCK", move |args| {
-            let mut t = st(&args[0]);
+        .op("ENTERBLOCK", |args| {
+            let mut t = data::<St>(&args[0]).clone();
             t.enter_block();
             MValue::data(t)
         })
-        .op("LEAVEBLOCK", move |args| {
-            let mut t = st(&args[0]);
+        .op("LEAVEBLOCK", |args| {
+            let mut t = data::<St>(&args[0]).clone();
             match t.leave_block() {
                 Ok(()) => MValue::data(t),
                 Err(_) => MValue::Error,
             }
         })
         .op("ADD", move |args| {
-            let mut t = st(&args[0]);
+            let mut t = data::<St>(&args[0]).clone();
             t.add(Ident::new(args[1].as_str().unwrap()), attr_of(&args[2]));
             MValue::data(t)
         })
-        .op("IS_INBLOCK?", move |args| {
-            MValue::Bool(st(&args[0]).is_in_block(&Ident::new(args[1].as_str().unwrap())))
+        .op("IS_INBLOCK?", |args| {
+            MValue::Bool(data::<St>(&args[0]).is_in_block(&Ident::new(args[1].as_str().unwrap())))
         })
-        .op("RETRIEVE", move |args| {
-            match st(&args[0]).retrieve(&Ident::new(args[1].as_str().unwrap())) {
+        .op("RETRIEVE", |args| {
+            match data::<St>(&args[0]).retrieve(&Ident::new(args[1].as_str().unwrap())) {
                 Ok(attrs) => MValue::Str(attrs.get("name").expect("encoded attribute").to_owned()),
                 Err(_) => MValue::Error,
             }
@@ -486,7 +478,7 @@ pub fn symtab_model(spec: &Spec) -> TableModel<'_> {
                 (Some(x), Some(y)) => (x, y),
                 _ => return false,
             };
-            x.observationally_eq(y, &sample_ident_universe())
+            x.observationally_eq(y, &universe)
         });
     for name in crate::specs::SAMPLE_IDENTIFIERS
         .iter()

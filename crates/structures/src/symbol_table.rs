@@ -158,10 +158,9 @@ impl<A: ScopeArray<AttrList>> SymbolTable<A> {
             let a = &self.blocks[..level];
             let b = &other.blocks[..level];
             for id in universe {
-                let read = |blocks: &[A]| -> Option<AttrList> {
-                    blocks.iter().rev().find_map(|blk| blk.read(id).cloned())
-                };
-                if read(a) != read(b) {
+                let read_a = a.iter().rev().find_map(|blk| blk.read(id));
+                let read_b = b.iter().rev().find_map(|blk| blk.read(id));
+                if read_a != read_b {
                     return false;
                 }
                 let inblock_a = !a[level - 1].is_undefined(id);

@@ -12,9 +12,9 @@ use std::collections::HashMap;
 
 use adt_check::parallel::{run_indexed, CheckStats};
 use adt_check::random_ctor_term;
-use adt_core::{display, DetRng, Term, VarId};
+use adt_core::{display, DetRng, SortId, Term, VarId};
 
-use crate::eval::eval_with_env;
+use crate::eval::{eval_ground, eval_with_env};
 use crate::gen::TermPool;
 use crate::model::Model;
 use crate::value::MValue;
@@ -109,15 +109,36 @@ impl AxiomCheckReport {
     }
 }
 
-/// One axiom instantiation queued for evaluation: the axiom index plus the
-/// ground terms bound to its variables, in variable order.
+/// What an instance binds its axiom's variables to, in variable order.
+enum Binding {
+    /// An index into the pool of each variable's sort (exhaustive
+    /// instances): the value was evaluated once, before phase B.
+    Pool(Vec<usize>),
+    /// Sampled deep terms (random instances), evaluated per instance.
+    Sampled(Vec<Term>),
+}
+
+/// One axiom instantiation queued for evaluation.
 struct Instance {
     axiom: usize,
-    terms: Vec<Term>,
+    binding: Binding,
+}
+
+/// What an axiom's instances share: its variables, their sorts, and the
+/// sort both sides are compared at.
+struct AxiomPlan {
+    vars: Vec<VarId>,
+    var_sorts: Vec<SortId>,
+    sort: SortId,
 }
 
 /// Checks every axiom of the model's specification against the
 /// implementation, over enumerated and sampled ground arguments.
+///
+/// Each enumerated argument is evaluated once, and its value is shared by
+/// every instance that binds it, so the model's `apply_op` must be a
+/// function of its arguments (see [`Model`]). A model operation that
+/// panics on an enumerated argument makes this function panic.
 ///
 /// Runs on the calling thread; see [`check_axioms_jobs`] for the parallel
 /// variant (whose report is identical apart from timing stats).
@@ -140,25 +161,50 @@ pub fn check_axioms_jobs(
     jobs: usize,
 ) -> AxiomCheckReport {
     let spec = model.spec();
-    let pool = TermPool::build(spec.sig(), cfg.max_depth, cfg.cap_per_sort);
+    let sig = spec.sig();
+    let pool = TermPool::build(sig, cfg.max_depth, cfg.cap_per_sort);
     let mut rng = DetRng::new(cfg.seed);
 
-    // Phase A (sequential): enumerate the instance list.
+    // Phase A (sequential): plan each axiom once and enumerate the
+    // instance list.
     let axioms = spec.axioms();
-    let axiom_vars: Vec<Vec<VarId>> = axioms.iter().map(|ax| ax.lhs().vars()).collect();
+    let plans: Vec<AxiomPlan> = axioms
+        .iter()
+        .map(|ax| {
+            let vars = ax.lhs().vars();
+            AxiomPlan {
+                var_sorts: vars.iter().map(|&v| sig.var(v).sort()).collect(),
+                vars,
+                sort: ax
+                    .lhs()
+                    .sort(sig)
+                    .expect("axioms are validated before checking"),
+            }
+        })
+        .collect();
     let mut instances: Vec<Instance> = Vec::new();
     let mut skipped = Vec::new();
-    for (ai, axiom) in axioms.iter().enumerate() {
-        let vars = &axiom_vars[ai];
-        let var_sorts: Vec<_> = vars.iter().map(|&v| spec.sig().var(v).sort()).collect();
+    // The value of a ground term depends only on the term: each pool term
+    // of a sort some instance binds is evaluated once, here.
+    let mut values: HashMap<SortId, Vec<MValue>> = HashMap::new();
+    for (ai, (axiom, plan)) in axioms.iter().zip(&plans).enumerate() {
+        let var_sorts = &plan.var_sorts;
         if !pool.inhabits_all(var_sorts.iter().copied()) {
             skipped.push(axiom.label().to_owned());
             continue;
         }
+        for &s in var_sorts {
+            values.entry(s).or_insert_with(|| {
+                pool.terms(s)
+                    .iter()
+                    .map(|t| eval_ground(model, t))
+                    .collect()
+            });
+        }
 
         // Exhaustive product over the pools, truncated.
-        let choices: Vec<&[Term]> = var_sorts.iter().map(|&s| pool.terms(s)).collect();
-        let mut indices = vec![0usize; vars.len()];
+        let lens: Vec<usize> = var_sorts.iter().map(|&s| pool.terms(s).len()).collect();
+        let mut indices = vec![0usize; lens.len()];
         let mut produced = 0;
         'product: loop {
             if produced >= cfg.max_instances_per_axiom {
@@ -166,16 +212,9 @@ pub fn check_axioms_jobs(
             }
             instances.push(Instance {
                 axiom: ai,
-                terms: indices
-                    .iter()
-                    .zip(&choices)
-                    .map(|(&i, c)| c[i].clone())
-                    .collect(),
+                binding: Binding::Pool(indices.clone()),
             });
             produced += 1;
-            if vars.is_empty() {
-                break;
-            }
             let mut k = indices.len();
             loop {
                 if k == 0 {
@@ -183,7 +222,7 @@ pub fn check_axioms_jobs(
                 }
                 k -= 1;
                 indices[k] += 1;
-                if indices[k] < choices[k].len() {
+                if indices[k] < lens[k] {
                     break;
                 }
                 indices[k] = 0;
@@ -191,16 +230,16 @@ pub fn check_axioms_jobs(
         }
 
         // Random deep instances.
-        if !vars.is_empty() {
+        if !var_sorts.is_empty() {
             for _ in 0..cfg.random_instances {
                 let sampled: Option<Vec<Term>> = var_sorts
                     .iter()
-                    .map(|&s| random_ctor_term(spec.sig(), s, cfg.random_depth, &mut rng))
+                    .map(|&s| random_ctor_term(sig, s, cfg.random_depth, &mut rng))
                     .collect();
                 let Some(sampled) = sampled else { break };
                 instances.push(Instance {
                     axiom: ai,
-                    terms: sampled,
+                    binding: Binding::Sampled(sampled),
                 });
             }
         }
@@ -209,9 +248,47 @@ pub fn check_axioms_jobs(
     // Phase B (parallel): evaluate every instance against the model.
     let run = run_indexed(jobs, &instances, |_, inst| {
         let axiom = &axioms[inst.axiom];
-        let vars = &axiom_vars[inst.axiom];
-        let env = build_env(model, vars, |k| inst.terms[k].clone());
-        check_instance(model, axiom.label(), axiom.lhs(), axiom.rhs(), vars, &env)
+        let plan = &plans[inst.axiom];
+        let env: HashMap<VarId, MValue> = match &inst.binding {
+            Binding::Pool(indices) => plan
+                .vars
+                .iter()
+                .zip(&plan.var_sorts)
+                .zip(indices)
+                .map(|((&v, s), &i)| (v, values[s][i].clone()))
+                .collect(),
+            Binding::Sampled(terms) => plan
+                .vars
+                .iter()
+                .zip(terms)
+                .map(|(&v, t)| (v, eval_ground(model, t)))
+                .collect(),
+        };
+        let lhs_value = eval_with_env(model, axiom.lhs(), &env);
+        let rhs_value = eval_with_env(model, axiom.rhs(), &env);
+        if model.values_equal(plan.sort, &lhs_value, &rhs_value) {
+            return None;
+        }
+        let term_of = |k: usize| match &inst.binding {
+            Binding::Pool(indices) => &pool.terms(plan.var_sorts[k])[indices[k]],
+            Binding::Sampled(terms) => &terms[k],
+        };
+        Some(CounterExample {
+            axiom: axiom.label().to_owned(),
+            bindings: plan
+                .vars
+                .iter()
+                .enumerate()
+                .map(|(k, &v)| {
+                    (
+                        sig.var(v).name().to_owned(),
+                        display::term(sig, term_of(k)).to_string(),
+                    )
+                })
+                .collect(),
+            lhs_value,
+            rhs_value,
+        })
     });
     let instances_checked = instances.len();
     let mut stats = CheckStats::default();
@@ -224,55 +301,6 @@ pub fn check_axioms_jobs(
         skipped_axioms: skipped,
         stats,
     }
-}
-
-type Env = HashMap<VarId, (Term, MValue)>;
-
-fn build_env(model: &dyn Model, vars: &[VarId], term_of: impl Fn(usize) -> Term) -> Env {
-    vars.iter()
-        .enumerate()
-        .map(|(k, &v)| {
-            let term = term_of(k);
-            let value = crate::eval::eval_ground(model, &term);
-            (v, (term, value))
-        })
-        .collect()
-}
-
-fn check_instance(
-    model: &dyn Model,
-    label: &str,
-    lhs: &Term,
-    rhs: &Term,
-    vars: &[VarId],
-    env: &Env,
-) -> Option<CounterExample> {
-    let spec = model.spec();
-    let value_env: HashMap<VarId, MValue> =
-        env.iter().map(|(&v, (_, val))| (v, val.clone())).collect();
-    let lhs_value = eval_with_env(model, lhs, &value_env);
-    let rhs_value = eval_with_env(model, rhs, &value_env);
-    let sort = lhs
-        .sort(spec.sig())
-        .expect("axioms are validated before checking");
-    if model.values_equal(sort, &lhs_value, &rhs_value) {
-        return None;
-    }
-    Some(CounterExample {
-        axiom: label.to_owned(),
-        bindings: vars
-            .iter()
-            .map(|v| {
-                let (term, _) = &env[v];
-                (
-                    spec.sig().var(*v).name().to_owned(),
-                    display::term(spec.sig(), term).to_string(),
-                )
-            })
-            .collect(),
-        lhs_value,
-        rhs_value,
-    })
 }
 
 #[cfg(test)]
@@ -455,6 +483,29 @@ mod tests {
         assert!(ce.bindings.iter().any(|(_, t)| t.contains("ADD")), "{ce:?}");
         let summary = report.summary();
         assert!(summary.contains("violated at"), "{summary}");
+    }
+
+    #[test]
+    #[should_panic(expected = "ADD past two")]
+    fn a_model_panic_on_an_enumerated_argument_propagates() {
+        let spec = queue_spec();
+        let model = ModelBuilder::new(&spec)
+            .op("NEW", |_| MValue::Int(0))
+            .op("A", |_| "A".into())
+            .op("B", |_| "B".into())
+            .op("ADD", |args| {
+                let n = args[0].as_int().unwrap();
+                assert!(n < 2, "ADD past two");
+                MValue::Int(n + 1)
+            })
+            .op("FRONT", |_| MValue::Error)
+            .op("REMOVE", |_| MValue::Error)
+            .op("IS_EMPTY?", |args| {
+                MValue::Bool(args[0].as_int() == Some(0))
+            })
+            .build()
+            .unwrap();
+        check_axioms_jobs(&model, &AxiomCheckConfig::default(), 2);
     }
 
     #[test]

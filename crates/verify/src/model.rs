@@ -16,6 +16,16 @@ use crate::value::MValue;
 /// (implementation) of the operations of the type that is a model for the
 /// axioms of the specification" (§4). Whether it actually is a model for
 /// the axioms is what [`check_axioms`](crate::check_axioms) tests.
+///
+/// # Purity
+///
+/// [`Model::apply_op`] must be a function of its arguments: the same
+/// operation on equal arguments gives an equal value, and a call changes
+/// no state that a later call reads. The axiom checker relies on this: it
+/// evaluates each enumerated argument once and shares that value across
+/// every instance that binds it. A `Data` value may therefore be seen by
+/// many calls at once; an operation that changes a structure must change
+/// a copy of it.
 pub trait Model {
     /// The specification this model implements.
     fn spec(&self) -> &Spec;
