@@ -219,19 +219,9 @@ impl ArmedFaults {
         self.panics.contains(&idx) || self.exhausts.contains(&idx) || self.slows.contains(&idx)
     }
 
-    /// The indices armed to panic, in ascending order.
-    pub fn panic_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.panics.iter().copied()
-    }
-
     /// The indices armed to exhaust, in ascending order.
     pub fn exhaust_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.exhausts.iter().copied()
-    }
-
-    /// Total number of faulted items.
-    pub fn fault_count(&self) -> usize {
-        self.panics.len() + self.exhausts.len() + self.slows.len()
     }
 }
 
@@ -422,6 +412,11 @@ mod tests {
     use super::*;
     use adt_core::{SpecBuilder, Term};
 
+    /// The indices among `0..items` that carry any fault, ascending.
+    fn faulted(armed: &ArmedFaults, items: usize) -> Vec<usize> {
+        (0..items).filter(|&idx| armed.is_faulted(idx)).collect()
+    }
+
     #[test]
     fn arming_is_deterministic_and_phase_dependent() {
         let spec = FaultSpec {
@@ -434,11 +429,9 @@ mod tests {
         let a = spec.arm(PROBES, 50);
         let b = spec.arm(PROBES, 50);
         assert_eq!(a, b, "same phase and size arm identically");
-        assert_eq!(a.fault_count(), 4);
-        // Kinds are disjoint.
-        for idx in a.panic_indices() {
-            assert!(!a.exhausts(idx));
-        }
+        // Kinds are disjoint: the four faults land on four items.
+        assert_eq!(faulted(&a, 50).len(), 4);
+        assert_eq!(a.exhaust_indices().count(), 1);
     }
 
     #[test]
@@ -451,9 +444,13 @@ mod tests {
             slow_ms: 1,
         };
         let armed = spec.arm(PAIRS, 5);
-        assert_eq!(armed.fault_count(), 5, "cannot fault more items than exist");
+        assert_eq!(
+            faulted(&armed, 10),
+            [0, 1, 2, 3, 4],
+            "cannot fault more items than exist"
+        );
         let empty = spec.arm(PAIRS, 0);
-        assert_eq!(empty.fault_count(), 0);
+        assert!(faulted(&empty, 10).is_empty());
     }
 
     #[test]
@@ -464,7 +461,7 @@ mod tests {
             ..FaultSpec::default()
         };
         let armed = spec.arm(COMPLETENESS, 10);
-        let target: Vec<usize> = armed.panic_indices().collect();
+        let target = faulted(&armed, 10);
         assert_eq!(target.len(), 1);
         for idx in 0..10 {
             let hit = std::panic::catch_unwind(|| armed.on_item(idx)).is_err();
@@ -522,9 +519,9 @@ mod tests {
             panics: 1,
             ..FaultSpec::default()
         };
-        let completeness: Vec<usize> = spec.arm(COMPLETENESS, 3).panic_indices().collect();
+        let completeness = faulted(&spec.arm(COMPLETENESS, 3), 3);
         assert_eq!(completeness, [0]);
-        let probes: Vec<usize> = spec.arm(PROBES, 200).panic_indices().collect();
+        let probes = faulted(&spec.arm(PROBES, 200), 200);
         assert_eq!(probes, [36]);
     }
 

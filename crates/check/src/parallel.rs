@@ -81,27 +81,11 @@ pub enum ItemOutcome<R> {
 }
 
 impl<R> ItemOutcome<R> {
-    /// The result, if the item completed.
-    pub fn as_done(&self) -> Option<&R> {
-        match self {
-            ItemOutcome::Done(r) => Some(r),
-            ItemOutcome::Failed(_) => None,
-        }
-    }
-
     /// The failure, if the item did not complete.
     pub fn failure(&self) -> Option<&CheckFailure> {
         match self {
             ItemOutcome::Done(_) => None,
             ItemOutcome::Failed(f) => Some(f),
-        }
-    }
-
-    /// Consumes the outcome, yielding the result if the item completed.
-    pub fn into_done(self) -> Option<R> {
-        match self {
-            ItemOutcome::Done(r) => Some(r),
-            ItemOutcome::Failed(_) => None,
         }
     }
 }
@@ -554,7 +538,7 @@ mod tests {
                     assert!(f.retried);
                     assert!(f.error.to_string().contains("probe #37"), "{}", f.error);
                 } else {
-                    assert_eq!(outcome.as_done(), Some(&(i * 2)), "jobs={jobs} item {i}");
+                    assert_eq!(outcome, &ItemOutcome::Done(i * 2), "jobs={jobs} item {i}");
                 }
             }
         }
@@ -577,12 +561,8 @@ mod tests {
             |i, _| format!("item #{i}"),
         );
         // The transient panic is absorbed by the retry: every item done.
-        let done: Vec<usize> = run
-            .results
-            .into_iter()
-            .filter_map(ItemOutcome::into_done)
-            .collect();
-        assert_eq!(done, (1..=8).collect::<Vec<_>>());
+        let done: Vec<_> = (1..=8).map(ItemOutcome::Done).collect();
+        assert_eq!(run.results, done);
     }
 
     #[test]

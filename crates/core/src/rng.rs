@@ -58,12 +58,6 @@ impl DetRng {
     pub fn flip(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
-
-    /// Forks an independent generator whose stream is decorrelated from
-    /// the parent's (used to give each parallel worker its own stream).
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::new(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)
-    }
 }
 
 /// FNV-1a (64-bit) over the bytes of `text`: a fixed, platform-independent
@@ -119,15 +113,5 @@ mod tests {
     #[should_panic(expected = "no valid result")]
     fn below_zero_panics() {
         DetRng::new(0).below(0);
-    }
-
-    #[test]
-    fn forks_are_decorrelated() {
-        let mut parent = DetRng::new(9);
-        let mut child = parent.fork();
-        let collisions = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert_eq!(collisions, 0);
     }
 }

@@ -70,13 +70,6 @@ pub struct CriticalPair {
     pub status: PairStatus,
 }
 
-impl CriticalPair {
-    /// Whether this pair resolved without divergence.
-    pub fn is_joinable(&self) -> bool {
-        matches!(self.status, PairStatus::Joinable(_))
-    }
-}
-
 /// One superposition: a critical pair before joinability classification.
 ///
 /// Produced by [`superpositions`]; classified into a [`CriticalPair`] by
@@ -541,6 +534,10 @@ mod tests {
             .collect()
     }
 
+    fn joinable(pair: &CriticalPair) -> bool {
+        matches!(pair.status, PairStatus::Joinable(_))
+    }
+
     #[test]
     fn orthogonal_spec_has_no_pairs() {
         // Queue-like axioms on disjoint constructor cases never overlap.
@@ -557,7 +554,7 @@ mod tests {
         let spec = b.build().unwrap();
         let pairs = classified(&spec);
         assert!(pairs.is_empty());
-        assert!(pairs.iter().all(CriticalPair::is_joinable));
+        assert!(pairs.iter().all(joinable));
     }
 
     #[test]
@@ -573,10 +570,7 @@ mod tests {
         let spec = b.build().unwrap();
         let pairs = classified(&spec);
         assert!(!pairs.is_empty());
-        assert!(
-            pairs.iter().all(CriticalPair::is_joinable),
-            "pairs: {pairs:#?}"
-        );
+        assert!(pairs.iter().all(joinable), "pairs: {pairs:#?}");
     }
 
     #[test]
@@ -592,7 +586,7 @@ mod tests {
         b.axiom("specific", b.app(f, [b.app(c, [])]), b.app(d, []));
         let spec = b.build().unwrap();
         let pairs = classified(&spec);
-        assert!(!pairs.iter().all(CriticalPair::is_joinable));
+        assert!(!pairs.iter().all(joinable));
         let diverged: Vec<_> = pairs
             .iter()
             .filter(|p| matches!(p.status, PairStatus::Diverged { .. }))
@@ -624,6 +618,6 @@ mod tests {
             .any(|p| p.outer_rule == "outer" && p.inner_rule == "inner" && p.position == vec![0]);
         assert!(found, "pairs: {pairs:#?}");
         // G(D) is stuck at G(D) on one side and C on the other — diverged.
-        assert!(!pairs.iter().all(CriticalPair::is_joinable));
+        assert!(!pairs.iter().all(joinable));
     }
 }

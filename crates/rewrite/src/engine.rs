@@ -582,15 +582,6 @@ impl<'a> Rewriter<'a> {
         Ok(self.run(term, None, assumptions)?.0.term)
     }
 
-    /// Whether two terms have the same normal form.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Rewriter::normalize`].
-    pub fn equal_nf(&self, a: &Term, b: &Term) -> Result<bool> {
-        Ok(self.normalize(a)? == self.normalize(b)?)
-    }
-
     /// Attempts to prove `a = b` by normalization plus case analysis on
     /// stuck boolean conditions (up to `max_splits` nested splits).
     ///
@@ -1471,18 +1462,5 @@ mod tests {
         assert_eq!(session.term(want), first.term);
         assert!(first.steps > 0);
         assert_eq!(first.steps, second.steps);
-    }
-
-    #[test]
-    fn equal_nf_convenience() {
-        let spec = queue_spec();
-        let rw = Rewriter::new(&spec);
-        let new = q(&spec, "NEW", vec![]);
-        let a = q(&spec, "A", vec![]);
-        // REMOVE(ADD(NEW, A)) == NEW
-        let lhs = q(&spec, "REMOVE", vec![q(&spec, "ADD", vec![new.clone(), a])]);
-        assert!(rw.equal_nf(&lhs, &new).unwrap());
-        let b_ = q(&spec, "B", vec![]);
-        assert!(!rw.equal_nf(&b_, &new).unwrap());
     }
 }

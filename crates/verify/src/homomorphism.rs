@@ -77,11 +77,12 @@ pub struct RepMismatch {
 pub struct RepCheckReport {
     /// Disagreements found (empty on success).
     pub mismatches: Vec<RepMismatch>,
-    /// Terms checked.
+    /// Terms compared. Every generated term is counted here or in
+    /// `terms_skipped`, never in both.
     pub terms_checked: usize,
-    /// Terms skipped: filtered out by the assumption, or whose
-    /// specification normal form was not a canonical value (an incomplete
-    /// spec leaves observers stuck).
+    /// Terms skipped: filtered out by the assumption, out of fuel on
+    /// either side, or whose specification normal form was not a
+    /// canonical value (an incomplete spec leaves observers stuck).
     pub terms_skipped: usize,
 }
 
@@ -149,7 +150,6 @@ pub fn check_representation(
             continue;
         }
         let impl_value = eval_ground(model, &term);
-        checked += 1;
 
         if spec.is_toi(sort) {
             let abstracted = if impl_value.is_error() {
@@ -161,6 +161,7 @@ pub fn check_representation(
                 skipped += 1;
                 continue;
             };
+            checked += 1;
             if abstracted_nf != spec_nf {
                 mismatches.push(RepMismatch {
                     term: display::term(sig, &term).to_string(),
@@ -171,6 +172,7 @@ pub fn check_representation(
         } else {
             // Observer result: evaluate the canonical normal form in the
             // model and compare values.
+            checked += 1;
             let expected = eval_ground(model, &spec_nf);
             if !model.values_equal(sort, &impl_value, &expected) {
                 mismatches.push(RepMismatch {
@@ -195,13 +197,14 @@ mod tests {
     use crate::model::ModelBuilder;
     use adt_core::SpecBuilder;
 
-    /// Nat with DOUBLE, implemented over i64.
+    /// Nat with DOUBLE and PRED, implemented over i64.
     fn nat_spec() -> Spec {
         let mut b = SpecBuilder::new("Nat");
         let nat = b.sort("Nat");
         let zero = b.ctor("ZERO", [], nat);
         let succ = b.ctor("SUCC", [nat], nat);
         let double = b.op("DOUBLE", [nat], nat);
+        let pred = b.op("PRED", [nat], nat);
         let is_zero = b.op("IS_ZERO?", [nat], b.bool_sort());
         let n = Term::Var(b.var("n", nat));
         let tt = b.tt();
@@ -212,22 +215,32 @@ mod tests {
         b.axiom(
             "d2",
             b.app(double, [b.app(succ, [n.clone()])]),
-            b.app(succ, [b.app(succ, [b.app(double, [n])])]),
+            b.app(succ, [b.app(succ, [b.app(double, [n.clone()])])]),
         );
+        b.axiom("p1", b.app(pred, [b.app(zero, [])]), Term::Error(nat));
+        b.axiom("p2", b.app(pred, [b.app(succ, [n.clone()])]), n);
         b.build().unwrap()
     }
 
-    fn int_model(spec: &Spec, broken: bool) -> crate::TableModel<'_> {
-        let mut mb = ModelBuilder::new(spec)
+    /// The correct implementation; a test breaks one operation by
+    /// registering it again.
+    fn int_model(spec: &Spec) -> ModelBuilder<'_> {
+        ModelBuilder::new(spec)
             .op("ZERO", |_| MValue::Int(0))
             .op("SUCC", |a| MValue::Int(a[0].as_int().unwrap() + 1))
-            .op("IS_ZERO?", |a| MValue::Bool(a[0].as_int() == Some(0)));
-        mb = if broken {
-            mb.op("DOUBLE", |a| MValue::Int(a[0].as_int().unwrap() * 2 + 1))
-        } else {
-            mb.op("DOUBLE", |a| MValue::Int(a[0].as_int().unwrap() * 2))
-        };
-        mb.build().unwrap()
+            .op("IS_ZERO?", |a| MValue::Bool(a[0].as_int() == Some(0)))
+            .op("DOUBLE", |a| MValue::Int(a[0].as_int().unwrap() * 2))
+            .op("PRED", |a| match a[0].as_int().unwrap() {
+                0 => MValue::Error,
+                n => MValue::Int(n - 1),
+            })
+    }
+
+    fn broken_double(spec: &Spec) -> crate::TableModel<'_> {
+        int_model(spec)
+            .op("DOUBLE", |a| MValue::Int(a[0].as_int().unwrap() * 2 + 1))
+            .build()
+            .unwrap()
     }
 
     fn int_phi(spec: &Spec) -> impl Fn(&MValue) -> Term + '_ {
@@ -245,7 +258,7 @@ mod tests {
     #[test]
     fn correct_implementation_commutes_with_phi() {
         let spec = nat_spec();
-        let model = int_model(&spec, false);
+        let model = int_model(&spec).build().unwrap();
         let phi = int_phi(&spec);
         let report = check_representation(&model, &phi, &RepCheckConfig::default());
         assert!(report.passed(), "{}", report.summary());
@@ -255,7 +268,7 @@ mod tests {
     #[test]
     fn broken_double_is_caught_with_the_term() {
         let spec = nat_spec();
-        let model = int_model(&spec, true);
+        let model = broken_double(&spec);
         let phi = int_phi(&spec);
         let report = check_representation(&model, &phi, &RepCheckConfig::default());
         assert!(!report.passed());
@@ -275,7 +288,7 @@ mod tests {
     #[test]
     fn assumption_filters_terms() {
         let spec = nat_spec();
-        let model = int_model(&spec, true);
+        let model = broken_double(&spec);
         let phi = int_phi(&spec);
         // Assume DOUBLE is never used: the broken op goes unnoticed —
         // conditional correctness.
@@ -294,10 +307,7 @@ mod tests {
     fn observer_disagreements_are_value_level() {
         let spec = nat_spec();
         // IS_ZERO? inverted.
-        let model = ModelBuilder::new(&spec)
-            .op("ZERO", |_| MValue::Int(0))
-            .op("SUCC", |a| MValue::Int(a[0].as_int().unwrap() + 1))
-            .op("DOUBLE", |a| MValue::Int(a[0].as_int().unwrap() * 2))
+        let model = int_model(&spec)
             .op("IS_ZERO?", |a| MValue::Bool(a[0].as_int() != Some(0)))
             .build()
             .unwrap();
@@ -308,5 +318,48 @@ mod tests {
             .mismatches
             .iter()
             .any(|m| m.term.starts_with("IS_ZERO?")));
+    }
+
+    #[test]
+    fn saturating_pred_is_caught_at_the_boundary() {
+        let spec = nat_spec();
+        // PRED(0) = 0 instead of error: the boundary the axioms pin down.
+        let model = int_model(&spec)
+            .op("PRED", |a| MValue::Int(a[0].as_int().unwrap().max(1) - 1))
+            .build()
+            .unwrap();
+        let phi = int_phi(&spec);
+        let report = check_representation(&model, &phi, &RepCheckConfig::default());
+        let at_zero = RepMismatch {
+            term: "PRED(ZERO)".to_owned(),
+            spec_nf: "error".to_owned(),
+            via_impl: "ZERO".to_owned(),
+        };
+        assert_eq!(report.mismatches, [at_zero], "{}", report.summary());
+    }
+
+    #[test]
+    fn a_term_is_checked_or_skipped_never_both() {
+        let spec = nat_spec();
+        let model = int_model(&spec).build().unwrap();
+        // Φ(v) = DOUBLE(DOUBLE(SUCCᵛ(ZERO))) needs more than six steps to
+        // normalize once v > 1, so the Φ side of those terms runs dry. (It
+        // is the wrong Φ, so the check fails; only the counts matter here.)
+        let double = spec.sig().find_op("DOUBLE").unwrap();
+        let base = int_phi(&spec);
+        let phi = |v: &MValue| Term::App(double, vec![Term::App(double, vec![base(v)])]);
+        let cfg = RepCheckConfig {
+            fuel: 6,
+            ..RepCheckConfig::default()
+        };
+        let report = check_representation(&model, &phi, &cfg);
+        let generated = enumerate_terms(spec.sig(), cfg.max_arg_depth, cfg.cap_per_op);
+        assert!(report.terms_skipped > 0, "{}", report.summary());
+        assert_eq!(
+            report.terms_checked + report.terms_skipped,
+            generated.len(),
+            "{}",
+            report.summary()
+        );
     }
 }

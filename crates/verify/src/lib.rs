@@ -18,16 +18,14 @@
 //! * [`check_representation`] — the value-level Φ check: for generated
 //!   terms `t`, `Φ(eval_impl(t))` must equal the specification's normal
 //!   form of `t` (a bounded homomorphism proof). Supports *environment
-//!   assumptions* (term filters) for conditional correctness.
+//!   assumptions* (term filters) for conditional correctness. On
+//!   observer sorts it is the algebraic-testing oracle: the model must be
+//!   *invariant under rewriting* (`eval(t) ≡ eval(nf(t))`), so the axioms
+//!   supply both the test cases and the expected results.
 //! * [`prove_by_induction`] — generator induction (Wegbreit's term, cited
 //!   by the paper) at the term level: case-split on constructors,
 //!   skolemize, add induction hypotheses as rewrite rules, and close each
 //!   case with the rewriting prover.
-//! * [`differential_check`] — spec-driven differential testing: bounded
-//!   ground terms are generated from the signature alone, and the model
-//!   must be *invariant under rewriting* (`eval(t) ≡ eval(nf(t))`) — the
-//!   axioms supply both the test cases and the expected results — while
-//!   the parallel and sequential checkers must return identical reports.
 //! * [`translate_obligations`] / [`verify_obligation`] — the §4 proof
 //!   itself: translate each abstract axiom through the implementation
 //!   (primed operations) and Φ, then prove the two sides equal with case
@@ -47,9 +45,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod axiom_check;
-mod differential;
 mod eval;
 mod gen;
 mod homomorphism;
@@ -60,10 +58,6 @@ mod value;
 
 pub use axiom_check::{
     check_axioms, check_axioms_jobs, AxiomCheckConfig, AxiomCheckReport, CounterExample,
-};
-pub use differential::{
-    differential_check, differential_spec_check, DifferentialConfig, DifferentialReport,
-    OracleMismatch,
 };
 pub use eval::{eval_ground, eval_with_env};
 pub use gen::{enumerate_ctor_terms, enumerate_terms, TermPool};

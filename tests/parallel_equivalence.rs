@@ -14,7 +14,7 @@ use adt_check::{
 use adt_core::{display, Fuel, Session, Term};
 use adt_rewrite::{superpositions, Rewriter};
 use adt_structures::sources;
-use adt_verify::{differential_spec_check, enumerate_terms, DifferentialConfig};
+use adt_verify::enumerate_terms;
 
 #[test]
 fn completeness_reports_are_identical_across_job_counts() {
@@ -82,25 +82,22 @@ fn consistency_reports_are_identical_across_job_counts() {
             );
             assert_eq!(seq.summary(), par.summary(), "{name} at {jobs} jobs");
             assert_eq!(
+                seq.pair_verdicts(),
+                par.pair_verdicts(),
+                "{name} at {jobs} jobs"
+            );
+            assert_eq!(
+                seq.probe_verdicts(),
+                par.probe_verdicts(),
+                "{name} at {jobs} jobs"
+            );
+            assert_eq!(
                 seq.pairs_checked(),
                 par.pairs_checked(),
                 "{name} at {jobs} jobs"
             );
             assert_eq!(seq.probes_run(), par.probes_run(), "{name} at {jobs} jobs");
         }
-    }
-}
-
-#[test]
-fn the_differential_harness_agrees_on_every_shipped_spec() {
-    // Same property, driven through the adt-verify harness — the
-    // workspace-level exercise of the tentpole oracle.
-    let cfg = DifferentialConfig::default();
-    for (name, source) in sources::all() {
-        let spec =
-            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
-        let report = differential_spec_check(&spec, &cfg);
-        assert!(report.passed(), "{name}:\n{}", report.render());
     }
 }
 
