@@ -1,8 +1,8 @@
 //! # adt-bench — workload generators and a dependency-free harness
 //!
-//! The benches under `benches/` regenerate every measured row of
+//! The `adt-bench` runner regenerates every measured row of
 //! EXPERIMENTS.md; this library holds the deterministic workload
-//! generators they share, so a bench and its corresponding test exercise
+//! generators it shares, so a bench and its corresponding test exercise
 //! identical operation sequences, plus the [`harness`] module — a small
 //! `std`-only timing loop that replaces the external Criterion
 //! dependency so the whole workspace builds offline.
@@ -19,7 +19,8 @@ pub mod harness {
     //! robust to scheduler noise, which matters more than statistical
     //! power for the factor-level comparisons EXPERIMENTS.md makes).
     //!
-    //! Set `ADT_BENCH_QUICK=1` to shrink the budgets ~10× for smoke runs.
+    //! [`Group::budget`] shrinks the budgets; the runner's `--quick`
+    //! profile uses it for smoke runs.
 
     use std::hint::black_box;
     use std::time::{Duration, Instant};
@@ -48,35 +49,23 @@ pub mod harness {
     #[derive(Debug)]
     pub struct Group {
         name: String,
-        samples: u32,
         warmup: Duration,
         budget: Duration,
     }
+
+    /// Samples per measurement.
+    const SAMPLES: u32 = 10;
 
     impl Group {
         /// Starts a group with the default budget (10 samples over
         /// ~900 ms, after ~200 ms of warm-up — the same budget the old
         /// Criterion configuration used).
         pub fn new(name: &str) -> Self {
-            let quick = std::env::var_os("ADT_BENCH_QUICK").is_some_and(|v| v != "0");
-            let (warmup, budget) = if quick {
-                (Duration::from_millis(20), Duration::from_millis(90))
-            } else {
-                (Duration::from_millis(200), Duration::from_millis(900))
-            };
             Group {
                 name: name.to_string(),
-                samples: 10,
-                warmup,
-                budget,
+                warmup: Duration::from_millis(200),
+                budget: Duration::from_millis(900),
             }
-        }
-
-        /// Overrides the number of samples.
-        #[must_use]
-        pub fn samples(mut self, samples: u32) -> Self {
-            self.samples = samples.max(1);
-            self
         }
 
         /// Overrides the warm-up and measurement budgets (mainly for
@@ -91,27 +80,7 @@ pub mod harness {
         /// Measures `routine`, prints one line, and returns the
         /// measurement.
         pub fn bench<R>(&self, label: &str, mut routine: impl FnMut() -> R) -> Measurement {
-            // Warm-up doubles as the iteration-count estimate.
-            let warm_start = Instant::now();
-            let mut warm_iters = 0u64;
-            while warm_start.elapsed() < self.warmup || warm_iters == 0 {
-                black_box(routine());
-                warm_iters += 1;
-            }
-            let est = warm_start.elapsed() / u32::try_from(warm_iters).unwrap_or(u32::MAX);
-            let per_sample = self.budget / self.samples;
-            let iters = (per_sample.as_nanos() / est.as_nanos().max(1))
-                .clamp(1, u128::from(u32::MAX)) as u64;
-
-            let mut times = Vec::with_capacity(self.samples as usize);
-            for _ in 0..self.samples {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    black_box(routine());
-                }
-                times.push(t.elapsed() / u32::try_from(iters).unwrap_or(u32::MAX));
-            }
-            self.report(label, &mut times, iters)
+            self.bench_batched(label, || (), |()| routine())
         }
 
         /// Measures `routine` over inputs produced per-iteration by
@@ -134,12 +103,12 @@ pub mod harness {
                 warm_iters += 1;
             }
             let est = warm_spent / u32::try_from(warm_iters).unwrap_or(u32::MAX);
-            let per_sample = self.budget / self.samples;
+            let per_sample = self.budget / SAMPLES;
             let iters = (per_sample.as_nanos() / est.as_nanos().max(1))
                 .clamp(1, u128::from(u32::MAX)) as u64;
 
-            let mut times = Vec::with_capacity(self.samples as usize);
-            for _ in 0..self.samples {
+            let mut times = Vec::with_capacity(SAMPLES as usize);
+            for _ in 0..SAMPLES {
                 let inputs: Vec<S> = (0..iters).map(|_| setup()).collect();
                 let t = Instant::now();
                 for input in inputs {
@@ -178,13 +147,13 @@ pub mod harness {
             }
             // `est` covers one a+b pair, so the shared budget splits fairly.
             let est = warm_spent / u32::try_from(warm_iters).unwrap_or(u32::MAX);
-            let per_sample = self.budget / self.samples;
+            let per_sample = self.budget / SAMPLES;
             let iters = (per_sample.as_nanos() / est.as_nanos().max(1))
                 .clamp(1, u128::from(u32::MAX)) as u64;
 
-            let mut times_a = Vec::with_capacity(self.samples as usize);
-            let mut times_b = Vec::with_capacity(self.samples as usize);
-            for _ in 0..self.samples {
+            let mut times_a = Vec::with_capacity(SAMPLES as usize);
+            let mut times_b = Vec::with_capacity(SAMPLES as usize);
+            for _ in 0..SAMPLES {
                 // Alternate at iteration granularity — a, b, a, b — so a
                 // burst of noise inside one sample still hits both sides.
                 let mut spent_a = Duration::ZERO;
@@ -220,7 +189,7 @@ pub mod harness {
             Measurement {
                 per_iter,
                 iters,
-                samples: self.samples,
+                samples: SAMPLES,
             }
         }
     }
@@ -263,8 +232,10 @@ pub mod report {
         pub name: String,
         /// Median per-iteration time of the current engine, nanoseconds.
         pub median_ns: u64,
-        /// Median of the pre-arena engine, if this file carries a
-        /// before/after comparison.
+        /// The median this row is compared against, if any: a previous
+        /// engine's median (merged with `--merge-before`; the pre-arena
+        /// engine for most committed rows) or, for a comparison row, the
+        /// median of its counterpart row in the same run.
         pub before_ns: Option<u64>,
         /// Iterations per sample the harness settled on.
         pub iters: u64,
@@ -290,7 +261,7 @@ pub mod report {
     pub struct BenchReport {
         /// Schema identifier (`"adt-bench/v1"`).
         pub schema: String,
-        /// `"full"` or `"quick"` (the `ADT_BENCH_QUICK` profile).
+        /// `"full"` or `"quick"` (the runner's `--quick` profile).
         pub profile: String,
         /// Measured rows.
         pub benchmarks: Vec<BenchRecord>,
@@ -394,40 +365,39 @@ pub mod report {
         }
     }
 
-    /// One benchmark that got slower than the baseline allows.
+    /// One baseline benchmark that got slower than the baseline allows,
+    /// or that the fresh run lacks.
     #[derive(Debug, Clone, PartialEq)]
     pub struct Regression {
         /// `group/name` of the offending benchmark.
         pub key: String,
         /// Baseline median, nanoseconds.
         pub baseline_ns: u64,
-        /// Fresh median, nanoseconds.
-        pub fresh_ns: u64,
-        /// `fresh / baseline`.
-        pub factor: f64,
+        /// Fresh median, nanoseconds; `None` if the fresh run has no
+        /// such row.
+        pub fresh_ns: Option<u64>,
     }
 
-    /// Compares a fresh run against a committed baseline: every benchmark
-    /// present in both whose fresh median exceeds `max_regress ×` the
-    /// baseline median is reported. Benchmarks present in only one report
-    /// are ignored (adding or retiring a benchmark is not a regression).
+    /// Compares a fresh run against a committed baseline. Every baseline
+    /// benchmark is reported that the fresh run lacks, or whose fresh
+    /// median exceeds `max_regress ×` the baseline median. Benchmarks
+    /// present only in the fresh run are not reported: adding one is not
+    /// a regression, but a committed row that stops running would let
+    /// its regression go unseen.
     pub fn regressions(
         fresh: &BenchReport,
         baseline: &BenchReport,
         max_regress: f64,
     ) -> Vec<Regression> {
         let mut out = Vec::new();
-        for f in &fresh.benchmarks {
-            let Some(b) = baseline.find(&f.key()) else {
-                continue;
-            };
-            let factor = f.median_ns as f64 / b.median_ns.max(1) as f64;
-            if factor > max_regress {
+        for b in &baseline.benchmarks {
+            let fresh_ns = fresh.find(&b.key()).map(|f| f.median_ns);
+            let within = |ns: u64| ns as f64 / b.median_ns.max(1) as f64 <= max_regress;
+            if !fresh_ns.is_some_and(within) {
                 out.push(Regression {
-                    key: f.key(),
+                    key: b.key(),
                     baseline_ns: b.median_ns,
-                    fresh_ns: f.median_ns,
-                    factor,
+                    fresh_ns,
                 });
             }
         }
@@ -440,6 +410,7 @@ pub mod workloads {
     //! and queues.
 
     use adt_core::{Spec, SpecBuilder, Term};
+    use adt_structures::Ident;
 
     /// Builds a complete synthetic spec with `ctors` constructors (one
     /// nullary, the rest unary-recursive) and `obs` observers, each fully
@@ -550,9 +521,9 @@ pub mod workloads {
         t
     }
 
-    /// Identifier names for array benchmarks: `v0`, `v1`, ….
-    pub fn ident_names(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("v{i}")).collect()
+    /// Identifiers for array benchmarks: `v0`, `v1`, ….
+    pub fn ident_names(n: usize) -> Vec<Ident> {
+        (0..n).map(|i| Ident::new(format!("v{i}"))).collect()
     }
 }
 
@@ -614,7 +585,7 @@ mod tests {
     }
 
     mod report {
-        use crate::report::{regressions, BenchRecord, BenchReport};
+        use crate::report::{regressions, BenchRecord, BenchReport, Regression};
 
         fn row(group: &str, name: &str, median_ns: u64) -> BenchRecord {
             BenchRecord {
@@ -692,8 +663,25 @@ mod tests {
             let regs = regressions(&fresh, &baseline, 2.0);
             assert_eq!(regs.len(), 1);
             assert_eq!(regs[0].key, "rewrite_queue/front/128");
-            assert!((regs[0].factor - 2.2).abs() < 1e-9);
+            assert_eq!(regs[0].fresh_ns, Some(11_000));
             assert!(regressions(&fresh, &baseline, 2.5).is_empty());
+        }
+
+        #[test]
+        fn a_baseline_row_missing_from_the_fresh_run_is_reported() {
+            let baseline = sample_report();
+            let mut fresh = sample_report();
+            fresh.benchmarks.remove(0);
+            fresh.benchmarks.push(row("new", "bench/1", 1)); // not in baseline
+            let regs = regressions(&fresh, &baseline, 2.0);
+            assert_eq!(
+                regs,
+                [Regression {
+                    key: "rewrite_queue/front/128".to_string(),
+                    baseline_ns: 5_000,
+                    fresh_ns: None,
+                }]
+            );
         }
 
         #[test]
@@ -712,9 +700,7 @@ mod tests {
         use std::time::Duration;
 
         fn quick_group(name: &str) -> Group {
-            Group::new(name)
-                .samples(3)
-                .budget(Duration::from_millis(2), Duration::from_millis(9))
+            Group::new(name).budget(Duration::from_millis(2), Duration::from_millis(9))
         }
 
         #[test]

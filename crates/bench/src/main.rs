@@ -1,12 +1,15 @@
 //! `cargo run -p adt-bench` — the fixed-seed benchmark runner behind the
-//! committed `BENCH_rewrite.json`.
+//! committed `BENCH_rewrite.json`, and the one place its gates live.
 //!
-//! Measures a curated subset of the `benches/` workloads (rewrite_queue,
-//! checker_scaling, session_reuse, retry_ladder — all deterministic,
-//! seed 7) plus TB-1's symbolic_vs_direct (seed `0xC0FFEE`) and TB-5's
+//! Measures every experiment row: EX-1's rewrite_queue, TB-2's
+//! array_representations, TB-3's defensive_check, TB-4's
+//! checker_scaling, session_reuse and retry_ladder (all deterministic,
+//! seeds 1 and 7), TB-1's symbolic_vs_direct (seed `0xC0FFEE`) and TB-5's
 //! verification_depth (seed 1), and emits the medians as
-//! machine-readable JSON. CI runs this
-//! with `--quick --baseline BENCH_rewrite.json` to catch >2× regressions;
+//! machine-readable JSON. Every run fails if session reuse is less than
+//! 1.5× faster than a fresh session per check. CI runs this with
+//! `--quick --baseline BENCH_rewrite.json`, which also fails on a >2×
+//! regression of a committed row or on a committed row the run lacks;
 //! the committed baseline itself is produced with `--merge-before` so it
 //! carries the pre-arena medians alongside the current ones.
 //!
@@ -20,7 +23,7 @@ use std::time::Duration;
 
 use adt_bench::harness::Group;
 use adt_bench::report::{regressions, BenchRecord, BenchReport};
-use adt_bench::workloads::{queue_term, symtab_trace, synthetic_spec, SymOp};
+use adt_bench::workloads::{ident_names, queue_term, symtab_trace, synthetic_spec, Stream, SymOp};
 use adt_check::{
     check_completeness_with_config, check_consistency_with_config, CheckConfig, ProbeConfig,
 };
@@ -28,9 +31,10 @@ use adt_core::{Deadline, Session, Supervisor};
 use adt_rewrite::{Rewriter, SymbolicSession};
 use adt_structures::models::{array_model, fifo_model, symtab_model};
 use adt_structures::specs::{
-    array_spec, queue_spec, symboltable_spec, symtab_rep_op_map, symtab_rep_spec,
+    array_spec, queue_spec, queue_spec_incomplete, symboltable_spec, symtab_rep_op_map,
+    symtab_rep_spec,
 };
-use adt_structures::{AttrList, Ident, SymbolTable};
+use adt_structures::{AttrList, BstArray, HashArray, Ident, LinearArray, ScopeArray, SymbolTable};
 use adt_verify::{
     check_axioms, translate_obligations, verify_obligation, AxiomCheckConfig, ProofConfig,
 };
@@ -142,9 +146,44 @@ fn run_symbolic(session: &mut SymbolicSession, trace: &[SymOp]) -> usize {
     hits
 }
 
-/// The fixed benchmark set. Labels match the interactive `benches/`
-/// programs so numbers are comparable; seeds and sizes are pinned so two
-/// runs on the same machine measure identical work.
+/// TB-2's workload on one Array representation: `n` declarations, then
+/// `4n` lookups of identifiers drawn from them (seed 1), summing the
+/// values read.
+fn array_workload<A: ScopeArray<u32>>(names: &[Ident]) -> u32 {
+    let mut arr = A::empty();
+    for (i, id) in names.iter().enumerate() {
+        arr.assign(id.clone(), i as u32);
+    }
+    let mut s = Stream::new(1);
+    let mut acc = 0u32;
+    for _ in 0..names.len() * 4 {
+        if let Some(v) = arr.read(&names[s.below(names.len())]) {
+            acc = acc.wrapping_add(*v);
+        }
+    }
+    acc
+}
+
+/// TB-3's workload: 1,000 declarations of 64 names through `add` (the
+/// unchecked `ADD'`) or `add_defensive`, entering a block after every
+/// 97th; returns the final block depth.
+fn declare(
+    names: &[Ident],
+    attrs: &AttrList,
+    mut add: impl FnMut(&mut SymbolTable, Ident, AttrList),
+) -> usize {
+    let mut st: SymbolTable = SymbolTable::init();
+    for i in 0..1_000 {
+        add(&mut st, names[i % names.len()].clone(), attrs.clone());
+        if i % 97 == 0 {
+            st.enter_block();
+        }
+    }
+    st.depth()
+}
+
+/// The fixed benchmark set. Seeds and sizes are pinned so two runs on
+/// the same machine measure identical work.
 fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     let group = |name: &str| {
         let g = Group::new(name);
@@ -166,45 +205,87 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         });
     };
 
+    // TB-2 and TB-3 run first, on a fresh heap. Both loops are mostly
+    // allocation, and after the other groups the allocator's state made
+    // them up to 1.4x slower (TB-3: 300 vs 215 µs), which would hide
+    // TB-3's effect of a few percent.
+
+    // array_representations (TB-2): the cost of a premature
+    // representation choice (§5). The three Array representations satisfy
+    // the same axioms 17–20; which one wins depends on `n`, which is what
+    // a designer does not know when the representation is chosen early.
+    {
+        let g = group("array_representations");
+        for n in [4usize, 16, 64, 256, 1024] {
+            let names = ident_names(n);
+            let hash = g.bench(&format!("hash/{n}"), || {
+                array_workload::<HashArray<u32>>(std::hint::black_box(&names))
+            });
+            let linear = g.bench(&format!("linear/{n}"), || {
+                array_workload::<LinearArray<u32>>(std::hint::black_box(&names))
+            });
+            let bst = g.bench(&format!("bst/{n}"), || {
+                array_workload::<BstArray<u32>>(std::hint::black_box(&names))
+            });
+            push("array_representations", &format!("hash/{n}"), hash);
+            push("array_representations", &format!("linear/{n}"), linear);
+            push("array_representations", &format!("bst/{n}"), bst);
+        }
+    }
+
+    // defensive_check (TB-3): the defensive `ADD'` the paper calls
+    // "needless inefficiency" (§4) against the unchecked one, whose
+    // correctness rests on Assumption 1. The effect is a few percent, so
+    // the pair is measured with `bench_paired`.
+    {
+        let g = group("defensive_check");
+        let names = ident_names(64);
+        let attrs = AttrList::new().with("type", "integer");
+        let (unchecked, defensive) = g.bench_paired(
+            "unchecked/1000",
+            "defensive/1000",
+            || (),
+            |()| declare(std::hint::black_box(&names), &attrs, SymbolTable::add),
+            |()| {
+                declare(
+                    std::hint::black_box(&names),
+                    &attrs,
+                    SymbolTable::add_defensive,
+                )
+            },
+        );
+        push("defensive_check", "unchecked/1000", unchecked);
+        push("defensive_check", "defensive/1000", defensive);
+    }
+
     let spec = queue_spec();
     let sig = spec.sig();
 
-    // rewrite_queue: raw single-threaded normalization throughput.
+    // rewrite_queue (EX-1): raw single-threaded normalization
+    // throughput, and the cost profile of the two observer shapes —
+    // `FRONT` recurses the whole ADD chain, `IS_EMPTY?` answers in one
+    // step — and of REMOVE-heavy terms, whose normal forms rebuild the
+    // queue.
     {
         let g = group("rewrite_queue");
         let rw = Rewriter::new(&spec).with_fuel(100_000_000);
-        for &n in &[32usize, 128] {
+        let mut normalize_row = |name: String, term: adt_core::Term| {
+            let m = g.bench(&name, || {
+                rw.normalize(std::hint::black_box(&term))
+                    .expect("normalizes")
+            });
+            push("rewrite_queue", &name, m);
+        };
+        for n in [8usize, 32, 128] {
             let chain = queue_term(&spec, n, 0, 7);
-            let front = sig.apply("FRONT", vec![chain]).expect("well-sorted");
-            push(
-                "rewrite_queue",
-                &format!("front/{n}"),
-                g.bench(&format!("front/{n}"), || {
-                    rw.normalize(std::hint::black_box(&front))
-                        .expect("normalizes")
-                }),
-            );
+            for (label, op) in [("front", "FRONT"), ("is_empty", "IS_EMPTY?")] {
+                let term = sig.apply(op, vec![chain.clone()]).expect("well-sorted");
+                normalize_row(format!("{label}/{n}"), term);
+            }
         }
-        let is_empty = sig
-            .apply("IS_EMPTY?", vec![queue_term(&spec, 128, 0, 7)])
-            .expect("well-sorted");
-        push(
-            "rewrite_queue",
-            "is_empty/128",
-            g.bench("is_empty/128", || {
-                rw.normalize(std::hint::black_box(&is_empty))
-                    .expect("normalizes")
-            }),
-        );
-        let drain = queue_term(&spec, 64, 64, 7);
-        push(
-            "rewrite_queue",
-            "drain/64",
-            g.bench("drain/64", || {
-                rw.normalize(std::hint::black_box(&drain))
-                    .expect("normalizes")
-            }),
-        );
+        for n in [8usize, 32, 64, 128] {
+            normalize_row(format!("drain/{n}"), queue_term(&spec, n, n, 7));
+        }
         // 32 alternating observers over one shared state; each
         // normalization runs cold, with only its own run-local cache.
         let queries = 32;
@@ -231,18 +312,30 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         );
     }
 
-    // checker_scaling: the full completeness partition analysis, and the
-    // parallel completeness+consistency pipeline at 1 and 4 workers.
+    // checker_scaling (TB-4): the full completeness partition analysis
+    // over synthetic specs of growing size, witness synthesis on the
+    // paper's incomplete Queue, and the parallel completeness+consistency
+    // pipeline at 1 and 4 workers.
     {
         let g = group("checker_scaling");
-        let small = synthetic_spec(8, 32);
-        push(
-            "checker_scaling",
-            "complete/8ctors_32obs",
-            g.bench("complete/8ctors_32obs", || {
-                let report = adt_check::check_completeness(std::hint::black_box(&small));
+        for (ctors, obs) in [(2usize, 4usize), (4, 16), (8, 32), (16, 64)] {
+            let spec = synthetic_spec(ctors, obs);
+            let name = format!("complete/{ctors}ctors_{obs}obs");
+            let m = g.bench(&name, || {
+                let report = adt_check::check_completeness(std::hint::black_box(&spec));
                 assert!(report.is_sufficiently_complete());
                 report.coverage().len()
+            });
+            push("checker_scaling", &name, m);
+        }
+        let incomplete = queue_spec_incomplete();
+        push(
+            "checker_scaling",
+            "incomplete/queue_minus_axiom4",
+            g.bench("incomplete/queue_minus_axiom4", || {
+                let report = adt_check::check_completeness(std::hint::black_box(&incomplete));
+                assert_eq!(report.missing_case_count(), 1);
+                report.missing_case_count()
             }),
         );
 
@@ -495,28 +588,61 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         push("verification_depth", "symboltable_representation_proof", m);
     }
 
-    // Comparison rows carry their counterpart's median as `before_ns`, so
-    // the committed JSON reads as "reuse is this much faster" /
-    // "supervision costs this much" without consulting a second report.
-    for (group, row, baseline) in [
-        ("session_reuse", "one_session/8x16", "fresh_per_check/8x16"),
-        ("retry_ladder", "supervised/front96", "unsupervised/front96"),
-        (
-            "retry_ladder",
-            "rescue_two_pass/front96",
-            "right_sized/front96",
-        ),
-    ] {
+    rows
+}
+
+/// Comparison rows `(group, row, counterpart, minimum speedup)`. Each
+/// carries its counterpart's median as `before_ns`, so the committed JSON
+/// reads as "reuse is this much faster" / "supervision costs this much"
+/// without consulting a second report. A row with a minimum speedup
+/// fails the run when it is less than that many times faster than its
+/// counterpart.
+const COMPARISONS: [(&str, &str, &str, Option<f64>); 4] = [
+    (
+        "session_reuse",
+        "one_session/8x16",
+        "fresh_per_check/8x16",
+        Some(1.5),
+    ),
+    (
+        "retry_ladder",
+        "supervised/front96",
+        "unsupervised/front96",
+        None,
+    ),
+    (
+        "retry_ladder",
+        "rescue_two_pass/front96",
+        "right_sized/front96",
+        None,
+    ),
+    ("defensive_check", "defensive/1000", "unchecked/1000", None),
+];
+
+/// Gives each comparison row its counterpart's median as `before_ns`,
+/// prints every gated speedup, and returns one message per row below its
+/// minimum.
+fn link_comparisons(rows: &mut [BenchRecord]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (group, row, counterpart, min_speedup) in COMPARISONS {
         let before = rows
             .iter()
-            .find(|r| r.group == group && r.name == baseline)
+            .find(|r| r.group == group && r.name == counterpart)
             .map(|r| r.median_ns);
-        if let Some(r) = rows.iter_mut().find(|r| r.group == group && r.name == row) {
-            r.before_ns = before;
+        let Some(r) = rows.iter_mut().find(|r| r.group == group && r.name == row) else {
+            continue;
+        };
+        r.before_ns = before;
+        if let (Some(min), Some(speedup)) = (min_speedup, r.speedup()) {
+            println!("{group}/{row}: {speedup:.2}x faster than {counterpart} (minimum {min:.1}x)");
+            if speedup < min {
+                failures.push(format!(
+                    "{group}/{row} is only {speedup:.2}x faster than {counterpart}, below {min:.1}x"
+                ));
+            }
         }
     }
-
-    rows
+    failures
 }
 
 fn read_report(path: &str) -> Result<BenchReport, String> {
@@ -525,9 +651,9 @@ fn read_report(path: &str) -> Result<BenchReport, String> {
 }
 
 fn run(opts: &Options) -> Result<(), String> {
-    let quick = opts.quick || std::env::var_os("ADT_BENCH_QUICK").is_some_and(|v| v != "0");
-    let mut report = BenchReport::new(if quick { "quick" } else { "full" });
-    report.benchmarks = run_benchmarks(quick);
+    let mut report = BenchReport::new(if opts.quick { "quick" } else { "full" });
+    report.benchmarks = run_benchmarks(opts.quick);
+    let mut failures = link_comparisons(&mut report.benchmarks);
 
     if let Some(path) = &opts.merge_before {
         report.merge_before(&read_report(path)?);
@@ -544,31 +670,38 @@ fn run(opts: &Options) -> Result<(), String> {
     if let Some(path) = &opts.baseline {
         let baseline = read_report(path)?;
         let regs = regressions(&report, &baseline, opts.max_regress);
-        if !regs.is_empty() {
+        if regs.is_empty() {
+            println!(
+                "baseline `{path}`: all {} benchmark(s) ran, none past {:.1}x",
+                baseline.benchmarks.len(),
+                opts.max_regress
+            );
+        } else {
             let mut msg = format!(
-                "{} benchmark(s) regressed past {:.1}x the baseline `{path}`:\n",
+                "{} benchmark(s) of the baseline `{path}` missing or past {:.1}x:",
                 regs.len(),
                 opts.max_regress
             );
             for r in &regs {
-                msg.push_str(&format!(
-                    "  {}: {} ns -> {} ns ({:.2}x)\n",
-                    r.key, r.baseline_ns, r.fresh_ns, r.factor
-                ));
+                match r.fresh_ns {
+                    Some(ns) => msg.push_str(&format!(
+                        "\n  {}: {} ns -> {ns} ns ({:.2}x)",
+                        r.key,
+                        r.baseline_ns,
+                        ns as f64 / r.baseline_ns.max(1) as f64
+                    )),
+                    None => msg.push_str(&format!("\n  {}: missing from this run", r.key)),
+                }
             }
-            return Err(msg);
+            failures.push(msg);
         }
-        println!(
-            "baseline `{path}`: {} shared benchmark(s), none past {:.1}x",
-            report
-                .benchmarks
-                .iter()
-                .filter(|b| baseline.find(&b.key()).is_some())
-                .count(),
-            opts.max_regress
-        );
     }
-    Ok(())
+
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("\n"))
+    }
 }
 
 fn main() -> ExitCode {
@@ -604,6 +737,50 @@ mod tests {
             let trace = symtab_trace(len, 8, 0xC0FFEE);
             let mut session = SymbolicSession::new(&symtab);
             assert_eq!(run_symbolic(&mut session, &trace), run_direct(&trace));
+        }
+    }
+
+    #[test]
+    fn array_representations_agree() {
+        for n in [4usize, 16, 64, 256, 1024] {
+            let names = ident_names(n);
+            let hash = array_workload::<HashArray<u32>>(&names);
+            assert_eq!(array_workload::<LinearArray<u32>>(&names), hash, "n = {n}");
+            assert_eq!(array_workload::<BstArray<u32>>(&names), hash, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn defensive_and_unchecked_declarations_agree() {
+        let names = ident_names(64);
+        let attrs = AttrList::new().with("type", "integer");
+        assert_eq!(
+            declare(&names, &attrs, SymbolTable::add),
+            declare(&names, &attrs, SymbolTable::add_defensive)
+        );
+    }
+
+    fn row(group: &str, name: &str, median_ns: u64) -> BenchRecord {
+        BenchRecord {
+            group: group.to_string(),
+            name: name.to_string(),
+            median_ns,
+            before_ns: None,
+            iters: 1,
+            samples: 10,
+        }
+    }
+
+    #[test]
+    fn session_reuse_must_be_at_least_one_and_a_half_times_faster() {
+        for (fresh_ns, passes) in [(1_490, false), (1_500, true)] {
+            let mut rows = vec![
+                row("session_reuse", "fresh_per_check/8x16", fresh_ns),
+                row("session_reuse", "one_session/8x16", 1_000),
+            ];
+            let failures = link_comparisons(&mut rows);
+            assert_eq!(failures.is_empty(), passes, "{failures:?}");
+            assert_eq!(rows[1].before_ns, Some(fresh_ns));
         }
     }
 

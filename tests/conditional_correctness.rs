@@ -122,7 +122,7 @@ fn defensive_add_only_matters_when_the_invariant_is_broken() {
     // Under the structural invariant (INIT establishes a scope,
     // LEAVEBLOCK refuses to drop the last one), the checked and unchecked
     // ADD are indistinguishable — the check is the paper's "needless
-    // inefficiency" (measured by the `defensive_check` bench).
+    // inefficiency" (measured by the `defensive_check` group of `adt-bench`).
     let universe: Vec<Ident> = ["x", "y", "z"].iter().map(|s| Ident::new(*s)).collect();
     let mut checked: SymbolTable = SymbolTable::init();
     let mut unchecked: SymbolTable = SymbolTable::init();
