@@ -17,8 +17,8 @@ use std::fmt;
 use std::time::Instant;
 
 use adt_core::{
-    display, EngineError, ExhaustionCause, Fuel, FuelSpent, Interrupt, OpId, Session, Signature,
-    SortId, Spec, Term, VarId,
+    display, EngineError, ExhaustionCause, Fresh, Fuel, FuelSpent, Interrupt, OpId, Session,
+    Signature, SortId, Spec, Term, VarId,
 };
 
 use crate::config::{CheckConfig, RetryFuel};
@@ -72,7 +72,7 @@ pub enum Coverage {
     Complete,
     /// Cases are missing; each entry is a synthesized witness term the
     /// axioms say nothing about (rendered against
-    /// [`CompletenessReport::spec`]).
+    /// [`CompletenessReport::sig`]).
     Missing(Vec<Term>),
     /// The analysis ran out of budget before deciding: a *partial*
     /// verdict, not a failure. Missing cases found before exhaustion are
@@ -85,7 +85,7 @@ pub enum Coverage {
         /// Definite missing cases found before the budget ran out.
         missing: Vec<Term>,
         /// Unexplored case groups, as witness terms (rendered against
-        /// [`CompletenessReport::spec`]).
+        /// [`CompletenessReport::sig`]).
         frontier: Vec<Term>,
         /// Unexplored case groups beyond the reported frontier.
         truncated: usize,
@@ -162,20 +162,20 @@ impl OpCoverage {
 
 /// The result of a sufficient-completeness check.
 ///
-/// The report owns an extended copy of the specification (fresh variables
+/// The report owns an extended copy of the signature (fresh variables
 /// were minted to display witness terms); render witnesses against
-/// [`CompletenessReport::spec`].
+/// [`CompletenessReport::sig`].
 #[derive(Debug, Clone)]
 pub struct CompletenessReport {
-    spec: Spec,
+    sig: Signature,
     coverage: Vec<OpCoverage>,
     stats: CheckStats,
 }
 
 impl CompletenessReport {
-    /// The specification extended with witness variables.
-    pub fn spec(&self) -> &Spec {
-        &self.spec
+    /// The specification's signature extended with witness variables.
+    pub fn sig(&self) -> &Signature {
+        &self.sig
     }
 
     /// Telemetry from the run (worker utilization, per-op analysis time).
@@ -258,7 +258,7 @@ impl CompletenessReport {
                         cases.len()
                     ));
                     for case in cases {
-                        out.push_str(&format!("  {} = ?\n", display::term(self.spec.sig(), case)));
+                        out.push_str(&format!("  {} = ?\n", display::term(&self.sig, case)));
                     }
                 }
                 Coverage::Exhausted {
@@ -272,12 +272,12 @@ impl CompletenessReport {
                         cov.op_name
                     ));
                     for case in missing {
-                        out.push_str(&format!("  {} = ?\n", display::term(self.spec.sig(), case)));
+                        out.push_str(&format!("  {} = ?\n", display::term(&self.sig, case)));
                     }
                     for case in frontier {
                         out.push_str(&format!(
                             "  {} = ? (unexplored)\n",
-                            display::term(self.spec.sig(), case)
+                            display::term(&self.sig, case)
                         ));
                     }
                     if *truncated > 0 {
@@ -479,81 +479,75 @@ pub fn check_completeness_with_config(spec: &Spec, config: &CheckConfig) -> Comp
         &mut stats,
     );
 
-    let mut sig = spec.sig().clone();
-    let mut witness_vars: Vec<(SortId, Vec<VarId>)> = Vec::new();
-    let mut coverage = Vec::new();
-    for (&op, outcome) in derived.iter().zip(outcomes) {
-        let analysis = match outcome {
-            Supervised::Done(analysis) => analysis,
-            Supervised::Stopped(kind) => {
-                coverage.push(OpCoverage::unanalysed(
-                    spec,
-                    op,
-                    Coverage::Interrupted { kind },
-                ));
-                continue;
-            }
-            Supervised::Failed(failure) => {
-                let error = failure.error;
-                coverage.push(OpCoverage::unanalysed(spec, op, Coverage::Failed { error }));
-                continue;
-            }
-        };
-        stats
-            .op_times
-            .push((analysis.op_name.clone(), analysis.time));
-        let mut materialize_cases = |cases: &[Vec<Witness>], sig: &mut Signature| -> Vec<Term> {
-            cases
-                .iter()
-                .map(|case| {
-                    let terms: Vec<Term> = {
-                        let mut counters = std::collections::HashMap::new();
-                        case.iter()
-                            .map(|w| materialize_inner(w, sig, &mut witness_vars, &mut counters))
-                            .collect()
-                    };
-                    Term::App(analysis.op, terms)
-                })
-                .collect()
-        };
-        let missing: Vec<Term> = materialize_cases(&analysis.missing_cases, &mut sig);
-        let frontier: Vec<Term> = materialize_cases(&analysis.frontier_cases, &mut sig);
-
-        let exhausted = !frontier.is_empty() || analysis.frontier_truncated > 0;
-        coverage.push(OpCoverage {
-            op: analysis.op,
-            op_name: analysis.op_name,
-            coverage: if exhausted {
-                Coverage::Exhausted {
-                    spent: FuelSpent {
-                        steps: analysis.partitions as u64,
-                        depth: 0,
-                        cause: ExhaustionCause::Steps,
-                    },
-                    missing,
-                    frontier,
-                    truncated: analysis.frontier_truncated,
+    // Witness variables extend the signature; the axioms are untouched,
+    // so the report keeps only the extended signature.
+    let (sig, coverage) = spec.sig().extend(|fresh| {
+        let mut witness_vars: Vec<(SortId, Vec<VarId>)> = Vec::new();
+        let mut coverage = Vec::new();
+        for (&op, outcome) in derived.iter().zip(outcomes) {
+            let analysis = match outcome {
+                Supervised::Done(analysis) => analysis,
+                Supervised::Stopped(kind) => {
+                    coverage.push(OpCoverage::unanalysed(
+                        spec,
+                        op,
+                        Coverage::Interrupted { kind },
+                    ));
+                    continue;
                 }
-            } else if missing.is_empty() {
-                Coverage::Complete
-            } else {
-                Coverage::Missing(missing)
-            },
-            notes: analysis.notes,
-            axiom_count: analysis.axiom_count,
-        });
-    }
+                Supervised::Failed(failure) => {
+                    let error = failure.error;
+                    coverage.push(OpCoverage::unanalysed(spec, op, Coverage::Failed { error }));
+                    continue;
+                }
+            };
+            stats
+                .op_times
+                .push((analysis.op_name.clone(), analysis.time));
+            let mut materialize_cases = |cases: &[Vec<Witness>]| -> Vec<Term> {
+                cases
+                    .iter()
+                    .map(|case| {
+                        let mut counters = std::collections::HashMap::new();
+                        let terms = case
+                            .iter()
+                            .map(|w| materialize_inner(w, fresh, &mut witness_vars, &mut counters))
+                            .collect();
+                        Term::App(analysis.op, terms)
+                    })
+                    .collect()
+            };
+            let missing: Vec<Term> = materialize_cases(&analysis.missing_cases);
+            let frontier: Vec<Term> = materialize_cases(&analysis.frontier_cases);
 
-    let spec = Spec::from_parts(
-        spec.name().to_owned(),
-        sig,
-        spec.axioms().to_vec(),
-        spec.tois().to_vec(),
-        spec.params().to_vec(),
-    )
-    .expect("extending a valid spec with variables keeps it valid");
+            let exhausted = !frontier.is_empty() || analysis.frontier_truncated > 0;
+            coverage.push(OpCoverage {
+                op: analysis.op,
+                op_name: analysis.op_name,
+                coverage: if exhausted {
+                    Coverage::Exhausted {
+                        spent: FuelSpent {
+                            steps: analysis.partitions as u64,
+                            depth: 0,
+                            cause: ExhaustionCause::Steps,
+                        },
+                        missing,
+                        frontier,
+                        truncated: analysis.frontier_truncated,
+                    }
+                } else if missing.is_empty() {
+                    Coverage::Complete
+                } else {
+                    Coverage::Missing(missing)
+                },
+                notes: analysis.notes,
+                axiom_count: analysis.axiom_count,
+            });
+        }
+        coverage
+    });
     CompletenessReport {
-        spec,
+        sig,
         coverage,
         stats,
     }
@@ -757,30 +751,33 @@ fn set_at(case: &Witness, path: &[usize], replacement: Witness) -> Witness {
 
 fn materialize_inner(
     w: &Witness,
-    sig: &mut Signature,
+    fresh: &mut Fresh<'_>,
     pool: &mut Vec<(SortId, Vec<VarId>)>,
     counters: &mut std::collections::HashMap<SortId, usize>,
 ) -> Term {
     match w {
         Witness::Any(sort) => {
             let idx = counters.entry(*sort).or_insert(0);
-            let var = fresh_var(*sort, *idx, sig, pool);
+            let var = fresh_var(*sort, *idx, fresh, pool);
             *idx += 1;
             Term::Var(var)
         }
         Witness::Ctor(op, args) => Term::App(
             *op,
             args.iter()
-                .map(|a| materialize_inner(a, sig, pool, counters))
+                .map(|a| materialize_inner(a, fresh, pool, counters))
                 .collect(),
         ),
     }
 }
 
+/// The `idx`-th witness variable of `sort`, shared by every case: named
+/// `<sort>_<n>` in lower case, with `n` counting from the pool's size
+/// plus one up to the first free name.
 fn fresh_var(
     sort: SortId,
     idx: usize,
-    sig: &mut Signature,
+    fresh: &mut Fresh<'_>,
     pool: &mut Vec<(SortId, Vec<VarId>)>,
 ) -> VarId {
     let entry = match pool.iter_mut().find(|(s, _)| *s == sort) {
@@ -791,18 +788,11 @@ fn fresh_var(
         }
     };
     while entry.1.len() <= idx {
-        let base = sig.sort(sort).name().to_lowercase();
+        let base = fresh.sig().sort(sort).name().to_lowercase();
         let n = entry.1.len() + 1;
-        // Find a name not already taken in the signature.
-        let mut k = n;
-        let var = loop {
-            let candidate = format!("{base}_{k}");
-            match sig.add_var(&candidate, sort) {
-                Ok(v) => break v,
-                Err(_) => k += 1,
-            }
-        };
-        entry.1.push(var);
+        entry
+            .1
+            .push(fresh.var(sort, (n..).map(|k| format!("{base}_{k}"))));
     }
     entry.1[idx]
 }
@@ -879,7 +869,7 @@ mod tests {
         let Coverage::Missing(cases) = cov.coverage() else {
             panic!("expected missing cases");
         };
-        let rendered = display::term(report.spec().sig(), &cases[0]).to_string();
+        let rendered = display::term(report.sig(), &cases[0]).to_string();
         assert_eq!(rendered, "FRONT(ADD(queue_1, item_1))");
         assert!(report.prompts().contains("FRONT(ADD(queue_1, item_1)) = ?"));
     }
@@ -943,7 +933,7 @@ mod tests {
             panic!("expected missing");
         };
         assert_eq!(cases.len(), 1);
-        let rendered = display::term(report.spec().sig(), &cases[0]).to_string();
+        let rendered = display::term(report.sig(), &cases[0]).to_string();
         assert_eq!(rendered, "LEAVEBLOCK(ENTERBLOCK(symboltable_1))");
     }
 
@@ -969,7 +959,7 @@ mod tests {
         assert_eq!(cases.len(), 2, "cases: {cases:#?}");
         let rendered: Vec<String> = cases
             .iter()
-            .map(|c| display::term(report.spec().sig(), c).to_string())
+            .map(|c| display::term(report.sig(), c).to_string())
             .collect();
         assert!(
             rendered.contains(&"EQ?(ZERO, SUCC(nat_1))".to_owned()),

@@ -20,13 +20,10 @@
 use std::collections::HashSet;
 
 use adt_core::{
-    display, match_pattern, DetRng, EngineError, ExhaustionCause, FuelSpent, Interrupt, OpId,
-    Session, Signature, SortId, Spec, Term,
+    display, match_pattern, DetRng, ExhaustionCause, FuelSpent, Interrupt, OpId, Session,
+    Signature, SortId, Spec, Term,
 };
-use adt_rewrite::{
-    classify_superposition, superpositions, CriticalPair, PairStatus, RewriteError, Rewriter,
-    Superposition,
-};
+use adt_rewrite::{classify_superposition, superpositions, PairStatus, RewriteError, Rewriter};
 
 use crate::config::CheckConfig;
 use crate::fault::{PAIRS, PROBES};
@@ -319,40 +316,7 @@ pub fn check_consistency_with_config(
     let mut probe_verdicts: Vec<String> = Vec::new();
 
     // Phase 1: critical pairs — sequential enumeration, parallel joining.
-    let set = match superpositions(spec) {
-        Ok(set) => set,
-        Err(err) => {
-            // Enumeration itself rejected the spec: no per-item work ran.
-            // Surface the phase failure instead of tearing the caller down.
-            let error = match err {
-                RewriteError::Engine(e) => e,
-                other => EngineError::PhaseFailed {
-                    phase: PAIRS,
-                    message: other.to_string(),
-                },
-            };
-            failures.push(CheckFailure {
-                index: 0,
-                error,
-                retried: false,
-            });
-            return ConsistencyReport {
-                verdict: ConsistencyVerdict::Unknown,
-                contradictions,
-                unresolved_pairs: 0,
-                pairs_checked: 0,
-                probes_run: 0,
-                exhausted_probes,
-                exhausted_pairs: 0,
-                interrupted_items: 0,
-                failures,
-                pair_verdicts,
-                probe_verdicts,
-                stats,
-                spec: spec.clone(),
-            };
-        }
-    };
+    let set = superpositions(spec);
     let pairs_checked = set.superpositions.len();
     let pair_outcomes = run_supervised(
         config,
@@ -364,7 +328,7 @@ pub fn check_consistency_with_config(
                 .supervised(supervisor.clone())
         },
         |rw, sp, _| classify_superposition(rw, sp),
-        |pair| retryable_pair(&pair.status),
+        retryable_pair,
         |idx, sp| {
             format!(
                 "critical pair #{idx} ({} / {})",
@@ -375,16 +339,16 @@ pub fn check_consistency_with_config(
     );
     stats.pairs_checked = pairs_checked;
     for (sp, outcome) in set.superpositions.iter().zip(pair_outcomes) {
-        let pair = match outcome {
-            Supervised::Done(pair) => pair,
-            Supervised::Stopped(kind) => interrupted_pair(sp, kind),
+        let status = match outcome {
+            Supervised::Done(status) => status,
+            Supervised::Stopped(kind) => PairStatus::Interrupted { kind },
             Supervised::Failed(failure) => {
                 pair_verdicts.push(format!("engine fault: {}", failure.error));
                 failures.push(failure);
                 continue;
             }
         };
-        pair_verdicts.push(match &pair.status {
+        pair_verdicts.push(match &status {
             PairStatus::Joinable(nf) => {
                 format!("joins at {}", display::term(set.spec.sig(), nf))
             }
@@ -397,12 +361,12 @@ pub fn check_consistency_with_config(
             PairStatus::Interrupted { kind } => format!("interrupted: {kind}"),
             PairStatus::Unknown { reason } => format!("unknown: {reason}"),
         });
-        match pair.status {
+        match status {
             PairStatus::Joinable(_) => {}
             PairStatus::Diverged { left_nf, right_nf } => {
                 if distinguishable(set.spec.sig(), &left_nf, &right_nf) {
                     contradictions.push(Contradiction {
-                        peak: pair.peak.clone(),
+                        peak: sp.peak.clone(),
                         left_nf,
                         right_nf,
                         source: "critical-pair",
@@ -526,19 +490,6 @@ pub fn check_consistency_with_config(
         probe_verdicts,
         stats,
         spec: set.spec,
-    }
-}
-
-/// A critical pair the supervisor stopped before classification.
-fn interrupted_pair(sp: &Superposition, kind: Interrupt) -> CriticalPair {
-    CriticalPair {
-        outer_rule: sp.outer_rule.clone(),
-        inner_rule: sp.inner_rule.clone(),
-        position: sp.position.clone(),
-        peak: sp.peak.clone(),
-        left: sp.left.clone(),
-        right: sp.right.clone(),
-        status: PairStatus::Interrupted { kind },
     }
 }
 
@@ -753,6 +704,32 @@ mod tests {
             .any(|c| c.source == "critical-pair" || c.source == "ground-probe"));
         let summary = report.summary();
         assert!(summary.contains("contradiction"), "{summary}");
+    }
+
+    #[test]
+    fn a_declared_primed_variable_is_renamed_around() {
+        // `x′` is the name renaming apart tries first for `x`; with it
+        // taken, the pair F(x, A) / F(B, x) is still found and diverges.
+        let mut b = SpecBuilder::new("Primed");
+        let s = b.sort("S");
+        let a = b.ctor("A", [], s);
+        let bb = b.ctor("B", [], s);
+        let f = b.op("F", [s, s], s);
+        let x = Term::Var(b.var("x", s));
+        b.var("x\u{2032}", s);
+        b.axiom("f1", b.app(f, [x.clone(), b.app(a, [])]), b.app(a, []));
+        b.axiom("f2", b.app(f, [b.app(bb, []), x]), b.app(bb, []));
+        let peak = b.app(f, [b.app(bb, []), b.app(a, [])]);
+        let report = check_consistency(&b.build().unwrap());
+        assert_eq!(report.verdict(), &ConsistencyVerdict::Inconsistent);
+        assert!(
+            report
+                .contradictions()
+                .iter()
+                .any(|c| c.source == "critical-pair" && c.peak == peak),
+            "{}",
+            report.summary()
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! specification smell: either the axioms are redundant (same meaning) or
 //! the rule order silently decides which one fires.
 
-use adt_core::{unify, Spec, Subst, Term, VarId};
+use adt_core::{unify, Spec, Term};
+use adt_rewrite::rename_apart;
 
 /// A pair of axioms whose left-hand sides overlap at the root: some term
 /// is matched by both.
@@ -29,19 +30,8 @@ pub struct OverlapPair {
 /// one. Only axioms in one head bucket
 /// ([`Spec::axiom_indices_by_head`]) are compared.
 pub fn overlapping_axioms(spec: &Spec) -> Vec<OverlapPair> {
-    // Rename-apart table: map every variable of the second axiom to a
-    // fresh variable in an extended signature.
-    let mut sig = spec.sig().clone();
-    let mut renaming = Subst::new();
-    let var_ids: Vec<VarId> = sig.var_ids().collect();
-    for v in var_ids {
-        let name = format!("{}~2", sig.var(v).name());
-        let sort = sig.var(v).sort();
-        if let Ok(fresh) = sig.add_var(&name, sort) {
-            renaming.bind(v, Term::Var(fresh));
-        }
-    }
-
+    // The later axiom of each pair is renamed apart from the earlier one.
+    let (_, renaming) = rename_apart(spec);
     let axioms = spec.axioms();
     // (earlier, later, fully shadowed), sorted back into declaration
     // order after the per-bucket scan.
@@ -188,6 +178,33 @@ mod tests {
         b.axiom("z2", b.app(is_zero, [b.app(succ, [x])]), ff);
         let spec = b.build().unwrap();
         assert!(overlapping_axioms(&spec).is_empty());
+    }
+
+    #[test]
+    fn a_declared_renaming_name_does_not_hide_an_overlap() {
+        // F(x, A) and F(B, x) overlap on F(B, A) once the second `x` is
+        // renamed apart, even when a variable already has the name a
+        // renaming would pick first.
+        let mut b = SpecBuilder::new("S");
+        let s = b.sort("S");
+        let a = b.ctor("A", [], s);
+        let bb = b.ctor("B", [], s);
+        let f = b.op("F", [s, s], s);
+        let x = Term::Var(b.var("x", s));
+        b.var("x~2", s);
+        b.var("x\u{2032}", s);
+        b.axiom("f1", b.app(f, [x.clone(), b.app(a, [])]), b.app(a, []));
+        b.axiom("f2", b.app(f, [b.app(bb, []), x]), b.app(bb, []));
+        let spec = b.build().unwrap();
+        let pairs = overlapping_axioms(&spec);
+        assert_eq!(
+            pairs,
+            [OverlapPair {
+                first: "f1".to_owned(),
+                second: "f2".to_owned(),
+                fully_shadowed: false,
+            }]
+        );
     }
 
     #[test]

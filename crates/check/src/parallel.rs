@@ -65,10 +65,6 @@ pub struct CheckFailure {
     pub index: usize,
     /// What went wrong (always names the item via the caller's label).
     pub error: EngineError,
-    /// Whether the item was retried before being declared failed: `true`
-    /// for a work item that panicked twice, `false` for a whole-phase
-    /// failure such as a rejected superposition enumeration.
-    pub retried: bool,
 }
 
 /// Per-item outcome of a panic-isolated pool run ([`run_isolated`]).
@@ -120,7 +116,6 @@ where
                 item: label(idx, item),
                 message: panic_message(payload.as_ref()),
             },
-            retried: true,
         }),
     }
 }
@@ -535,7 +530,6 @@ mod tests {
                 if i == 37 {
                     let f = outcome.failure().expect("item 37 must fail");
                     assert_eq!(f.index, 37);
-                    assert!(f.retried);
                     assert!(f.error.to_string().contains("probe #37"), "{}", f.error);
                 } else {
                     assert_eq!(outcome, &ItemOutcome::Done(i * 2), "jobs={jobs} item {i}");

@@ -369,21 +369,21 @@ fn offset_in(line: &str, part: &str) -> usize {
 fn parse_term_in_env(symbolic: &SymbolicSession, source: &str) -> Result<Term, Diagnostics> {
     let ast = parse_term_source(source)?;
     let spec = symbolic.session().spec();
-    let mut sig = spec.sig().clone();
-    let mut subst = Subst::new();
-    for name in symbolic.bound_vars() {
-        if sig.find_var(name).is_some() || sig.find_op(name).is_some() {
-            continue; // spec names shadow session bindings
+    let (sig, subst) = spec.sig().extend(|fresh| {
+        let mut subst = Subst::new();
+        for name in symbolic.bound_vars() {
+            if fresh.sig().find_var(name).is_some() || fresh.sig().find_op(name).is_some() {
+                continue; // spec names shadow session bindings
+            }
+            let value = symbolic.get(name).expect("listed names are bound");
+            let sort = value
+                .sort(spec.sig())
+                .expect("bound values are normalized well-sorted terms");
+            // Binding names are unique, so the name is free.
+            subst.bind(fresh.var(sort, [name.to_owned()]), value);
         }
-        let value = symbolic.get(name).expect("listed names are bound");
-        let sort = value
-            .sort(spec.sig())
-            .expect("bound values are normalized well-sorted terms");
-        let var = sig
-            .add_var(name, sort)
-            .expect("binding names were checked unique");
-        subst.bind(var, value);
-    }
+        subst
+    });
     let term = lower_term_in(&sig, &ast, None)?;
     Ok(subst.apply(&term))
 }

@@ -156,14 +156,6 @@ pub enum EngineError {
         /// The raw index.
         index: usize,
     },
-    /// A whole analysis phase failed before any per-item work began
-    /// (e.g. critical-pair enumeration rejected the specification).
-    PhaseFailed {
-        /// The phase that failed (`"pairs"`, `"probes"`, `"completeness"`).
-        phase: &'static str,
-        /// The underlying error, rendered.
-        message: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -177,9 +169,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::DanglingId { kind, index } => {
                 write!(f, "{kind} id #{index} does not belong to this signature")
-            }
-            EngineError::PhaseFailed { phase, message } => {
-                write!(f, "{phase} phase failed: {message}")
             }
         }
     }

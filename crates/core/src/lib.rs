@@ -88,7 +88,7 @@ pub use matching::{match_pattern, match_pattern_at_root};
 pub use rng::{fnv1a, DetRng};
 pub use rules::RuleSet;
 pub use session::{Session, SessionStats};
-pub use signature::{OpInfo, Signature, SortInfo, VarInfo};
+pub use signature::{Fresh, OpInfo, Signature, SortInfo, VarInfo};
 pub use spec::{Spec, SpecBuilder};
 pub use subst::Subst;
 pub use supervise::{CancelToken, Deadline, Interrupt, Supervisor};

@@ -421,6 +421,68 @@ impl Signature {
     pub fn var_count(&self) -> usize {
         self.vars.len()
     }
+
+    /// A copy of the signature extended by `declare`, which can only add
+    /// fresh variables and constants (see [`Fresh`]), plus what `declare`
+    /// returned. Every term that sort-checks against `self` still does
+    /// against the copy, with the same sort.
+    pub fn extend<R>(&self, declare: impl FnOnce(&mut Fresh<'_>) -> R) -> (Signature, R) {
+        let mut sig = self.clone();
+        let out = declare(&mut Fresh { sig: &mut sig });
+        (sig, out)
+    }
+}
+
+/// The handle [`Signature::extend`] and [`crate::Spec::extend`] give their
+/// closure. It declares new variables and constants under the first name
+/// from a list of candidates that is still free, and nothing else: no
+/// existing sort, operation or variable changes, so an extension keeps
+/// every axiom valid.
+#[derive(Debug)]
+pub struct Fresh<'a> {
+    sig: &'a mut Signature,
+}
+
+impl Fresh<'_> {
+    /// The signature extended so far.
+    pub fn sig(&self) -> &Signature {
+        self.sig
+    }
+
+    /// Declares a variable of `sort` under the first name in `candidates`
+    /// that no variable has yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every candidate is taken; callers pass an unbounded list.
+    pub fn var(&mut self, sort: SortId, candidates: impl IntoIterator<Item = String>) -> VarId {
+        let name = first_free(candidates, |n| self.sig.var_by_name.contains_key(n));
+        self.sig.add_var(&name, sort).expect("the name is free")
+    }
+
+    /// Declares a constant (a nullary constructor) of `sort` under the
+    /// first name in `candidates` that no operation has yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every candidate is taken; callers pass an unbounded list.
+    pub fn constant(&mut self, sort: SortId, candidates: impl IntoIterator<Item = String>) -> OpId {
+        let name = first_free(candidates, |n| self.sig.op_by_name.contains_key(n));
+        self.sig
+            .add_ctor(&name, Vec::new(), sort)
+            .expect("the name is free")
+    }
+}
+
+/// The first candidate that is not `taken`.
+fn first_free(
+    candidates: impl IntoIterator<Item = String>,
+    taken: impl Fn(&str) -> bool,
+) -> String {
+    candidates
+        .into_iter()
+        .find(|name| !taken(name))
+        .expect("every candidate name is taken")
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::axiom::Axiom;
 use crate::error::CoreError;
 use crate::ids::{OpId, SortId, VarId};
-use crate::signature::Signature;
+use crate::signature::{Fresh, Signature};
 use crate::term::Term;
 use crate::Result;
 
@@ -179,6 +179,27 @@ impl Spec {
         };
         spec.validate()?;
         Ok(spec)
+    }
+
+    /// A copy of the specification whose signature `declare` extends with
+    /// fresh variables and constants (see [`Signature::extend`]), plus
+    /// what `declare` returned.
+    ///
+    /// The copy is not re-validated: adding declarations cannot make an
+    /// axiom ill-sorted, duplicate a label or take a constructor from a
+    /// sort of interest. Axioms are validated where they enter a spec —
+    /// [`SpecBuilder::build`] and the other callers of
+    /// [`Spec::from_parts`].
+    pub fn extend<R>(&self, declare: impl FnOnce(&mut Fresh<'_>) -> R) -> (Spec, R) {
+        let (sig, out) = self.sig.extend(declare);
+        let spec = Spec {
+            name: self.name.clone(),
+            sig,
+            axioms: self.axioms.clone(),
+            tois: self.tois.clone(),
+            params: self.params.clone(),
+        };
+        (spec, out)
     }
 }
 

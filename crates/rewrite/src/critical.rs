@@ -7,11 +7,12 @@
 //! superpositions of a specification ([`superpositions`]) and classifies
 //! each as joinable or diverged ([`classify_superposition`]).
 
-use adt_core::{unify, Axiom, Fuel, FuelSpent, Interrupt, Position, Spec, Subst, Term, VarId};
+use std::iter::successors;
+
+use adt_core::{unify, Axiom, Fuel, FuelSpent, Interrupt, Position, Spec, Subst, Term};
 
 use crate::engine::Rewriter;
 use crate::error::RewriteError;
-use crate::Result;
 
 /// How a critical pair resolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,29 +51,9 @@ pub enum PairStatus {
     },
 }
 
-/// One critical pair: a *peak* term reducible two ways.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CriticalPair {
-    /// Label of the rule applied at the root.
-    pub outer_rule: String,
-    /// Label of the rule applied at `position`.
-    pub inner_rule: String,
-    /// The non-variable position of `outer_rule`'s left-hand side where
-    /// `inner_rule`'s left-hand side was overlapped.
-    pub position: Position,
-    /// The common ancestor `σ(l_outer)`.
-    pub peak: Term,
-    /// The root-rewrite reduct `σ(r_outer)`.
-    pub left: Term,
-    /// The inner-rewrite reduct `σ(l_outer[r_inner]_p)`.
-    pub right: Term,
-    /// Joinability classification.
-    pub status: PairStatus,
-}
-
 /// One superposition: a critical pair before joinability classification.
 ///
-/// Produced by [`superpositions`]; classified into a [`CriticalPair`] by
+/// Produced by [`superpositions`]; classified into a [`PairStatus`] by
 /// [`classify_superposition`]. The split exists so callers (the parallel
 /// checking engine in `adt-check`) can enumerate sequentially — the
 /// enumeration order defines report order — and classify each pair on any
@@ -121,14 +102,13 @@ pub struct SuperpositionSet {
 /// each subterm's root, sorts them into declaration order and unifies
 /// only those. The cost is one unification per candidate — the size of
 /// the buckets the positions hit — instead of one per axiom² × position.
-///
-/// # Errors
-///
-/// Returns an error only if the extended specification cannot be
-/// constructed (which would indicate a bug, not bad input).
-pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
-    let (extended, renamed) = rename_apart(spec)?;
+pub fn superpositions(spec: &Spec) -> SuperpositionSet {
+    let (extended, renaming) = rename_apart(spec);
     let axioms = extended.axioms();
+    let renamed: Vec<(Term, Term)> = axioms
+        .iter()
+        .map(|ax| (renaming.apply(ax.lhs()), renaming.apply(ax.rhs())))
+        .collect();
     let by_root = extended.axiom_indices_by_head();
     let mut found = Vec::new();
     let mut candidates: Vec<(usize, usize)> = Vec::new();
@@ -163,42 +143,30 @@ pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
             }
         }
     }
-    Ok(SuperpositionSet {
+    SuperpositionSet {
         spec: extended,
         superpositions: found,
-    })
+    }
 }
 
-/// The spec extended with a renamed copy of every variable, and each
-/// axiom's `(lhs, rhs)` renamed into those copies, so the two axioms of a
-/// pair never share variables.
-fn rename_apart(spec: &Spec) -> Result<(Spec, Vec<(Term, Term)>)> {
-    let mut sig = spec.sig().clone();
-    let mut renaming = Subst::new();
-    let var_ids: Vec<VarId> = sig.var_ids().collect();
-    for v in var_ids {
-        let info_name = sig.var(v).name().to_owned();
-        let sort = sig.var(v).sort();
-        let fresh_name = format!("{info_name}\u{2032}"); // a prime mark
-        let fresh = sig
-            .add_var(&fresh_name, sort)
-            .expect("fresh variable names cannot collide");
-        renaming.bind(v, Term::Var(fresh));
-    }
-    let extended = Spec::from_parts(
-        spec.name().to_owned(),
-        sig,
-        spec.axioms().to_vec(),
-        spec.tois().to_vec(),
-        spec.params().to_vec(),
-    )
-    .map_err(crate::RewriteError::from)?;
-    let renamed = extended
-        .axioms()
-        .iter()
-        .map(|ax| (renaming.apply(ax.lhs()), renaming.apply(ax.rhs())))
-        .collect();
-    Ok((extended, renamed))
+/// The spec extended with a renamed copy of every variable, and the
+/// renaming from each variable to its copy, so that two axioms, one of
+/// them renamed, never share a variable.
+///
+/// The copy of `x` is `x′` (a prime mark), or `x′′`, `x′′′`, … if that
+/// name is taken.
+pub fn rename_apart(spec: &Spec) -> (Spec, Subst) {
+    spec.extend(|fresh| {
+        let mut renaming = Subst::new();
+        for v in spec.sig().var_ids() {
+            let info = spec.sig().var(v);
+            let primed = successors(Some(format!("{}\u{2032}", info.name())), |name| {
+                Some(format!("{name}\u{2032}"))
+            });
+            renaming.bind(v, Term::Var(fresh.var(info.sort(), primed)));
+        }
+        renaming
+    })
 }
 
 /// The superposition of `inner` (renamed apart, right side `inner_rhs`)
@@ -230,17 +198,8 @@ fn superpose(
 /// The rewriter must have been built over [`SuperpositionSet::spec`] (the
 /// extended spec), not the original input spec. Safe to call from several
 /// threads at once when the rewriter is shared by reference.
-pub fn classify_superposition(rw: &Rewriter<'_>, sp: &Superposition) -> CriticalPair {
-    let status = join(rw, &sp.left, &sp.right);
-    CriticalPair {
-        outer_rule: sp.outer_rule.clone(),
-        inner_rule: sp.inner_rule.clone(),
-        position: sp.position.clone(),
-        peak: sp.peak.clone(),
-        left: sp.left.clone(),
-        right: sp.right.clone(),
-        status,
-    }
+pub fn classify_superposition(rw: &Rewriter<'_>, sp: &Superposition) -> PairStatus {
+    join(rw, &sp.left, &sp.right)
 }
 
 /// Applies a (possibly triangular) unifier until fixpoint, so chained
@@ -293,17 +252,19 @@ mod tests {
     /// outer axiom, inner axiom and non-variable position, unified. Kept
     /// as the reference the index must agree with, order included.
     fn naive_superpositions(spec: &Spec) -> Vec<Superposition> {
-        let (extended, renamed) = rename_apart(spec).unwrap();
+        let (extended, renaming) = rename_apart(spec);
         let axioms = extended.axioms();
         let mut found = Vec::new();
         for (oi, outer) in axioms.iter().enumerate() {
-            for (ii, (inner, (inner_lhs, inner_rhs))) in axioms.iter().zip(&renamed).enumerate() {
+            for (ii, inner) in axioms.iter().enumerate() {
+                let inner_lhs = renaming.apply(inner.lhs());
+                let inner_rhs = renaming.apply(inner.rhs());
                 for (pos, sub) in outer.lhs().subterms() {
                     if matches!(sub, Term::Var(_)) || (oi == ii && pos.is_empty()) {
                         continue;
                     }
-                    if let Some(unifier) = unify(sub, inner_lhs) {
-                        found.push(superpose(outer, inner, inner_rhs, &pos, &unifier.subst));
+                    if let Some(unifier) = unify(sub, &inner_lhs) {
+                        found.push(superpose(outer, inner, &inner_rhs, &pos, &unifier.subst));
                     }
                 }
             }
@@ -314,7 +275,7 @@ mod tests {
     /// Asserts that the index and the naive loop agree on `spec`, and
     /// returns the superpositions.
     fn indexed_matches_naive(spec: &Spec) -> Vec<Superposition> {
-        let indexed = superpositions(spec).unwrap().superpositions;
+        let indexed = superpositions(spec).superpositions;
         assert_eq!(indexed, naive_superpositions(spec), "spec {}", spec.name());
         indexed
     }
@@ -358,11 +319,12 @@ mod tests {
         for spec in &specs {
             indexed_matches_naive(spec);
         }
+        // f_h_pairs.adt (the pairs the fault-injection tests arm),
         // overlap_heads.adt (twelve root pairs under six heads) and
-        // f_h_pairs.adt (the pairs the fault-injection tests arm).
+        // taken_witness_name.adt (none).
         let fixtures = specs_in("tests/fixtures");
         let pairs: Vec<_> = fixtures.iter().map(indexed_matches_naive).collect();
-        assert_eq!(pairs.iter().map(Vec::len).collect::<Vec<_>>(), [2, 12]);
+        assert_eq!(pairs.iter().map(Vec::len).collect::<Vec<_>>(), [2, 12, 0]);
         assert_eq!(
             shape(&pairs[0]),
             [("f0", "f1", vec![]), ("f1", "f0", vec![])]
@@ -524,18 +486,45 @@ mod tests {
         assert!(self_overlaps >= 10, "{self_overlaps} self-overlaps");
     }
 
-    /// Every superposition of `spec`, classified in enumeration order.
-    fn classified(spec: &Spec) -> Vec<CriticalPair> {
-        let set = superpositions(spec).unwrap();
+    #[test]
+    fn rename_apart_primes_each_variable_past_taken_names() {
+        let mut b = SpecBuilder::new("Primes");
+        let s = b.sort("S");
+        let c = b.ctor("C", [], s);
+        let f = b.op("F", [s], s);
+        let x = b.var("x", s);
+        let x1 = b.var("x\u{2032}", s);
+        let y = b.var("y", s);
+        b.axiom("f", b.app(f, [Term::Var(x)]), b.app(c, []));
+        let spec = b.build().unwrap();
+        let (ext, renaming) = rename_apart(&spec);
+        let copy = |v| match renaming.get(v) {
+            Some(Term::Var(w)) => ext.sig().var(*w).name().to_owned(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(copy(x), "x\u{2032}\u{2032}");
+        assert_eq!(copy(x1), "x\u{2032}\u{2032}\u{2032}");
+        assert_eq!(copy(y), "y\u{2032}");
+        assert_eq!(ext.sig().var_count(), 6);
+        assert_eq!(ext.axioms(), spec.axioms());
+    }
+
+    /// Every superposition of `spec` with its status, in enumeration
+    /// order.
+    fn classified(spec: &Spec) -> Vec<(Superposition, PairStatus)> {
+        let set = superpositions(spec);
         let rw = Rewriter::new(&set.spec);
         set.superpositions
-            .iter()
-            .map(|sp| classify_superposition(&rw, sp))
+            .into_iter()
+            .map(|sp| {
+                let status = classify_superposition(&rw, &sp);
+                (sp, status)
+            })
             .collect()
     }
 
-    fn joinable(pair: &CriticalPair) -> bool {
-        matches!(pair.status, PairStatus::Joinable(_))
+    fn joinable((_, status): &(Superposition, PairStatus)) -> bool {
+        matches!(status, PairStatus::Joinable(_))
     }
 
     #[test]
@@ -589,10 +578,10 @@ mod tests {
         assert!(!pairs.iter().all(joinable));
         let diverged: Vec<_> = pairs
             .iter()
-            .filter(|p| matches!(p.status, PairStatus::Diverged { .. }))
+            .filter(|(_, status)| matches!(status, PairStatus::Diverged { .. }))
             .collect();
         assert!(!diverged.is_empty());
-        match &diverged[0].status {
+        match &diverged[0].1 {
             PairStatus::Diverged { left_nf, right_nf } => {
                 assert_ne!(left_nf, right_nf);
             }
@@ -613,9 +602,9 @@ mod tests {
         b.axiom("inner", b.app(f, [b.app(c, [])]), b.app(d, []));
         let spec = b.build().unwrap();
         let pairs = classified(&spec);
-        let found = pairs
-            .iter()
-            .any(|p| p.outer_rule == "outer" && p.inner_rule == "inner" && p.position == vec![0]);
+        let found = pairs.iter().any(|(sp, _)| {
+            sp.outer_rule == "outer" && sp.inner_rule == "inner" && sp.position == vec![0]
+        });
         assert!(found, "pairs: {pairs:#?}");
         // G(D) is stuck at G(D) on one side and C on the other — diverged.
         assert!(!pairs.iter().all(joinable));

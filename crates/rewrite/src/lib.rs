@@ -21,7 +21,8 @@
 //!   kind of derivation the paper walks through by hand.
 //! * [`superpositions`] and [`classify_superposition`] — overlaps of
 //!   axiom left-hand sides, in declaration order, and their joinability,
-//!   the machinery behind the consistency check in `adt-check`.
+//!   the machinery behind the consistency check in `adt-check`;
+//!   [`rename_apart`] gives two axioms disjoint variables for them.
 //! * [`SymbolicSession`] — the paper's "symbolic interpretation" facility: a
 //!   little machine whose program variables hold normalized terms of the
 //!   algebra.
@@ -64,7 +65,7 @@ mod trace;
 
 pub use adt_core::RuleSet;
 pub use critical::{
-    classify_superposition, superpositions, CriticalPair, PairStatus, Superposition,
+    classify_superposition, rename_apart, superpositions, PairStatus, Superposition,
     SuperpositionSet,
 };
 pub use engine::{residual_conditionals, Normalization, Proof, Rewriter};

@@ -7,7 +7,7 @@
 //! at that argument is available as an **induction hypothesis** — an extra
 //! rewrite rule. Each case is then closed by the normalization prover.
 
-use adt_core::{Axiom, OpId, SortId, Spec, Subst, Term, VarId};
+use adt_core::{Axiom, OpId, Spec, Subst, Term, VarId};
 use adt_rewrite::{Proof, Rewriter, RuleSet};
 
 /// The outcome of an induction proof attempt.
@@ -68,29 +68,20 @@ pub fn prove_by_induction(
         let ctor_name = spec.sig().op(ctor).name().to_owned();
 
         // Extend a copy of the spec with skolem constants for the
-        // constructor's arguments.
-        let mut sig = spec.sig().clone();
-        let arg_sorts: Vec<SortId> = sig.op(ctor).args().to_vec();
-        let mut skolems = Vec::with_capacity(arg_sorts.len());
-        for (i, &arg_sort) in arg_sorts.iter().enumerate() {
-            let mut n = i + 1;
-            let sk = loop {
-                let name = format!("sk{n}_{}", sig.sort(arg_sort).name().to_lowercase());
-                match sig.add_ctor(&name, Vec::new(), arg_sort) {
-                    Ok(op) => break op,
-                    Err(_) => n += arg_sorts.len(),
-                }
-            };
-            skolems.push((sk, arg_sort));
-        }
-        let ext = Spec::from_parts(
-            spec.name().to_owned(),
-            sig,
-            spec.axioms().to_vec(),
-            spec.tois().to_vec(),
-            spec.params().to_vec(),
-        )
-        .expect("adding skolem constants keeps the spec valid");
+        // constructor's arguments: `sk<n>_<sort>`, n = i + 1 for argument i,
+        // stepped by the arity while taken.
+        let arg_sorts = spec.sig().op(ctor).args();
+        let (ext, skolems) = spec.extend(|fresh| {
+            let mut skolems = Vec::with_capacity(arg_sorts.len());
+            for (i, &arg_sort) in arg_sorts.iter().enumerate() {
+                let sort_name = fresh.sig().sort(arg_sort).name().to_lowercase();
+                let names = (i + 1..)
+                    .step_by(arg_sorts.len())
+                    .map(|n| format!("sk{n}_{sort_name}"));
+                skolems.push((fresh.constant(arg_sort, names), arg_sort));
+            }
+            skolems
+        });
 
         // The case instantiation x ↦ c(sk₁, …, skₙ).
         let case_term = Term::App(
@@ -167,30 +158,21 @@ pub fn with_lemma(
 /// subsequent round of case analysis can split them again — the mechanism
 /// behind nested case analysis in representation proofs.
 pub fn instantiate_case(spec: &Spec, var: VarId, ctor: OpId, round: usize) -> (Spec, Subst) {
-    let mut sig = spec.sig().clone();
-    let arg_sorts: Vec<SortId> = sig.op(ctor).args().to_vec();
-    let mut fresh = Vec::with_capacity(arg_sorts.len());
-    for (i, &arg_sort) in arg_sorts.iter().enumerate() {
-        let mut n = i + 1;
-        let v = loop {
-            let name = format!("{}#{round}_{n}", sig.sort(arg_sort).name().to_lowercase());
-            match sig.add_var(&name, arg_sort) {
-                Ok(v) => break v,
-                Err(_) => n += arg_sorts.len(),
-            }
-        };
-        fresh.push(v);
-    }
-    let ext = Spec::from_parts(
-        spec.name().to_owned(),
-        sig,
-        spec.axioms().to_vec(),
-        spec.tois().to_vec(),
-        spec.params().to_vec(),
-    )
-    .expect("adding variables keeps the spec valid");
-    let case_term = Term::App(ctor, fresh.into_iter().map(Term::Var).collect());
-    (ext, Subst::single(var, case_term))
+    // Argument i gets `<sort>#<round>_<n>`, n = i + 1, stepped by the
+    // arity while taken.
+    let arg_sorts = spec.sig().op(ctor).args();
+    let (ext, args) = spec.extend(|fresh| {
+        let mut args = Vec::with_capacity(arg_sorts.len());
+        for (i, &arg_sort) in arg_sorts.iter().enumerate() {
+            let sort_name = fresh.sig().sort(arg_sort).name().to_lowercase();
+            let names = (i + 1..)
+                .step_by(arg_sorts.len())
+                .map(|n| format!("{sort_name}#{round}_{n}"));
+            args.push(Term::Var(fresh.var(arg_sort, names)));
+        }
+        args
+    });
+    (ext, Subst::single(var, Term::App(ctor, args)))
 }
 
 #[cfg(test)]
@@ -294,6 +276,62 @@ mod tests {
             .unwrap();
         let outcome = prove_by_induction(&spec, &lhs, &rhs, n, 4).unwrap();
         assert!(outcome.is_proved(), "{outcome:?}");
+    }
+
+    /// Nat with ZERO, SUCC and an identity on the left of PLUS, plus a
+    /// variable or operation under the name `taken`.
+    fn nat_with_taken_name(taken: &str, as_var: bool) -> Spec {
+        let mut b = SpecBuilder::new("Nat");
+        let nat = b.sort("Nat");
+        let zero = b.ctor("ZERO", [], nat);
+        b.ctor("SUCC", [nat], nat);
+        let plus = b.op("PLUS", [nat, nat], nat);
+        let m = Term::Var(b.var("m", nat));
+        b.var("n", nat);
+        if as_var {
+            b.var(taken, nat);
+        } else {
+            b.op(taken, [], nat);
+        }
+        b.axiom("p1", b.app(plus, [b.app(zero, []), m.clone()]), m);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn skolems_step_past_a_taken_name() {
+        // PLUS(ZERO, n) = ZERO fails in the SUCC case, whose normal form
+        // shows the skolem: `sk1_nat` is taken, so it is `sk2_nat`.
+        for (taken, skolem) in [("other", "sk1_nat"), ("sk1_nat", "sk2_nat")] {
+            let spec = nat_with_taken_name(taken, false);
+            let sig = spec.sig();
+            let n = sig.find_var("n").unwrap();
+            let zero = sig.apply("ZERO", vec![]).unwrap();
+            let lhs = sig.apply("PLUS", vec![zero.clone(), Term::Var(n)]).unwrap();
+            let outcome = prove_by_induction(&spec, &lhs, &zero, n, 4).unwrap();
+            assert_eq!(
+                outcome,
+                InductionOutcome::Failed {
+                    case: "SUCC".to_owned(),
+                    lhs_nf: format!("SUCC({skolem})"),
+                    rhs_nf: "ZERO".to_owned(),
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn case_variables_step_past_a_taken_name() {
+        for (taken, name) in [("other", "nat#1_1"), ("nat#1_1", "nat#1_2")] {
+            let spec = nat_with_taken_name(taken, true);
+            let n = spec.sig().find_var("n").unwrap();
+            let succ = spec.sig().find_op("SUCC").unwrap();
+            let (ext, subst) = instantiate_case(&spec, n, succ, 1);
+            let Some(Term::App(_, args)) = subst.get(n) else {
+                panic!()
+            };
+            let Term::Var(v) = args[0] else { panic!() };
+            assert_eq!(ext.sig().var(v).name(), name);
+        }
     }
 
     #[test]

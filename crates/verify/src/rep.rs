@@ -19,6 +19,7 @@
 //! paper's **conditional correctness**.
 
 use std::collections::HashMap;
+use std::iter::successors;
 
 use adt_core::{display, OpId, SortId, Spec, Term, VarId};
 use adt_rewrite::{Proof, Rewriter};
@@ -112,7 +113,7 @@ pub fn translate_obligations(
     map: &OpMap,
     phi: Option<&str>,
 ) -> Result<(Spec, Vec<Obligation>), String> {
-    let mut sig = concrete.sig().clone();
+    let sig = concrete.sig();
     let abs_sig = abstract_spec.sig();
 
     // Sort translation table.
@@ -137,20 +138,25 @@ pub fn translate_obligations(
         op_table.insert(op, conc);
     }
 
-    // Variable translation table (minting concrete variables as needed).
-    let mut var_table: HashMap<VarId, VarId> = HashMap::new();
-    for v in abs_sig.var_ids() {
-        let name = abs_sig.var(v).name().to_owned();
-        let sort = sort_table[&abs_sig.var(v).sort()];
-        let conc = match sig.find_var(&name) {
-            Some(existing) if sig.var(existing).sort() == sort => existing,
-            Some(_) => sig
-                .add_var(&format!("{name}~abs"), sort)
-                .map_err(|e| e.to_string())?,
-            None => sig.add_var(&name, sort).map_err(|e| e.to_string())?,
-        };
-        var_table.insert(v, conc);
-    }
+    // Variable translation table: a concrete variable of the same name
+    // and sort is reused; otherwise one is minted under the abstract name,
+    // or with `~abs` appended while that name is taken.
+    let (ext, var_table) = concrete.extend(|fresh| {
+        let mut var_table: HashMap<VarId, VarId> = HashMap::new();
+        for v in abs_sig.var_ids() {
+            let name = abs_sig.var(v).name();
+            let sort = sort_table[&abs_sig.var(v).sort()];
+            let conc = match fresh.sig().find_var(name) {
+                Some(existing) if fresh.sig().var(existing).sort() == sort => existing,
+                _ => fresh.var(
+                    sort,
+                    successors(Some(name.to_owned()), |n| Some(format!("{n}~abs"))),
+                ),
+            };
+            var_table.insert(v, conc);
+        }
+        var_table
+    });
 
     let phi_op = match phi {
         Some(name) => Some(
@@ -159,15 +165,6 @@ pub fn translate_obligations(
         ),
         None => None,
     };
-
-    let ext = Spec::from_parts(
-        concrete.name().to_owned(),
-        sig,
-        concrete.axioms().to_vec(),
-        concrete.tois().to_vec(),
-        concrete.params().to_vec(),
-    )
-    .map_err(|e| e.to_string())?;
 
     let mut obligations = Vec::new();
     for ax in abstract_spec.axioms() {
@@ -498,6 +495,27 @@ mod tests {
             ext.sig().var(v).sort(),
             ext.sig().find_sort("Marks").unwrap()
         );
+    }
+
+    #[test]
+    fn a_taken_abstract_variable_name_gets_abs_appended() {
+        // `c` and `c~abs` are Bool variables of the concrete spec, so the
+        // abstract `c : Counter` becomes `c~abs~abs : Marks`.
+        let conc = concrete_stack(true);
+        let bool_sort = conc.sig().bool_sort();
+        let (conc, _) = conc.extend(|fresh| {
+            fresh.var(bool_sort, ["c".to_owned()]);
+            fresh.var(bool_sort, ["c~abs".to_owned()]);
+        });
+        let (ext, obs) =
+            translate_obligations(&abstract_counter(), &conc, &op_map(), Some("PHI")).unwrap();
+        let v = ext.sig().find_var("c~abs~abs").unwrap();
+        assert_eq!(
+            ext.sig().var(v).sort(),
+            ext.sig().find_sort("Marks").unwrap()
+        );
+        let a4 = obs.iter().find(|o| o.label == "a4").unwrap();
+        assert!(a4.lhs.vars().contains(&v), "{:?}", a4.lhs);
     }
 
     #[test]

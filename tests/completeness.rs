@@ -28,6 +28,19 @@ fn dropping_axiom_4_is_flagged_with_a_prompt() {
 }
 
 #[test]
+fn a_witness_steps_past_a_declared_variable_name() {
+    // The fixture's axioms use `queue_1`, the first Queue witness name.
+    let source = include_str!("fixtures/taken_witness_name.adt");
+    let spec = adt_dsl::parse(source).unwrap();
+    let prompts = check_completeness(&spec).prompts();
+    assert_eq!(
+        prompts,
+        "operation FRONT: insufficiently complete — 1 missing case(s):\n  \
+         FRONT(ADD(queue_2, item_1)) = ?\n"
+    );
+}
+
+#[test]
 fn the_incomplete_spec_is_still_consistent() {
     // Incompleteness and inconsistency are independent defects.
     let spec = sources::load("queue_incomplete").unwrap();

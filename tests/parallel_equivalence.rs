@@ -46,7 +46,7 @@ const OVERLAP_HEADS: &str = include_str!("fixtures/overlap_heads.adt");
 #[test]
 fn superpositions_come_out_in_declaration_order() {
     let spec = adt_dsl::parse(OVERLAP_HEADS).expect("fixture parses");
-    let set = superpositions(&spec).expect("superpositions enumerate");
+    let set = superpositions(&spec);
     let found: Vec<String> = set
         .superpositions
         .iter()
