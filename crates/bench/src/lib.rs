@@ -256,13 +256,18 @@ pub mod report {
         }
     }
 
-    /// A full report: schema tag, measurement profile, rows.
+    /// A full report: schema tag, measurement profile, machine stamp,
+    /// rows.
     #[derive(Debug, Clone, PartialEq)]
     pub struct BenchReport {
         /// Schema identifier (`"adt-bench/v1"`).
         pub schema: String,
         /// `"full"` or `"quick"` (the runner's `--quick` profile).
         pub profile: String,
+        /// `std::thread::available_parallelism` of the machine that
+        /// measured the rows; `None` for reports written before the
+        /// field existed, or where the machine could not tell.
+        pub available_parallelism: Option<u64>,
         /// Measured rows.
         pub benchmarks: Vec<BenchRecord>,
     }
@@ -271,11 +276,15 @@ pub mod report {
         /// Current schema tag.
         pub const SCHEMA: &'static str = "adt-bench/v1";
 
-        /// Creates an empty report for the given profile.
+        /// Creates an empty report for the given profile, stamped with
+        /// this machine's available parallelism.
         pub fn new(profile: &str) -> Self {
             BenchReport {
                 schema: Self::SCHEMA.to_string(),
                 profile: profile.to_string(),
+                available_parallelism: std::thread::available_parallelism()
+                    .ok()
+                    .map(|n| n.get() as u64),
                 benchmarks: Vec::new(),
             }
         }
@@ -306,6 +315,9 @@ pub mod report {
             out.push_str("{\n");
             let _ = writeln!(out, "  \"schema\": {},", quote(&self.schema));
             let _ = writeln!(out, "  \"profile\": {},", quote(&self.profile));
+            if let Some(n) = self.available_parallelism {
+                let _ = writeln!(out, "  \"available_parallelism\": {n},");
+            }
             out.push_str("  \"benchmarks\": [\n");
             for (i, b) in self.benchmarks.iter().enumerate() {
                 out.push_str("    {\n");
@@ -360,6 +372,7 @@ pub mod report {
             Ok(BenchReport {
                 schema: schema.to_string(),
                 profile: top.field("profile", Json::as_str)?.to_string(),
+                available_parallelism: top.field("available_parallelism", Json::as_u64).ok(),
                 benchmarks,
             })
         }
@@ -613,6 +626,22 @@ mod tests {
             let text = report.to_json();
             let parsed = BenchReport::from_json(&text).expect("parses");
             assert_eq!(parsed, report);
+        }
+
+        #[test]
+        fn machine_stamp_round_trips_and_may_be_absent() {
+            let mut report = sample_report();
+            report.available_parallelism = Some(4);
+            let text = report.to_json();
+            assert!(
+                text.contains("\n  \"available_parallelism\": 4,\n"),
+                "{text}"
+            );
+            assert_eq!(BenchReport::from_json(&text).expect("parses"), report);
+            report.available_parallelism = None;
+            let text = report.to_json();
+            assert!(!text.contains("available_parallelism"), "{text}");
+            assert_eq!(BenchReport::from_json(&text).expect("parses"), report);
         }
 
         #[test]

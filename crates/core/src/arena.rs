@@ -10,9 +10,8 @@
 //!
 //! * structurally equal terms always receive the same id — equality is a
 //!   single integer compare;
-//! * per-node facts the engine consults constantly (groundness, depth, a
-//!   structural hash) are computed once at interning time and read back in
-//!   O(1);
+//! * each node's structural hash is computed once at interning time, from
+//!   its children's, so deduplicating a new node never walks a subterm;
 //! * building a term that shares subterms with existing ones allocates
 //!   only the genuinely new nodes.
 //!
@@ -103,17 +102,6 @@ pub enum TermNode {
     Error(SortId),
 }
 
-/// Per-node facts cached at interning time.
-#[derive(Debug, Clone, Copy)]
-struct Meta {
-    /// Deterministic structural hash (stable across arenas and processes).
-    hash: u64,
-    /// Height of the term (a leaf has depth 1), saturating.
-    depth: u32,
-    /// Whether the term contains no variables.
-    ground: bool,
-}
-
 /// Mixes one value into a running structural hash. The constants are the
 /// usual Fibonacci/xorshift multipliers; what matters is that the function
 /// is fixed (no per-process seed), so hashes agree across arenas.
@@ -143,15 +131,15 @@ const TAG_ERROR: u64 = 0xd6e8_feb8_6659_fd93;
 /// let a = arena.intern(&term);
 /// let b = arena.intern(&term);
 /// assert_eq!(a, b, "equal terms intern to the same id");
-/// assert!(arena.is_ground(a));
-/// assert_eq!(arena.depth(a), 2);
 /// assert_eq!(arena.to_term(a), term);
 /// # Ok::<(), adt_core::CoreError>(())
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct TermArena {
     nodes: Vec<TermNode>,
-    meta: Vec<Meta>,
+    /// `hashes[id.index()]` is the node's deterministic structural hash
+    /// (stable across arenas and processes).
+    hashes: Vec<u64>,
     /// Structural hash → ids of nodes with that hash (almost always one).
     dedup: PrehashedMap<Vec<TermId>>,
 }
@@ -172,7 +160,7 @@ impl TermArena {
         self.nodes.is_empty()
     }
 
-    /// Approximate heap footprint of the arena in bytes: node and meta
+    /// Approximate heap footprint of the arena in bytes: node and hash
     /// storage, argument slices, and the dedup table. Telemetry only —
     /// counts capacities where cheap to read, so it tracks allocations,
     /// not live data.
@@ -195,7 +183,7 @@ impl TermArena {
             })
             .sum();
         self.nodes.capacity() * std::mem::size_of::<TermNode>()
-            + self.meta.capacity() * std::mem::size_of::<Meta>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
             + args
             + dedup
     }
@@ -209,20 +197,6 @@ impl TermArena {
     #[inline]
     pub fn node(&self, id: TermId) -> &TermNode {
         &self.nodes[id.index()]
-    }
-
-    /// Whether the denoted term contains no variables. O(1): cached at
-    /// interning time.
-    #[inline]
-    pub fn is_ground(&self, id: TermId) -> bool {
-        self.meta[id.index()].ground
-    }
-
-    /// Height of the denoted term (a leaf has depth 1), saturating at
-    /// `u32::MAX`. O(1): cached at interning time.
-    #[inline]
-    pub fn depth(&self, id: TermId) -> u32 {
-        self.meta[id.index()].depth
     }
 
     /// The sort of the denoted term, read off its head symbol (through
@@ -243,56 +217,22 @@ impl TermArena {
         }
     }
 
-    fn meta_of(&self, node: &TermNode) -> Meta {
+    fn hash_of(&self, node: &TermNode) -> u64 {
         match node {
-            TermNode::Var(v) => Meta {
-                hash: mix(TAG_VAR, v.index() as u64),
-                depth: 1,
-                ground: false,
-            },
-            TermNode::Error(s) => Meta {
-                hash: mix(TAG_ERROR, s.index() as u64),
-                depth: 1,
-                ground: true,
-            },
-            TermNode::App(op, args) => {
-                let mut hash = mix(TAG_APP, op.index() as u64);
-                let mut depth = 0u32;
-                let mut ground = true;
-                for &a in args.iter() {
-                    let m = self.meta[a.index()];
-                    hash = mix(hash, m.hash);
-                    depth = depth.max(m.depth);
-                    ground &= m.ground;
-                }
-                Meta {
-                    hash,
-                    depth: depth.saturating_add(1),
-                    ground,
-                }
-            }
-            TermNode::Ite(c, t, e) => {
-                let mut hash = TAG_ITE;
-                let mut depth = 0u32;
-                let mut ground = true;
-                for id in [c, t, e] {
-                    let m = self.meta[id.index()];
-                    hash = mix(hash, m.hash);
-                    depth = depth.max(m.depth);
-                    ground &= m.ground;
-                }
-                Meta {
-                    hash,
-                    depth: depth.saturating_add(1),
-                    ground,
-                }
-            }
+            TermNode::Var(v) => mix(TAG_VAR, v.index() as u64),
+            TermNode::Error(s) => mix(TAG_ERROR, s.index() as u64),
+            TermNode::App(op, args) => args.iter().fold(mix(TAG_APP, op.index() as u64), |h, a| {
+                mix(h, self.hashes[a.index()])
+            }),
+            TermNode::Ite(c, t, e) => [c, t, e]
+                .iter()
+                .fold(TAG_ITE, |h, id| mix(h, self.hashes[id.index()])),
         }
     }
 
     fn intern_node(&mut self, node: TermNode) -> TermId {
-        let meta = self.meta_of(&node);
-        if let Some(bucket) = self.dedup.get(&meta.hash) {
+        let hash = self.hash_of(&node);
+        if let Some(bucket) = self.dedup.get(&hash) {
             for &id in bucket {
                 if self.nodes[id.index()] == node {
                     return id;
@@ -304,8 +244,8 @@ impl TermArena {
         let id =
             TermId(u32::try_from(self.nodes.len()).expect("term arena exceeded the u32 id space"));
         self.nodes.push(node);
-        self.meta.push(meta);
-        self.dedup.entry(meta.hash).or_default().push(id);
+        self.hashes.push(hash);
+        self.dedup.entry(hash).or_default().push(id);
         id
     }
 
@@ -563,21 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_bits_match_the_term_methods() {
-        let sig = sig();
-        let mut arena = TermArena::new();
-        let qv = Term::Var(sig.find_var("q").unwrap());
-        let ground = chain(&sig, 2);
-        let open = sig.apply("FRONT", vec![qv]).unwrap();
-        let item = sig.find_sort("Item").unwrap();
-        for t in [&ground, &open, &Term::Error(item)] {
-            let id = arena.intern(t);
-            assert_eq!(arena.is_ground(id), t.is_ground(), "{t:?}");
-            assert_eq!(arena.depth(id) as usize, t.depth(), "{t:?}");
-        }
-    }
-
-    #[test]
     fn deep_terms_intern_without_native_recursion() {
         // ~100k-deep chain: recursion anywhere in intern/to_term
         // would blow the native stack. The Term itself has a recursive
@@ -598,8 +523,6 @@ mod tests {
                 }
                 let mut arena = TermArena::new();
                 let id = arena.intern(&t);
-                assert_eq!(arena.depth(id) as usize, depth + 1);
-                assert!(arena.is_ground(id));
                 let back = arena.to_term(id);
                 assert_eq!(back.depth(), depth + 1);
             })

@@ -7,7 +7,7 @@
 //! in `adt-core` (rather than the rewrite crate that executes it) so a
 //! [`crate::Session`] can own it alongside the signature and the term
 //! arena: every engine built for the session borrows that one table
-//! instead of compiling its own.
+//! instead of building its own.
 //!
 //! The table has no iteration API on purpose: code that needs every
 //! rule in a fixed order walks [`crate::Spec::axioms`], which is

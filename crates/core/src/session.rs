@@ -6,8 +6,8 @@
 //! completeness item, consistency probe, and verification pass built its
 //! own rewriter, re-compiled the axioms into rules, and re-interned terms
 //! into a throwaway arena. A [`Session`] owns the state worth sharing
-//! once — the [`Spec`] (and so the [`Signature`]), the compiled
-//! [`RuleSet`], and one long-lived [`TermStore`] (a hash-consing arena
+//! once — the [`Spec`] (and so the [`Signature`]), its axioms indexed
+//! by head operation (the [`RuleSet`]), and one long-lived [`TermStore`] (a hash-consing arena
 //! plus its normal-form table) — and every layer borrows it instead of
 //! rebuilding it.
 //!
@@ -76,9 +76,8 @@ impl SessionStats {
     }
 }
 
-/// One long-lived engine workspace: the specification, its compiled
-/// rules, and one [`TermStore`], plus the counters behind
-/// [`SessionStats`].
+/// One long-lived engine workspace: the specification, its rule table,
+/// and one [`TermStore`], plus the counters behind [`SessionStats`].
 ///
 /// A session is `Sync`: the store sits behind a `Mutex` and the counters
 /// are atomics. [`Session::intern`], [`Session::term`] and
@@ -116,7 +115,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds a session for `spec`, compiling its axioms once.
+    /// Builds a session for `spec`, indexing its axioms by head once.
     pub fn new(spec: Spec) -> Self {
         let rules = RuleSet::from_spec(&spec);
         Session {
@@ -139,7 +138,8 @@ impl Session {
         self.spec.sig()
     }
 
-    /// The compiled rule set (the specification's axioms).
+    /// The rule table: the specification's axioms, indexed by head
+    /// operation. Engines match them as written; nothing is compiled.
     pub fn rules(&self) -> &RuleSet {
         &self.rules
     }

@@ -116,7 +116,7 @@ pub fn parse_term(spec: &Spec, source: &str) -> Result<Term, Diagnostics> {
 }
 
 /// Parses and lowers a module straight into an [`adt_core::Session`],
-/// which compiles the axioms to head-indexed rules once. Nothing is
+/// which indexes the axioms by head operation once. Nothing is
 /// interned up front: the session store fills as normalizations run.
 ///
 /// ```

@@ -6,19 +6,20 @@
 //!
 //! The public API speaks [`Term`] — an ordinary boxed tree — but the
 //! evaluator itself runs on [`TermId`]s drawn from a [`TermStore`]'s
-//! arena. Interning gives the hot loop three things the tree
+//! arena. Interning gives the hot loop two things the tree
 //! representation cannot:
 //!
 //! * **O(1) equality** — hash-consing makes structural equality an id
-//!   compare, so condition decisions, assumption lookups, branch
-//!   merging, and nonlinear pattern occurrences cost a `u32` compare
-//!   instead of a tree walk;
-//! * **O(1) groundness and depth** — both are computed once per node at
-//!   interning time and cached, so the instantiation shortcut and the
-//!   depth bound read a field instead of traversing;
+//!   compare, so assumption lookups, branch merging, and nonlinear
+//!   pattern occurrences cost a `u32` compare instead of a tree walk;
 //! * **allocation-free sharing** — a rule's contractum reuses the ids of
 //!   the matched subject fragments outright; no subtree is ever copied
 //!   to be substituted.
+//!
+//! The rules themselves are never interned: each axiom's left-hand side
+//! is matched as written against the interned subject, and its
+//! right-hand side is instantiated straight into the store, as the
+//! paper's symbolic interpretation reads the axioms as the program.
 //!
 //! Every `Term`-level call ([`Rewriter::normalize`] and friends) builds a
 //! fresh store and drops it when the run ends: ids never escape the run
@@ -30,7 +31,7 @@
 //!
 //! # The session surface
 //!
-//! A [`Session`] owns the cross-check shared state: spec, compiled rules
+//! A [`Session`] owns the cross-check shared state: spec, rule table
 //! and one [`TermStore`]. [`Rewriter::for_session`] builds a rewriter
 //! that *borrows* it, and [`Rewriter::normalize_id`] accepts and returns
 //! session [`TermId`]s. It locks the session store once and runs the
@@ -253,138 +254,76 @@ pub struct Rewriter<'a> {
     supervisor: Supervisor,
 }
 
-/// A rule whose sides are interned into the run's store, paired with its
-/// position in the rewriter's [`RuleSet`] bucket for that head (trace
-/// labels are read back through the index, so no strings are copied).
-struct InternedRule {
-    lhs: TermId,
-    rhs: TermId,
-    index: usize,
+/// Whether `id` is the constant `op` (`true` or `false`, say).
+fn is_constant(arena: &TermArena, id: TermId, op: OpId) -> bool {
+    matches!(arena.node(id), TermNode::App(f, _) if *f == op)
 }
 
-/// Per-normalization working state: the store all terms of this run
-/// live in, plus the rules and booleans interned into it.
-///
-/// A fresh context is built for every [`Rewriter::run`] call, over a
-/// fresh run-local store, so ids never leak between runs and the
-/// rewriter stays `Sync` — the parallel checker shares one rewriter
-/// across its workers — with zero locks on the evaluation path.
-/// [`Rewriter::normalize_id`] builds its context over the locked session
-/// store instead.
-///
-/// The store's normal-form table holds context-free evaluation results:
-/// entries are recorded as subterms finish evaluating outside assumption
-/// contexts and traces. This is what makes re-examining an
-/// already-normalized subterm O(1): innermost rewriting otherwise
-/// re-walks the whole normalized portion of the term after every step.
-struct RunCx<'s> {
-    store: &'s mut TermStore,
-    /// The interned boolean constants: deciding a condition is an id
-    /// compare against these.
-    tt: TermId,
-    ff: TermId,
-    /// Rules compiled per head operation, indexed by `OpId::index` and
-    /// populated lazily the first time that head is evaluated (most runs
-    /// touch a handful of the specification's operations).
-    rules: Vec<Option<Box<[InternedRule]>>>,
-}
-
-impl<'s> RunCx<'s> {
-    fn new(spec: &Spec, store: &'s mut TermStore) -> Self {
-        let arena = store.arena_mut();
-        let tt = arena.intern(&spec.sig().tt());
-        let ff = arena.intern(&spec.sig().ff());
-        RunCx {
-            store,
-            tt,
-            ff,
-            rules: Vec::new(),
-        }
-    }
-
-    fn arena(&self) -> &TermArena {
-        self.store.arena()
-    }
-
-    fn arena_mut(&mut self) -> &mut TermArena {
-        self.store.arena_mut()
-    }
-}
-
-/// Matches an interned rule pattern against an interned subject.
+/// Matches a rule's left-hand side, as written, against an interned
+/// subject.
 ///
 /// Bindings accumulate in a vector rather than a map: axiom patterns
 /// have a handful of variables, and a linear scan of `u32` pairs beats
 /// hashing. A nonlinear occurrence checks id equality — O(1) under
 /// hash-consing where the tree matcher re-walked the subject. Recursion
 /// is bounded by the *pattern* (axiom-sized), never by the subject.
-fn match_id(
+fn match_term(
     arena: &TermArena,
-    pattern: TermId,
+    pattern: &Term,
     subject: TermId,
     bindings: &mut Vec<(VarId, TermId)>,
 ) -> bool {
-    if pattern == subject && arena.is_ground(pattern) {
-        // Identical ids denote identical terms, and a ground pattern
-        // binds nothing — nothing further to check.
-        return true;
-    }
-    match (arena.node(pattern), arena.node(subject)) {
-        (TermNode::Var(v), _) => match bindings.iter().find(|(bound_var, _)| bound_var == v) {
+    match (pattern, arena.node(subject)) {
+        (Term::Var(v), _) => match bindings.iter().find(|(bound_var, _)| bound_var == v) {
             Some(&(_, bound)) => bound == subject,
             None => {
                 bindings.push((*v, subject));
                 true
             }
         },
-        (TermNode::Error(a), TermNode::Error(b)) => a == b,
-        (TermNode::App(f, ps), TermNode::App(g, ss)) => {
+        (Term::Error(a), TermNode::Error(b)) => a == b,
+        (Term::App(f, ps), TermNode::App(g, ss)) => {
             f == g
                 && ps.len() == ss.len()
                 && ps
                     .iter()
                     .zip(ss.iter())
-                    .all(|(&p, &s)| match_id(arena, p, s, bindings))
+                    .all(|(p, &s)| match_term(arena, p, s, bindings))
         }
-        (TermNode::Ite(pc, pt, pe), TermNode::Ite(sc, st, se)) => {
-            match_id(arena, *pc, *sc, bindings)
-                && match_id(arena, *pt, *st, bindings)
-                && match_id(arena, *pe, *se, bindings)
+        (Term::Ite(p), TermNode::Ite(sc, st, se)) => {
+            match_term(arena, &p.cond, *sc, bindings)
+                && match_term(arena, &p.then_branch, *st, bindings)
+                && match_term(arena, &p.else_branch, *se, bindings)
         }
         _ => false,
     }
 }
 
-/// Builds a contractum: the rule's right-hand side with bound variables
-/// replaced by the matched subject fragments.
+/// Builds a contractum: interns a rule's right-hand side with bound
+/// variables replaced by the matched subject fragments.
 ///
-/// Ground template subtrees are returned as-is — under hash-consing the
-/// instantiation of a ground subtree *is* that subtree — so each step
-/// costs O(axiom), never O(subject): the bound fragments are shared by
-/// id, not copied. An unbound template variable instantiates to itself,
+/// The bound fragments are shared by id, not copied, so each step costs
+/// O(axiom), never O(subject). An unbound template variable (as in an
+/// induction hypothesis's right-hand side) instantiates to itself,
 /// mirroring `Subst::apply`. Recursion is bounded by the template.
-fn instantiate(arena: &mut TermArena, template: TermId, bindings: &[(VarId, TermId)]) -> TermId {
-    if arena.is_ground(template) {
-        return template;
-    }
-    match arena.node(template).clone() {
-        // Errors are ground, so the shortcut above already returned.
-        TermNode::Error(_) => template,
-        TermNode::Var(v) => bindings
+fn instantiate(arena: &mut TermArena, template: &Term, bindings: &[(VarId, TermId)]) -> TermId {
+    match template {
+        Term::Error(s) => arena.error(*s),
+        Term::Var(v) => bindings
             .iter()
-            .find(|&&(bound_var, _)| bound_var == v)
-            .map_or(template, |&(_, bound)| bound),
-        TermNode::App(op, args) => {
+            .find(|(bound_var, _)| bound_var == v)
+            .map_or_else(|| arena.var(*v), |&(_, bound)| bound),
+        Term::App(op, args) => {
             let args = args
                 .iter()
-                .map(|&a| instantiate(arena, a, bindings))
+                .map(|a| instantiate(arena, a, bindings))
                 .collect();
-            arena.app(op, args)
+            arena.app(*op, args)
         }
-        TermNode::Ite(c, t, e) => {
-            let c = instantiate(arena, c, bindings);
-            let t = instantiate(arena, t, bindings);
-            let e = instantiate(arena, e, bindings);
+        Term::Ite(ite) => {
+            let c = instantiate(arena, &ite.cond, bindings);
+            let t = instantiate(arena, &ite.then_branch, bindings);
+            let e = instantiate(arena, &ite.else_branch, bindings);
             arena.ite(c, t, e)
         }
     }
@@ -539,8 +478,7 @@ impl<'a> Rewriter<'a> {
             return Ok(nf);
         }
         let mut st = EvalState::new(&self.budget, self.supervisor.clone(), None);
-        let mut cx = RunCx::new(self.spec, &mut store);
-        let nf = self.eval(&mut cx, id, &mut st, &Vec::new())?;
+        let nf = self.eval(&mut store, id, &mut st, &Vec::new())?;
         session.note_normalizations(1, st.steps);
         Ok(nf)
     }
@@ -658,16 +596,15 @@ impl<'a> Rewriter<'a> {
             t.set_initial(term);
         }
         let mut store = TermStore::new();
-        let mut cx = RunCx::new(self.spec, &mut store);
-        let root = cx.arena_mut().intern(term);
+        let root = store.arena_mut().intern(term);
         let asms: Assumptions = asms
             .iter()
-            .map(|(t, b)| (cx.arena_mut().intern(t), *b))
+            .map(|(t, b)| (store.arena_mut().intern(t), *b))
             .collect();
-        let nf = self.eval(&mut cx, root, &mut st, &asms)?;
+        let nf = self.eval(&mut store, root, &mut st, &asms)?;
         Ok((
             Normalization {
-                term: cx.arena().to_term(nf),
+                term: store.arena().to_term(nf),
                 steps: st.steps,
             },
             st.trace,
@@ -676,20 +613,20 @@ impl<'a> Rewriter<'a> {
 
     fn eval(
         &self,
-        cx: &mut RunCx,
+        store: &mut TermStore,
         id: TermId,
         st: &mut EvalState,
         asms: &Assumptions,
     ) -> Result<TermId> {
         st.enter(&self.budget)?;
-        let result = self.eval_cached(cx, id, st, asms);
+        let result = self.eval_cached(store, id, st, asms);
         st.exit();
         result
     }
 
     fn eval_cached(
         &self,
-        cx: &mut RunCx,
+        store: &mut TermStore,
         id: TermId,
         st: &mut EvalState,
         asms: &Assumptions,
@@ -702,39 +639,40 @@ impl<'a> Rewriter<'a> {
         // portion of the term looking for redexes that cannot exist.
         let cacheable = asms.is_empty() && !st.tracing();
         if cacheable {
-            if let Some(nf) = cx.store.cached_nf(id) {
+            if let Some(nf) = store.cached_nf(id) {
                 return Ok(nf);
             }
         }
-        let result = self.eval_loop(cx, id, st, asms)?;
+        let result = self.eval_loop(store, id, st, asms)?;
         if cacheable {
-            cx.store.record_nf(id, result);
+            store.record_nf(id, result);
             // A normal form evaluates to itself; recording that fact
             // spares the no-op walk when the result id resurfaces as an
             // argument elsewhere.
-            cx.store.record_nf(result, result);
+            store.record_nf(result, result);
         }
         Ok(result)
     }
 
     fn eval_loop(
         &self,
-        cx: &mut RunCx,
+        store: &mut TermStore,
         id: TermId,
         st: &mut EvalState,
         asms: &Assumptions,
     ) -> Result<TermId> {
+        let sig = self.spec.sig();
         let mut current = id;
         let mut bindings: Vec<(VarId, TermId)> = Vec::new();
         loop {
-            match cx.arena().node(current) {
+            match store.arena().node(current) {
                 TermNode::Var(_) | TermNode::Error(_) => return Ok(current),
                 TermNode::Ite(c, t, e) => {
                     let (c, then_id, else_id) = (*c, *t, *e);
-                    let cond = self.eval(cx, c, st, asms)?;
-                    let decided = if cond == cx.tt {
+                    let cond = self.eval(store, c, st, asms)?;
+                    let decided = if is_constant(store.arena(), cond, sig.true_op()) {
                         Some(true)
-                    } else if cond == cx.ff {
+                    } else if is_constant(store.arena(), cond, sig.false_op()) {
                         Some(false)
                     } else {
                         lookup(asms, cond)
@@ -742,34 +680,35 @@ impl<'a> Rewriter<'a> {
                     if let Some(value) = decided {
                         st.tick(&self.budget)?;
                         if st.tracing() {
-                            let redex = reify_ite(cx.arena(), cond, then_id, else_id);
+                            let redex = reify_ite(store.arena(), cond, then_id, else_id);
                             let rule = if value { "if-true" } else { "if-false" };
-                            let taken = cx.arena().to_term(if value { then_id } else { else_id });
+                            let taken =
+                                store.arena().to_term(if value { then_id } else { else_id });
                             st.note(rule, &redex, &taken);
                         }
                         current = if value { then_id } else { else_id };
                         continue;
                     }
-                    if matches!(cx.arena().node(cond), TermNode::Error(_)) {
+                    if matches!(store.arena().node(cond), TermNode::Error(_)) {
                         st.tick(&self.budget)?;
-                        let sort = cx.arena().sort_of(self.spec.sig(), then_id)?;
-                        let result = cx.arena_mut().error(sort);
+                        let sort = store.arena().sort_of(self.spec.sig(), then_id)?;
+                        let result = store.arena_mut().error(sort);
                         if st.tracing() {
-                            let redex = reify_ite(cx.arena(), cond, then_id, else_id);
-                            st.note("strict", &redex, &cx.arena().to_term(result));
+                            let redex = reify_ite(store.arena(), cond, then_id, else_id);
+                            st.note("strict", &redex, &store.arena().to_term(result));
                         }
                         return Ok(result);
                     }
                     // Stuck condition that is itself a conditional: lift it.
-                    if let TermNode::Ite(c0, a, b) = cx.arena().node(cond) {
+                    if let TermNode::Ite(c0, a, b) = store.arena().node(cond) {
                         let (c0, a, b) = (*c0, *a, *b);
                         st.tick(&self.budget)?;
-                        let then_inner = cx.arena_mut().ite(a, then_id, else_id);
-                        let else_inner = cx.arena_mut().ite(b, then_id, else_id);
-                        let lifted = cx.arena_mut().ite(c0, then_inner, else_inner);
+                        let then_inner = store.arena_mut().ite(a, then_id, else_id);
+                        let else_inner = store.arena_mut().ite(b, then_id, else_id);
+                        let lifted = store.arena_mut().ite(c0, then_inner, else_inner);
                         if st.tracing() {
-                            let redex = reify_ite(cx.arena(), cond, then_id, else_id);
-                            st.note("if-lift", &redex, &cx.arena().to_term(lifted));
+                            let redex = reify_ite(store.arena(), cond, then_id, else_id);
+                            st.note("if-lift", &redex, &store.arena().to_term(lifted));
                         }
                         current = lifted;
                         continue;
@@ -778,46 +717,50 @@ impl<'a> Rewriter<'a> {
                     // the corresponding contextual assumption.
                     let mut then_asms = asms.clone();
                     then_asms.push((cond, true));
-                    let t_nf = self.eval(cx, then_id, st, &then_asms)?;
+                    let t_nf = self.eval(store, then_id, st, &then_asms)?;
                     let mut else_asms = asms.clone();
                     else_asms.push((cond, false));
-                    let e_nf = self.eval(cx, else_id, st, &else_asms)?;
+                    let e_nf = self.eval(store, else_id, st, &else_asms)?;
                     if t_nf == e_nf {
                         st.tick(&self.budget)?;
                         if st.tracing() {
-                            let redex = reify_ite(cx.arena(), cond, t_nf, e_nf);
-                            st.note("if-merge", &redex, &cx.arena().to_term(t_nf));
+                            let redex = reify_ite(store.arena(), cond, t_nf, e_nf);
+                            st.note("if-merge", &redex, &store.arena().to_term(t_nf));
                         }
                         return Ok(t_nf);
                     }
-                    if t_nf == cx.tt && e_nf == cx.ff {
+                    if is_constant(store.arena(), t_nf, sig.true_op())
+                        && is_constant(store.arena(), e_nf, sig.false_op())
+                    {
                         st.tick(&self.budget)?;
                         if st.tracing() {
-                            let redex = reify_ite(cx.arena(), cond, t_nf, e_nf);
-                            st.note("if-eta", &redex, &cx.arena().to_term(cond));
+                            let redex = reify_ite(store.arena(), cond, t_nf, e_nf);
+                            st.note("if-eta", &redex, &store.arena().to_term(cond));
                         }
                         return Ok(cond);
                     }
-                    return Ok(cx.arena_mut().ite(cond, t_nf, e_nf));
+                    return Ok(store.arena_mut().ite(cond, t_nf, e_nf));
                 }
                 TermNode::App(op, args) => {
                     let op = *op;
                     let args = args.to_vec();
                     let mut new_args = Vec::with_capacity(args.len());
                     for &a in &args {
-                        new_args.push(self.eval(cx, a, st, asms)?);
+                        new_args.push(self.eval(store, a, st, asms)?);
                     }
                     // Strict error propagation: any operation applied to an
                     // argument list containing error is error (paper, §3).
                     if new_args
                         .iter()
-                        .any(|&a| matches!(cx.arena().node(a), TermNode::Error(_)))
+                        .any(|&a| matches!(store.arena().node(a), TermNode::Error(_)))
                     {
                         st.tick(&self.budget)?;
-                        let result = cx.arena_mut().error(self.spec.sig().try_op(op)?.result());
+                        let result = store
+                            .arena_mut()
+                            .error(self.spec.sig().try_op(op)?.result());
                         if st.tracing() {
-                            let redex = self.reify_app(cx.arena(), op, &new_args);
-                            st.note("strict", &redex, &cx.arena().to_term(result));
+                            let redex = self.reify_app(store.arena(), op, &new_args);
+                            st.note("strict", &redex, &store.arena().to_term(result));
                         }
                         return Ok(result);
                     }
@@ -827,7 +770,7 @@ impl<'a> Rewriter<'a> {
                     // if c then f(…, x, …) else f(…, y, …). Sound for all
                     // values of c (true, false, and error, by strictness).
                     let stuck_arg = new_args.iter().enumerate().find_map(|(idx, &a)| {
-                        match cx.arena().node(a) {
+                        match store.arena().node(a) {
                             TermNode::Ite(c, t, e) => Some((idx, *c, *t, *e)),
                             _ => None,
                         }
@@ -835,7 +778,7 @@ impl<'a> Rewriter<'a> {
                     if let Some((idx, c, t, e)) = stuck_arg {
                         st.tick(&self.budget)?;
                         let redex = if st.tracing() {
-                            Some(self.reify_app(cx.arena(), op, &new_args))
+                            Some(self.reify_app(store.arena(), op, &new_args))
                         } else {
                             None
                         };
@@ -843,11 +786,11 @@ impl<'a> Rewriter<'a> {
                         then_args[idx] = t;
                         let mut else_args = new_args;
                         else_args[idx] = e;
-                        let then_app = cx.arena_mut().app(op, then_args);
-                        let else_app = cx.arena_mut().app(op, else_args);
-                        let lifted = cx.arena_mut().ite(c, then_app, else_app);
+                        let then_app = store.arena_mut().app(op, then_args);
+                        let else_app = store.arena_mut().app(op, else_args);
+                        let lifted = store.arena_mut().ite(c, then_app, else_app);
                         if let Some(redex) = redex {
-                            st.note("arg-lift", &redex, &cx.arena().to_term(lifted));
+                            st.note("arg-lift", &redex, &store.arena().to_term(lifted));
                         }
                         current = lifted;
                         continue;
@@ -857,54 +800,23 @@ impl<'a> Rewriter<'a> {
                     let subject = if new_args == args {
                         current
                     } else {
-                        cx.arena_mut().app(op, new_args)
+                        store.arena_mut().app(op, new_args)
                     };
-                    let op_index = op.index();
-                    if cx.rules.len() <= op_index {
-                        cx.rules.resize_with(op_index + 1, || None);
+                    let fired = self.rules.for_head(op).iter().find(|rule| {
+                        bindings.clear();
+                        match_term(store.arena(), rule.lhs(), subject, &mut bindings)
+                    });
+                    let Some(rule) = fired else {
+                        return Ok(subject);
+                    };
+                    st.tick(&self.budget)?;
+                    let contractum = instantiate(store.arena_mut(), rule.rhs(), &bindings);
+                    if st.tracing() {
+                        let redex = store.arena().to_term(subject);
+                        let contractum_term = store.arena().to_term(contractum);
+                        st.note(rule.label(), &redex, &contractum_term);
                     }
-                    if cx.rules[op_index].is_none() {
-                        let compiled: Box<[InternedRule]> = self
-                            .rules
-                            .for_head(op)
-                            .iter()
-                            .enumerate()
-                            .map(|(index, rule)| InternedRule {
-                                lhs: cx.arena_mut().intern(rule.lhs()),
-                                rhs: cx.arena_mut().intern(rule.rhs()),
-                                index,
-                            })
-                            .collect();
-                        cx.rules[op_index] = Some(compiled);
-                    }
-                    // Split borrows: the compiled rules (shared) and the
-                    // store (mutable) are disjoint fields of the context.
-                    let RunCx { store, rules, .. } = cx;
-                    let arena = store.arena_mut();
-                    let mut fired = None;
-                    if let Some(Some(compiled)) = rules.get(op_index) {
-                        for rule in compiled.iter() {
-                            bindings.clear();
-                            if match_id(arena, rule.lhs, subject, &mut bindings) {
-                                fired = Some(rule);
-                                break;
-                            }
-                        }
-                    }
-                    match fired {
-                        Some(rule) => {
-                            st.tick(&self.budget)?;
-                            let contractum = instantiate(arena, rule.rhs, &bindings);
-                            if st.tracing() {
-                                let label = self.rules.for_head(op)[rule.index].label();
-                                let redex = arena.to_term(subject);
-                                let contractum_term = arena.to_term(contractum);
-                                st.note(label, &redex, &contractum_term);
-                            }
-                            current = contractum;
-                        }
-                        None => return Ok(subject),
-                    }
+                    current = contractum;
                 }
             }
         }
@@ -1462,5 +1374,102 @@ mod tests {
         assert_eq!(session.term(want), first.term);
         assert!(first.steps > 0);
         assert_eq!(first.steps, second.steps);
+    }
+
+    #[test]
+    fn rule_sides_never_enter_the_session_store() {
+        let spec = queue_spec();
+        let session = Session::new(spec.clone());
+        let added = q(
+            &spec,
+            "ADD",
+            vec![q(&spec, "NEW", vec![]), q(&spec, "A", vec![])],
+        );
+        let id = session.intern(&q(&spec, "IS_EMPTY?", vec![added]));
+        let nf = Rewriter::for_session(&session)
+            .normalize_id(&session, id)
+            .unwrap();
+        assert_eq!(session.term(nf), spec.sig().ff());
+        // The subject's four nodes and q2's contractum `false`: neither
+        // IS_EMPTY? rule, nor the variables of q2, was interned.
+        assert_eq!(session.stats().interned_terms, 5);
+    }
+
+    /// `F(x, x) = C` is non-linear, `G(x) = D` makes arguments equal only
+    /// once they are normalized, and `H` has no axiom of its own.
+    fn nonlinear_spec() -> Spec {
+        let mut b = SpecBuilder::new("Nonlinear");
+        let s = b.sort("S");
+        let c = b.ctor("C", [], s);
+        let d = b.ctor("D", [], s);
+        let f = b.op("F", [s, s], s);
+        let g = b.op("G", [s], s);
+        b.op("H", [s], s);
+        let x = Term::Var(b.var("x", s));
+        b.var("y", s);
+        b.axiom("same", b.app(f, [x.clone(), x.clone()]), b.app(c, []));
+        b.axiom("g", b.app(g, [x]), b.app(d, []));
+        b.build().unwrap()
+    }
+
+    /// Normalizes `t` on the cold path (plain and traced) and by id in
+    /// `session`, checks each against the reference engine, and returns
+    /// the normal form.
+    fn agree_with_reference(rw: &Rewriter, session: &Session, t: &Term) -> Term {
+        let reference = rw.normalize_reference(t).unwrap();
+        let cold = rw.normalize_full(t).unwrap();
+        assert_eq!(cold.term, reference.term, "{t:?}");
+        assert!(cold.steps <= reference.steps, "{t:?}");
+        assert_eq!(rw.normalize_traced(t).unwrap().0, reference.term, "{t:?}");
+        let nf = rw.normalize_id(session, session.intern(t)).unwrap();
+        assert_eq!(session.term(nf), reference.term, "{t:?}");
+        reference.term
+    }
+
+    #[test]
+    fn nonlinear_left_sides_fire_only_on_equal_arguments() {
+        let spec = nonlinear_spec();
+        let session = Session::new(spec.clone());
+        let rw = Rewriter::for_session(&session);
+        let (c, d) = (q(&spec, "C", vec![]), q(&spec, "D", vec![]));
+        let x = Term::Var(spec.sig().find_var("x").unwrap());
+        let y = Term::Var(spec.sig().find_var("y").unwrap());
+        let f = |a: &Term, b: &Term| q(&spec, "F", vec![a.clone(), b.clone()]);
+        let g_c = q(&spec, "G", vec![c.clone()]);
+        for (t, want) in [
+            (f(&c, &c), c.clone()),
+            (f(&c, &d), f(&c, &d)),
+            (f(&g_c, &d), c.clone()),
+            (f(&g_c, &q(&spec, "G", vec![d.clone()])), c.clone()),
+            (f(&x, &x), c.clone()),
+            (f(&x, &y), f(&x, &y)),
+        ] {
+            assert_eq!(agree_with_reference(&rw, &session, &t), want, "{t:?}");
+        }
+    }
+
+    #[test]
+    fn right_side_variables_absent_on_the_left_instantiate_to_themselves() {
+        let spec = nonlinear_spec();
+        let x = Term::Var(spec.sig().find_var("x").unwrap());
+        let y = Term::Var(spec.sig().find_var("y").unwrap());
+        let f = |a: &Term, b: &Term| q(&spec, "F", vec![a.clone(), b.clone()]);
+        let h = |a: &Term| q(&spec, "H", vec![a.clone()]);
+        // Shaped like an induction hypothesis: `y` occurs only on the right.
+        let mut rules = RuleSet::from_spec(&spec);
+        rules.add(adt_core::Axiom::new("IH", h(&x), f(&x, &y)));
+        let rw = Rewriter::with_rules(&spec, rules);
+        // Only `rw` evaluates in this session, so its normal-form table
+        // holds normal forms under `rw`'s rules.
+        let session = Session::new(spec.clone());
+        let (c, d) = (q(&spec, "C", vec![]), q(&spec, "D", vec![]));
+        for (t, want) in [
+            (h(&c), f(&c, &y)),
+            (h(&q(&spec, "G", vec![c.clone()])), f(&d, &y)),
+            // x := y makes the contractum F(y, y), which `same` rewrites.
+            (h(&y), c.clone()),
+        ] {
+            assert_eq!(agree_with_reference(&rw, &session, &t), want, "{t:?}");
+        }
     }
 }
