@@ -4,8 +4,9 @@
 //! Measures every experiment row: EX-1's rewrite_queue, TB-2's
 //! array_representations, TB-3's defensive_check, TB-4's
 //! checker_scaling, session_reuse and retry_ladder (all deterministic,
-//! seeds 1 and 7), TB-1's symbolic_vs_direct (seed `0xC0FFEE`) and TB-5's
-//! verification_depth (seed 1), and emits the medians as
+//! seeds 1 and 7), TB-1's symbolic_vs_direct (seed `0xC0FFEE`), TB-5's
+//! verification_depth (seed 1) and the intern and consistency layer
+//! rows, and emits the medians as
 //! machine-readable JSON. Every run fails if session reuse is less than
 //! 1.5× faster than a fresh session per check. CI runs this with
 //! `--quick --baseline BENCH_rewrite.json`, which also fails on a >2×
@@ -310,6 +311,49 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
                     .sum::<usize>()
             }),
         );
+    }
+
+    // intern (layer row): re-interning a 257-node chain (128 ADDs over
+    // NEW, each with an item) into a store that already holds it, so
+    // every node is a hash-cons hit.
+    {
+        let g = group("intern");
+        let chain = queue_term(&spec, 128, 0, 7);
+        assert_eq!(chain.size(), 257);
+        let mut store = adt_core::TermStore::new();
+        let id = store.arena_mut().intern(&chain);
+        let m = g.bench("hit/256", || {
+            let again = store.arena_mut().intern(std::hint::black_box(&chain));
+            assert_eq!(again, id);
+            again
+        });
+        push("intern", "hit/256", m);
+    }
+
+    // consistency (layer row): the consistency check of all 12 shipped
+    // specs at one job, as `adt check` runs it after parsing; the ground
+    // probes are nearly all of it.
+    {
+        let g = group("consistency");
+        let shipped: Vec<_> = adt_structures::sources::all()
+            .into_iter()
+            .map(|(name, source)| {
+                adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)))
+            })
+            .collect();
+        assert_eq!(shipped.len(), 12);
+        let (probe, config) = (ProbeConfig::default(), CheckConfig::jobs(1));
+        let m = g.bench("shipped", || {
+            shipped
+                .iter()
+                .map(|spec| {
+                    let report = check_consistency_with_config(spec, &probe, &config);
+                    assert!(report.is_consistent(), "{}", report.summary());
+                    report.probes_run()
+                })
+                .sum::<usize>()
+        });
+        push("consistency", "shipped", m);
     }
 
     // checker_scaling (TB-4): the full completeness partition analysis

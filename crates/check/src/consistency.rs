@@ -17,11 +17,12 @@
 //!    compare. This catches contradictions that only manifest on
 //!    particular value combinations.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 
 use adt_core::{
-    display, match_pattern, DetRng, ExhaustionCause, FuelSpent, Interrupt, OpId, Session,
-    Signature, SortId, Spec, Term,
+    display, DetRng, ExhaustionCause, FuelSpent, Interrupt, OpId, Session, Signature, SortId, Spec,
+    Term, TermId, TermStore,
 };
 use adt_rewrite::{classify_superposition, superpositions, PairStatus, RewriteError, Rewriter};
 
@@ -288,9 +289,13 @@ pub fn check_consistency_session(
 /// Determinism: superpositions are enumerated sequentially (their order
 /// defines the contradiction list order) and only *classified* in
 /// parallel; probe terms are sampled sequentially from the seeded RNG and
-/// only *normalized* in parallel. Both merges restore input order, and no
-/// cache outlives one normalization, so the report is a function of
-/// (spec, probe, budget) alone — byte-identical at any job count.
+/// only *normalized* in parallel. Both merges restore input order. Each
+/// pair's classification builds its own store; each probe runs in its
+/// worker thread's one store, which is cleared at the start of every
+/// attempt, and each of the probe's normalizations forgets that store's
+/// normal-form table before it starts. No normal form outlives one
+/// normalization, so the report is a function of (spec, probe, budget)
+/// alone — byte-identical at any job count.
 ///
 /// Robustness guarantees:
 ///
@@ -535,24 +540,17 @@ pub fn random_ctor_term(
     max_depth: usize,
     rng: &mut DetRng,
 ) -> Option<Term> {
-    let ctors: Vec<OpId> = sig.constructors_of(sort).collect();
-    if ctors.is_empty() {
+    // At the last level only nullary constructors fit.
+    let mut usable = sig
+        .constructors_of(sort)
+        .filter(|&c| max_depth > 1 || sig.op(c).arity() == 0);
+    let count = usable.clone().count();
+    if count == 0 {
         return None;
     }
-    let usable: Vec<OpId> = if max_depth <= 1 {
-        let nullary: Vec<OpId> = ctors
-            .iter()
-            .copied()
-            .filter(|&c| sig.op(c).arity() == 0)
-            .collect();
-        if nullary.is_empty() {
-            return None;
-        }
-        nullary
-    } else {
-        ctors
-    };
-    let ctor = usable[rng.below(usable.len())];
+    let ctor = usable
+        .nth(rng.below(count))
+        .expect("the draw is below the count");
     let args: Option<Vec<Term>> = sig
         .op(ctor)
         .args()
@@ -586,71 +584,79 @@ impl ProbeOutcome {
     }
 }
 
+thread_local! {
+    /// The store each worker thread runs its probes in. A probe clears
+    /// it before it starts, so no attempt reads what an earlier probe,
+    /// or a panicked or retried attempt, left; clearing keeps the
+    /// allocations, so a worker's probes stop allocating once it has
+    /// seen its largest.
+    static PROBE_STORE: RefCell<TermStore> = RefCell::new(TermStore::new());
+}
+
 /// Enumerates every one-step reduct of `term` (any rule, any position),
 /// normalizes each, and reports the first distinguishable disagreement.
 /// A normalization that exhausts its budget is recorded — not swallowed —
 /// so divergent axiom sets surface as a partial verdict; other rewrite
-/// errors (ill-sorted reducts) skip that reduct as before.
+/// errors (ill-sorted reducts) skip that reduct.
+///
+/// The probe runs on ids in the worker's store: the term is interned
+/// once, each reduct is normalized in place, and `Term`s are built only
+/// for a contradiction.
 fn probe_divergence(rw: &Rewriter<'_>, sig: &Signature, term: &Term) -> ProbeOutcome {
-    let mut steps = 0;
-    let mut exhausted: Option<FuelSpent> = None;
-    let mut interrupted: Option<Interrupt> = None;
-    let mut normal_forms: Vec<Term> = Vec::new();
-    'scan: for (pos, sub) in term.subterms() {
-        if let Term::App(op, _) = sub {
-            for rule in rw.rules().for_head(*op) {
-                if let Some(subst) = match_pattern(rule.lhs(), sub) {
-                    let contractum = subst.apply(rule.rhs());
-                    // `pos` came from `subterms()`, so it resolves; skip
-                    // defensively rather than panic if it ever does not.
-                    let Some(rewritten) = term.replace_at(&pos, contractum) else {
-                        continue;
-                    };
-                    match rw.normalize_full(&rewritten) {
-                        Ok(norm) => {
-                            steps += norm.steps;
-                            normal_forms.push(norm.term);
-                        }
-                        Err(RewriteError::Exhausted { spent, .. }) => {
-                            steps += spent.steps;
-                            if exhausted.is_none() {
-                                exhausted = Some(spent);
-                            }
-                        }
-                        Err(RewriteError::Interrupted { kind, steps: s }) => {
-                            // The supervisor pulled the plug: stop the
-                            // whole scan — further reducts would only be
-                            // interrupted again.
-                            steps += s;
-                            interrupted = Some(kind);
-                            break 'scan;
-                        }
-                        Err(_) => {}
+    PROBE_STORE.with_borrow_mut(|store| {
+        store.clear();
+        let root = store.arena_mut().intern(term);
+        let mut steps = 0;
+        let mut exhausted: Option<FuelSpent> = None;
+        let mut interrupted: Option<Interrupt> = None;
+        let mut normal_forms: Vec<TermId> = Vec::new();
+        for reduct in rw.one_step_reducts(store.arena_mut(), root) {
+            match rw.normalize_in(store, reduct) {
+                Ok((nf, taken)) => {
+                    steps += taken;
+                    normal_forms.push(nf);
+                }
+                Err(RewriteError::Exhausted { spent, .. }) => {
+                    steps += spent.steps;
+                    if exhausted.is_none() {
+                        exhausted = Some(spent);
                     }
                 }
+                Err(RewriteError::Interrupted { kind, steps: s }) => {
+                    // The supervisor pulled the plug: stop the whole
+                    // scan — further reducts would only be interrupted
+                    // again.
+                    steps += s;
+                    interrupted = Some(kind);
+                    break;
+                }
+                Err(_) => {}
             }
         }
-    }
-    let mut found = None;
-    'search: for i in 0..normal_forms.len() {
-        for j in (i + 1)..normal_forms.len() {
-            if distinguishable(sig, &normal_forms[i], &normal_forms[j]) {
-                found = Some(Contradiction {
-                    peak: term.clone(),
-                    left_nf: normal_forms[i].clone(),
-                    right_nf: normal_forms[j].clone(),
-                    source: "ground-probe",
-                });
-                break 'search;
-            }
+        // Ids of one store are equal exactly when the terms are, so
+        // two normal forms are distinguishable when their ids differ
+        // and both are values.
+        let arena = store.arena();
+        let values: Vec<bool> = normal_forms
+            .iter()
+            .map(|&nf| arena.is_constructor_term(sig, nf))
+            .collect();
+        let found = (0..normal_forms.len())
+            .flat_map(|i| ((i + 1)..normal_forms.len()).map(move |j| (i, j)))
+            .find(|&(i, j)| values[i] && values[j] && normal_forms[i] != normal_forms[j])
+            .map(|(i, j)| Contradiction {
+                peak: term.clone(),
+                left_nf: arena.to_term(normal_forms[i]),
+                right_nf: arena.to_term(normal_forms[j]),
+                source: "ground-probe",
+            });
+        ProbeOutcome {
+            found,
+            exhausted,
+            interrupted,
+            steps,
         }
-    }
-    ProbeOutcome {
-        found,
-        exhausted,
-        interrupted,
-        steps,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -130,8 +130,10 @@ where
 ///
 /// The `AssertUnwindSafe` is justified: a panicked chunk's partial
 /// results are discarded wholesale and its items retried from scratch,
-/// and the checkers' rewriters keep no cache across attempts: every
-/// normalization builds and drops its own arena and cache.
+/// and no checker attempt reads what an earlier one left: a critical
+/// pair's normalizations each build and drop their own store, and a
+/// probe clears its worker thread's store before it starts, so a panic
+/// that leaves that store half-built costs the next attempt nothing.
 pub fn run_isolated<T, R, W, L>(
     jobs: usize,
     items: &[T],

@@ -28,7 +28,13 @@
 //! normal-form table. A `Term`-level normalization builds a fresh store
 //! and drops it when the run completes; a `Session` owns exactly one
 //! store, behind a mutex, and session-id normalizations evaluate in it
-//! in place.
+//! in place; the consistency checker's ground probes run in one store
+//! per worker thread, which [`TermStore::clear`] empties before every
+//! probe while keeping its allocations.
+//!
+//! A hash-cons hit allocates nothing: an application is looked up by
+//! `(op, &[TermId])`, and its argument slice is boxed only when the node
+//! is new.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -140,8 +146,11 @@ pub struct TermArena {
     /// `hashes[id.index()]` is the node's deterministic structural hash
     /// (stable across arenas and processes).
     hashes: Vec<u64>,
-    /// Structural hash → ids of nodes with that hash (almost always one).
-    dedup: PrehashedMap<Vec<TermId>>,
+    /// Structural hash → the newest node with that hash.
+    dedup: PrehashedMap<TermId>,
+    /// `older[id.index()]` is the next older node whose hash equals
+    /// `id`'s: the collision chain [`TermArena::find`] walks from `dedup`.
+    older: Vec<Option<TermId>>,
 }
 
 impl TermArena {
@@ -173,19 +182,21 @@ impl TermArena {
                 _ => 0,
             })
             .sum();
-        let dedup: usize = self
-            .dedup
-            .values()
-            .map(|bucket| {
-                std::mem::size_of::<u64>()
-                    + std::mem::size_of::<Vec<TermId>>()
-                    + bucket.capacity() * std::mem::size_of::<TermId>()
-            })
-            .sum();
         self.nodes.capacity() * std::mem::size_of::<TermNode>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()
             + args
-            + dedup
+            + self.dedup.capacity() * std::mem::size_of::<(u64, TermId)>()
+            + self.older.capacity() * std::mem::size_of::<Option<TermId>>()
+    }
+
+    /// Removes every node, keeping the allocations for reuse. Ids handed
+    /// out before are invalid afterwards: the next node interned is
+    /// `t0` again.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.hashes.clear();
+        self.dedup.clear();
+        self.older.clear();
     }
 
     /// The node an id denotes.
@@ -217,56 +228,97 @@ impl TermArena {
         }
     }
 
-    fn hash_of(&self, node: &TermNode) -> u64 {
-        match node {
-            TermNode::Var(v) => mix(TAG_VAR, v.index() as u64),
-            TermNode::Error(s) => mix(TAG_ERROR, s.index() as u64),
-            TermNode::App(op, args) => args.iter().fold(mix(TAG_APP, op.index() as u64), |h, a| {
-                mix(h, self.hashes[a.index()])
-            }),
-            TermNode::Ite(c, t, e) => [c, t, e]
-                .iter()
-                .fold(TAG_ITE, |h, id| mix(h, self.hashes[id.index()])),
-        }
-    }
-
-    fn intern_node(&mut self, node: TermNode) -> TermId {
-        let hash = self.hash_of(&node);
-        if let Some(bucket) = self.dedup.get(&hash) {
-            for &id in bucket {
-                if self.nodes[id.index()] == node {
-                    return id;
+    /// Whether the denoted term is a ground constructor term or `error`
+    /// (a definite value, as [`Term::is_constructor_term`] decides for
+    /// trees). Iterative, so deep terms are fine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was produced by a different arena, or a head
+    /// operation is not in `sig`.
+    pub fn is_constructor_term(&self, sig: &Signature, id: TermId) -> bool {
+        let mut todo = vec![id];
+        while let Some(id) = todo.pop() {
+            match self.node(id) {
+                TermNode::Var(_) | TermNode::Ite(..) => return false,
+                TermNode::Error(_) => {}
+                TermNode::App(op, args) => {
+                    if !sig.op(*op).is_constructor() {
+                        return false;
+                    }
+                    todo.extend_from_slice(args);
                 }
             }
         }
+        true
+    }
+
+    /// The node with structural hash `hash` that satisfies `is`, if one
+    /// was interned.
+    fn find(&self, hash: u64, is: impl Fn(&TermNode) -> bool) -> Option<TermId> {
+        let mut next = self.dedup.get(&hash).copied();
+        while let Some(id) = next {
+            if is(&self.nodes[id.index()]) {
+                return Some(id);
+            }
+            next = self.older[id.index()];
+        }
+        None
+    }
+
+    /// Appends a node that [`TermArena::find`] did not find.
+    fn push(&mut self, hash: u64, node: TermNode) -> TermId {
         // A 2^32-node arena is hundreds of gigabytes of terms; failing
         // loudly here is strictly better than aliasing two distinct terms.
         let id =
             TermId(u32::try_from(self.nodes.len()).expect("term arena exceeded the u32 id space"));
         self.nodes.push(node);
         self.hashes.push(hash);
-        self.dedup.entry(hash).or_default().push(id);
+        self.older.push(self.dedup.insert(hash, id));
         id
+    }
+
+    /// Interns a node that owns no heap data, so building it to compare
+    /// costs nothing.
+    fn intern_unboxed(&mut self, hash: u64, node: TermNode) -> TermId {
+        match self.find(hash, |n| *n == node) {
+            Some(id) => id,
+            None => self.push(hash, node),
+        }
     }
 
     /// Interns a variable.
     pub fn var(&mut self, v: VarId) -> TermId {
-        self.intern_node(TermNode::Var(v))
+        self.intern_unboxed(mix(TAG_VAR, v.index() as u64), TermNode::Var(v))
     }
 
     /// Interns an `error` value of the given sort.
     pub fn error(&mut self, s: SortId) -> TermId {
-        self.intern_node(TermNode::Error(s))
+        self.intern_unboxed(mix(TAG_ERROR, s.index() as u64), TermNode::Error(s))
     }
 
-    /// Interns an application of `op` to already-interned arguments.
-    pub fn app(&mut self, op: OpId, args: Vec<TermId>) -> TermId {
-        self.intern_node(TermNode::App(op, args.into_boxed_slice()))
+    /// Interns an application of `op` to already-interned arguments. A
+    /// hit allocates nothing; only a new node copies `args`.
+    pub fn app(&mut self, op: OpId, args: &[TermId]) -> TermId {
+        let hash = args.iter().fold(mix(TAG_APP, op.index() as u64), |h, a| {
+            mix(h, self.hashes[a.index()])
+        });
+        let found = self.find(
+            hash,
+            |n| matches!(n, TermNode::App(f, xs) if *f == op && **xs == *args),
+        );
+        match found {
+            Some(id) => id,
+            None => self.push(hash, TermNode::App(op, args.into())),
+        }
     }
 
     /// Interns a conditional over already-interned parts.
     pub fn ite(&mut self, cond: TermId, then_branch: TermId, else_branch: TermId) -> TermId {
-        self.intern_node(TermNode::Ite(cond, then_branch, else_branch))
+        let hash = [cond, then_branch, else_branch]
+            .iter()
+            .fold(TAG_ITE, |h, id| mix(h, self.hashes[id.index()]));
+        self.intern_unboxed(hash, TermNode::Ite(cond, then_branch, else_branch))
     }
 
     /// Interns a [`Term`], sharing every subterm already present.
@@ -300,15 +352,16 @@ impl TermArena {
                 },
                 Frame::Build(t) => match t {
                     Term::App(op, args) => {
-                        let children = done.split_off(done.len() - args.len());
-                        done.push(self.app(*op, children));
+                        let start = done.len() - args.len();
+                        let id = self.app(*op, &done[start..]);
+                        done.truncate(start);
+                        done.push(id);
                     }
                     Term::Ite(_) => {
-                        let [c, th, e]: [TermId; 3] = done
-                            .split_off(done.len() - 3)
-                            .try_into()
-                            .expect("three children were interned");
-                        done.push(self.ite(c, th, e));
+                        let start = done.len() - 3;
+                        let id = self.ite(done[start], done[start + 1], done[start + 2]);
+                        done.truncate(start);
+                        done.push(id);
                     }
                     Term::Var(_) | Term::Error(_) => unreachable!("leaves are never deferred"),
                 },
@@ -439,6 +492,20 @@ impl TermStore {
         self.nf[index] = Some(nf);
     }
 
+    /// Forgets every recorded normal form and keeps the terms, so the
+    /// next evaluation in this store runs cold.
+    pub fn forget_nfs(&mut self) {
+        self.nf.clear();
+    }
+
+    /// Empties the store, terms and normal forms alike, keeping its
+    /// allocations for reuse. Ids from before are invalid afterwards;
+    /// interning then hands out the same ids a fresh store would.
+    pub fn clear(&mut self) {
+        self.arena.clear();
+        self.nf.clear();
+    }
+
     /// Approximate heap footprint in bytes: the arena's
     /// ([`TermArena::approx_bytes`]) plus the normal-form table's.
     pub fn approx_bytes(&self) -> usize {
@@ -488,6 +555,41 @@ mod tests {
         let before = arena.len();
         arena.intern(&chain(&sig, 4));
         assert_eq!(arena.len(), before + 1);
+    }
+
+    #[test]
+    fn a_cleared_store_hands_out_the_ids_of_a_fresh_one() {
+        let sig = sig();
+        let qv = Term::Var(sig.find_var("q").unwrap());
+        let t = sig.apply("FRONT", vec![chain(&sig, 3)]).unwrap();
+        let u = sig.apply("IS_EMPTY?", vec![qv]).unwrap();
+        let mut reused = TermStore::new();
+        reused.arena_mut().intern(&chain(&sig, 6));
+        let old = reused.arena_mut().intern(&u);
+        reused.record_nf(old, old);
+        reused.clear();
+        let mut fresh = TermStore::new();
+        for term in [&t, &u, &t] {
+            let id = reused.arena_mut().intern(term);
+            assert_eq!(id, fresh.arena_mut().intern(term));
+            assert_eq!(reused.cached_nf(id), None, "no normal form survives");
+        }
+        assert_eq!(reused.arena().len(), fresh.arena().len());
+    }
+
+    #[test]
+    fn nodes_that_share_a_hash_are_all_found() {
+        let sig = sig();
+        let mut arena = TermArena::new();
+        let a = arena.intern(&chain(&sig, 1));
+        // Forge a collision: file a second node under `a`'s hash. It
+        // becomes the newest entry there; `a` sits behind it.
+        let hash = arena.hashes[a.index()];
+        let forged = TermNode::Var(VarId::from_index(0));
+        let b = arena.push(hash, forged.clone());
+        assert_eq!(arena.find(hash, |n| *n == forged), Some(b));
+        assert_eq!(arena.intern(&chain(&sig, 1)), a);
+        assert_eq!(arena.len(), 4);
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl Session {
                     .expect("session terms are built over the session's signature"))
             }),
         )?;
-        Ok(store.arena_mut().app(op, args.to_vec()))
+        Ok(store.arena_mut().app(op, args))
     }
 
     /// Materializes the term a session id denotes.

@@ -120,6 +120,10 @@ pub struct Signature {
     sort_by_name: HashMap<String, SortId>,
     ops: Vec<OpInfo>,
     op_by_name: HashMap<String, OpId>,
+    /// `ctors[sort.index()]` lists the constructors of `sort` in
+    /// declaration order (shorter than `sorts` when the last sorts have
+    /// none yet).
+    ctors: Vec<Vec<OpId>>,
     vars: Vec<VarInfo>,
     var_by_name: HashMap<String, VarId>,
     bool_sort: SortId,
@@ -142,6 +146,7 @@ impl Signature {
             sort_by_name: HashMap::new(),
             ops: Vec::new(),
             op_by_name: HashMap::new(),
+            ctors: Vec::new(),
             vars: Vec::new(),
             var_by_name: HashMap::new(),
             bool_sort: SortId(0),
@@ -186,6 +191,12 @@ impl Signature {
             return Err(CoreError::DuplicateOp { name: name.into() });
         }
         let id = OpId(crate::ids::checked_index(self.ops.len(), "operation")?);
+        if constructor {
+            if self.ctors.len() <= result.index() {
+                self.ctors.resize_with(result.index() + 1, Vec::new);
+            }
+            self.ctors[result.index()].push(id);
+        }
         self.ops.push(OpInfo {
             name: name.into(),
             args,
@@ -324,16 +335,13 @@ impl Signature {
         (0..self.vars.len()).map(VarId::from_index)
     }
 
-    /// All operations whose range is `sort`.
-    pub fn ops_with_result(&self, sort: SortId) -> impl Iterator<Item = OpId> + '_ {
-        self.op_ids()
-            .filter(move |&id| self.op(id).result() == sort)
-    }
-
-    /// All designated constructors of `sort`.
-    pub fn constructors_of(&self, sort: SortId) -> impl Iterator<Item = OpId> + '_ {
-        self.ops_with_result(sort)
-            .filter(move |&id| self.op(id).is_constructor())
+    /// All designated constructors of `sort`, in declaration order.
+    pub fn constructors_of(&self, sort: SortId) -> impl Iterator<Item = OpId> + Clone + '_ {
+        self.ctors
+            .get(sort.index())
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .copied()
     }
 
     /// The built-in `Bool` sort.
@@ -556,13 +564,10 @@ mod tests {
             .constructors_of(queue)
             .map(|op| sig.op(op).name().to_owned())
             .collect();
-        assert_eq!(ctors, vec!["NEW", "ADD"]);
         // REMOVE ranges over Queue but is not a constructor.
-        let with_result: Vec<_> = sig
-            .ops_with_result(queue)
-            .map(|op| sig.op(op).name().to_owned())
-            .collect();
-        assert_eq!(with_result, vec!["NEW", "ADD", "REMOVE"]);
+        assert_eq!(ctors, vec!["NEW", "ADD"]);
+        let bools: Vec<_> = sig.constructors_of(sig.bool_sort()).collect();
+        assert_eq!(bools, vec![sig.true_op(), sig.false_op()]);
     }
 
     #[test]

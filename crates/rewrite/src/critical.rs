@@ -281,8 +281,8 @@ mod tests {
     }
 
     /// Every `.adt` file in `dir` (relative to the workspace root),
-    /// parsed, in file-name order.
-    fn specs_in(dir: &str) -> Vec<Spec> {
+    /// parsed, in file-name order, with its file name.
+    fn specs_in(dir: &str) -> Vec<(String, Spec)> {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut paths: Vec<_> = std::fs::read_dir(root.join(dir))
             .unwrap()
@@ -294,7 +294,10 @@ mod tests {
             .iter()
             .map(|p| {
                 let text = std::fs::read_to_string(p).unwrap();
-                adt_dsl::parse(&text).unwrap_or_else(|e| panic!("{}: {e:?}", p.display()))
+                let spec =
+                    adt_dsl::parse(&text).unwrap_or_else(|e| panic!("{}: {e:?}", p.display()));
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, spec)
             })
             .collect()
     }
@@ -316,19 +319,33 @@ mod tests {
     fn index_matches_naive_on_shipped_specs_and_fixtures() {
         let specs = specs_in("specs");
         assert_eq!(specs.len(), 12);
-        for spec in &specs {
+        for (_, spec) in &specs {
             indexed_matches_naive(spec);
         }
-        // f_h_pairs.adt (the pairs the fault-injection tests arm),
-        // overlap_heads.adt (twelve root pairs under six heads) and
-        // taken_witness_name.adt (none).
+        // Every fixture runs the check; these have their pair counts
+        // pinned: the pairs the fault-injection tests arm, twelve root
+        // pairs under six heads, and none.
+        let pinned = [
+            ("f_h_pairs.adt", 2),
+            ("overlap_heads.adt", 12),
+            ("taken_witness_name.adt", 0),
+        ];
         let fixtures = specs_in("tests/fixtures");
-        let pairs: Vec<_> = fixtures.iter().map(indexed_matches_naive).collect();
-        assert_eq!(pairs.iter().map(Vec::len).collect::<Vec<_>>(), [2, 12, 0]);
-        assert_eq!(
-            shape(&pairs[0]),
-            [("f0", "f1", vec![]), ("f1", "f0", vec![])]
-        );
+        for (name, spec) in &fixtures {
+            let pairs = indexed_matches_naive(spec);
+            if let Some(&(_, want)) = pinned.iter().find(|(file, _)| file == name) {
+                assert_eq!(pairs.len(), want, "{name}");
+            }
+            if name == "f_h_pairs.adt" {
+                assert_eq!(shape(&pairs), [("f0", "f1", vec![]), ("f1", "f0", vec![])]);
+            }
+        }
+        for (file, _) in pinned {
+            assert!(
+                fixtures.iter().any(|(name, _)| name == file),
+                "{file} is missing"
+            );
+        }
     }
 
     /// Sort `N` with `ZERO`, `SUCC`, unary `F`, `G`, and `SAME?: N N -> Bool`.

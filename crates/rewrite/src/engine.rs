@@ -29,6 +29,14 @@
 //! receipts — is byte-identical to the tree-walking evaluator it
 //! replaced.
 //!
+//! A caller that holds its own store works on ids throughout:
+//! [`Rewriter::one_step_reducts`] lists a term's one-step reducts in it,
+//! and [`Rewriter::normalize_in`] normalizes each in place. The latter
+//! forgets the store's normal-form table first, so every such
+//! normalization runs cold and reports what [`Rewriter::normalize_full`]
+//! would, steps and exhaustion receipts included, however often the
+//! store is reused.
+//!
 //! # The session surface
 //!
 //! A [`Session`] owns the cross-check shared state: spec, rule table
@@ -314,11 +322,11 @@ fn instantiate(arena: &mut TermArena, template: &Term, bindings: &[(VarId, TermI
             .find(|(bound_var, _)| bound_var == v)
             .map_or_else(|| arena.var(*v), |&(_, bound)| bound),
         Term::App(op, args) => {
-            let args = args
+            let args: Vec<TermId> = args
                 .iter()
                 .map(|a| instantiate(arena, a, bindings))
                 .collect();
-            arena.app(*op, args)
+            arena.app(*op, &args)
         }
         Term::Ite(ite) => {
             let c = instantiate(arena, &ite.cond, bindings);
@@ -452,12 +460,13 @@ impl<'a> Rewriter<'a> {
     /// into the session's counters. Concurrent calls on one session
     /// serialize on the lock.
     ///
-    /// **Contract:** this rewriter's rules must equal the session's
-    /// (guaranteed by [`Rewriter::for_session`]); otherwise the recorded
-    /// normal forms would poison the session store for every other
-    /// caller. Budgets may differ: entries are recorded only for
-    /// sub-evaluations that finished, so they are true normal forms even
-    /// when the enclosing run later exhausts or is interrupted.
+    /// Only a rewriter built by [`Rewriter::for_session`] on `session`
+    /// may evaluate here: a rewriter with other rules would record its
+    /// normal forms in the session store, where every other caller would
+    /// read them as the session's. Budgets may differ: entries are
+    /// recorded only for sub-evaluations that finished, so they are true
+    /// normal forms even when the enclosing run later exhausts or is
+    /// interrupted.
     ///
     /// **Fuel caveat:** a table hit — at the root *or at any argument* —
     /// skips the steps the recorded evaluation once cost, so a caller
@@ -470,8 +479,14 @@ impl<'a> Rewriter<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `id` did not come from `session`.
+    /// Panics if this rewriter does not borrow `session`'s rules (it was
+    /// not built by [`Rewriter::for_session`] on `session`), or if `id`
+    /// did not come from `session`.
     pub fn normalize_id(&self, session: &Session, id: TermId) -> Result<TermId> {
+        assert!(
+            matches!(&self.rules, Cow::Borrowed(rules) if std::ptr::eq(*rules, session.rules())),
+            "normalize_id needs a rewriter built by Rewriter::for_session on this session"
+        );
         let mut store = session.store();
         if let Some(nf) = store.cached_nf(id) {
             session.note_nf_hit();
@@ -481,6 +496,102 @@ impl<'a> Rewriter<'a> {
         let nf = self.eval(&mut store, id, &mut st, &Vec::new())?;
         session.note_normalizations(1, st.steps);
         Ok(nf)
+    }
+
+    /// Normalizes `id` in a caller-owned store and returns its normal form
+    /// with the number of steps taken.
+    ///
+    /// The store's normal-form table is forgotten first, so the
+    /// normalization runs cold: the normal form, the step count and any
+    /// exhaustion receipt are those [`Rewriter::normalize_full`] reports
+    /// for the term `id` denotes, whatever the store held before. The
+    /// terms stay, so a store can be reused without reallocating.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Rewriter::normalize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from `store`.
+    pub fn normalize_in(&self, store: &mut TermStore, id: TermId) -> Result<(TermId, u64)> {
+        store.forget_nfs();
+        let mut st = EvalState::new(&self.budget, self.supervisor.clone(), None);
+        let nf = self.eval(store, id, &mut st, &Vec::new())?;
+        Ok((nf, st.steps))
+    }
+
+    /// Every one-step reduct of `root`: for each position in pre-order,
+    /// and at it each rule of the head's bucket in order, the term with
+    /// that rule's contractum in place of the matching subterm. The
+    /// reducts are interned into `arena`; a term with no redex has none.
+    ///
+    /// Matching and instantiation are the evaluator's own, so a reduct is
+    /// the id of the term the tree-level rewrite (match the left-hand
+    /// side, apply the substitution, replace at the position) builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` did not come from `arena`.
+    pub fn one_step_reducts(&self, arena: &mut TermArena, root: TermId) -> Vec<TermId> {
+        let mut reducts = Vec::new();
+        let mut bindings: Vec<(VarId, TermId)> = Vec::new();
+        let mut args: Vec<TermId> = Vec::new();
+        // A parent and the index of one of its children.
+        type Edge = (TermId, usize);
+        // The visited node's ancestors, root first, each with the index
+        // of the child the path descends into.
+        let mut path: Vec<Edge> = Vec::new();
+        // Nodes still to visit: each with the length of its parent's
+        // path and its edge below that parent.
+        let mut todo: Vec<(TermId, usize, Option<Edge>)> = vec![(root, 0, None)];
+        while let Some((node, depth, edge)) = todo.pop() {
+            path.truncate(depth);
+            path.extend(edge);
+            if let &TermNode::App(op, _) = arena.node(node) {
+                for rule in self.rules.for_head(op) {
+                    bindings.clear();
+                    if !match_term(arena, rule.lhs(), node, &mut bindings) {
+                        continue;
+                    }
+                    let mut rewritten = instantiate(arena, rule.rhs(), &bindings);
+                    for &(parent, i) in path.iter().rev() {
+                        rewritten = match arena.node(parent) {
+                            TermNode::App(op, xs) => {
+                                let op = *op;
+                                args.clear();
+                                args.extend_from_slice(xs);
+                                args[i] = rewritten;
+                                arena.app(op, &args)
+                            }
+                            &TermNode::Ite(c, t, e) => match i {
+                                0 => arena.ite(rewritten, t, e),
+                                1 => arena.ite(c, rewritten, e),
+                                _ => arena.ite(c, t, rewritten),
+                            },
+                            TermNode::Var(_) | TermNode::Error(_) => {
+                                unreachable!("leaves have no children")
+                            }
+                        };
+                    }
+                    reducts.push(rewritten);
+                }
+            }
+            let depth = path.len();
+            match arena.node(node) {
+                TermNode::App(_, xs) => todo.extend(
+                    xs.iter()
+                        .enumerate()
+                        .rev()
+                        .map(|(i, &x)| (x, depth, Some((node, i)))),
+                ),
+                &TermNode::Ite(c, t, e) => {
+                    todo.extend([(e, 2), (t, 1), (c, 0)].map(|(x, i)| (x, depth, Some((node, i)))))
+                }
+                TermNode::Var(_) | TermNode::Error(_) => {}
+            }
+        }
+        reducts
     }
 
     /// Normalizes a term, recording every step in a [`Trace`].
@@ -743,10 +854,12 @@ impl<'a> Rewriter<'a> {
                 }
                 TermNode::App(op, args) => {
                     let op = *op;
-                    let args = args.to_vec();
-                    let mut new_args = Vec::with_capacity(args.len());
-                    for &a in &args {
-                        new_args.push(self.eval(store, a, st, asms)?);
+                    let mut new_args = args.to_vec();
+                    let mut changed = false;
+                    for a in &mut new_args {
+                        let nf = self.eval(store, *a, st, asms)?;
+                        changed |= nf != *a;
+                        *a = nf;
                     }
                     // Strict error propagation: any operation applied to an
                     // argument list containing error is error (paper, §3).
@@ -786,8 +899,8 @@ impl<'a> Rewriter<'a> {
                         then_args[idx] = t;
                         let mut else_args = new_args;
                         else_args[idx] = e;
-                        let then_app = store.arena_mut().app(op, then_args);
-                        let else_app = store.arena_mut().app(op, else_args);
+                        let then_app = store.arena_mut().app(op, &then_args);
+                        let else_app = store.arena_mut().app(op, &else_args);
                         let lifted = store.arena_mut().ite(c, then_app, else_app);
                         if let Some(redex) = redex {
                             st.note("arg-lift", &redex, &store.arena().to_term(lifted));
@@ -797,10 +910,10 @@ impl<'a> Rewriter<'a> {
                     }
                     // If no argument changed, `current` is already the
                     // interned application — skip the dedup probe.
-                    let subject = if new_args == args {
+                    let subject = if !changed {
                         current
                     } else {
-                        store.arena_mut().app(op, new_args)
+                        store.arena_mut().app(op, &new_args)
                     };
                     let fired = self.rules.for_head(op).iter().find(|rule| {
                         bindings.clear();
@@ -1413,16 +1526,18 @@ mod tests {
     }
 
     /// Normalizes `t` on the cold path (plain and traced) and by id in
-    /// `session`, checks each against the reference engine, and returns
+    /// `store`, checks each against the reference engine, and returns
     /// the normal form.
-    fn agree_with_reference(rw: &Rewriter, session: &Session, t: &Term) -> Term {
+    fn agree_with_reference(rw: &Rewriter, store: &mut TermStore, t: &Term) -> Term {
         let reference = rw.normalize_reference(t).unwrap();
         let cold = rw.normalize_full(t).unwrap();
         assert_eq!(cold.term, reference.term, "{t:?}");
         assert!(cold.steps <= reference.steps, "{t:?}");
         assert_eq!(rw.normalize_traced(t).unwrap().0, reference.term, "{t:?}");
-        let nf = rw.normalize_id(session, session.intern(t)).unwrap();
-        assert_eq!(session.term(nf), reference.term, "{t:?}");
+        let id = store.arena_mut().intern(t);
+        let (nf, steps) = rw.normalize_in(store, id).unwrap();
+        assert_eq!(store.arena().to_term(nf), reference.term, "{t:?}");
+        assert_eq!(steps, cold.steps, "{t:?}");
         reference.term
     }
 
@@ -1431,6 +1546,7 @@ mod tests {
         let spec = nonlinear_spec();
         let session = Session::new(spec.clone());
         let rw = Rewriter::for_session(&session);
+        let mut store = TermStore::new();
         let (c, d) = (q(&spec, "C", vec![]), q(&spec, "D", vec![]));
         let x = Term::Var(spec.sig().find_var("x").unwrap());
         let y = Term::Var(spec.sig().find_var("y").unwrap());
@@ -1444,7 +1560,9 @@ mod tests {
             (f(&x, &x), c.clone()),
             (f(&x, &y), f(&x, &y)),
         ] {
-            assert_eq!(agree_with_reference(&rw, &session, &t), want, "{t:?}");
+            assert_eq!(agree_with_reference(&rw, &mut store, &t), want, "{t:?}");
+            let nf = rw.normalize_id(&session, session.intern(&t)).unwrap();
+            assert_eq!(session.term(nf), want, "{t:?}");
         }
     }
 
@@ -1459,9 +1577,7 @@ mod tests {
         let mut rules = RuleSet::from_spec(&spec);
         rules.add(adt_core::Axiom::new("IH", h(&x), f(&x, &y)));
         let rw = Rewriter::with_rules(&spec, rules);
-        // Only `rw` evaluates in this session, so its normal-form table
-        // holds normal forms under `rw`'s rules.
-        let session = Session::new(spec.clone());
+        let mut store = TermStore::new();
         let (c, d) = (q(&spec, "C", vec![]), q(&spec, "D", vec![]));
         for (t, want) in [
             (h(&c), f(&c, &y)),
@@ -1469,7 +1585,16 @@ mod tests {
             // x := y makes the contractum F(y, y), which `same` rewrites.
             (h(&y), c.clone()),
         ] {
-            assert_eq!(agree_with_reference(&rw, &session, &t), want, "{t:?}");
+            assert_eq!(agree_with_reference(&rw, &mut store, &t), want, "{t:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "Rewriter::for_session")]
+    fn normalize_id_rejects_a_rewriter_with_its_own_rules() {
+        let spec = queue_spec();
+        let session = Session::new(spec.clone());
+        let id = session.intern(&q(&spec, "IS_EMPTY?", vec![q(&spec, "NEW", vec![])]));
+        let _ = Rewriter::new(&spec).normalize_id(&session, id);
     }
 }

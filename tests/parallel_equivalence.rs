@@ -9,10 +9,11 @@
 //! order those pairs are enumerated in is pinned.
 
 use adt_check::{
-    check_completeness_with_config, check_consistency_with_config, CheckConfig, ProbeConfig,
+    check_completeness_with_config, check_consistency_with_config, random_ctor_term, CheckConfig,
+    ProbeConfig,
 };
-use adt_core::{display, Fuel, Session, Term};
-use adt_rewrite::{superpositions, Rewriter};
+use adt_core::{display, match_pattern, DetRng, Fuel, Session, Spec, SpecBuilder, Term, TermStore};
+use adt_rewrite::{superpositions, RewriteError, Rewriter};
 use adt_structures::sources;
 use adt_verify::enumerate_terms;
 
@@ -341,4 +342,175 @@ fn proofs_are_identical_across_engines() {
             assert_eq!(base, warm, "{name} axiom {idx}: cold vs warm session");
         }
     }
+}
+
+/// A seeded specification over `N = Z | S(N) | P(N, N)` with three
+/// operations, lowest first: `B: N -> Bool`, `U: N -> N` and
+/// `T: N N -> N`. Each has two to four axioms whose left sides are random
+/// constructor patterns, repeated variables and overlaps included, and
+/// whose right sides mix the pattern's variables, constructors, `error`,
+/// conditionals on `B` and calls of lower operations. No right side
+/// calls its own head, so every term normalizes.
+fn seeded_spec(seed: u64) -> Spec {
+    let mut rng = DetRng::new(seed);
+    let mut b = SpecBuilder::new(format!("Seeded{seed}"));
+    let n = b.sort("N");
+    let z = b.ctor("Z", [], n);
+    let s = b.ctor("S", [n], n);
+    let p = b.ctor("P", [n, n], n);
+    let bool_sort = b.bool_sort();
+    let ops = [
+        b.op("B", [n], bool_sort),
+        b.op("U", [n], n),
+        b.op("T", [n, n], n),
+    ];
+    let vars = [Term::Var(b.var("x", n)), Term::Var(b.var("y", n))];
+    fn pattern(rng: &mut DetRng, depth: usize, c: &[adt_core::OpId; 3], vars: &[Term]) -> Term {
+        match rng.below(if depth == 0 { 2 } else { 5 }) {
+            0 => vars[rng.below(vars.len())].clone(),
+            1 => Term::App(c[0], vec![]),
+            2 | 3 => Term::App(c[1], vec![pattern(rng, depth - 1, c, vars)]),
+            _ => Term::App(
+                c[2],
+                vec![
+                    pattern(rng, depth - 1, c, vars),
+                    pattern(rng, depth - 1, c, vars),
+                ],
+            ),
+        }
+    }
+    let ctors = [z, s, p];
+    for (level, &op) in ops.iter().enumerate() {
+        for k in 0..2 + rng.below(3) {
+            let arity = b.sig().op(op).arity();
+            let lhs = Term::App(
+                op,
+                (0..arity)
+                    .map(|_| pattern(&mut rng, 2, &ctors, &vars))
+                    .collect(),
+            );
+            let bound: Vec<Term> = lhs.vars().into_iter().map(Term::Var).collect();
+            let rhs = if level == 0 {
+                [b.tt(), b.ff(), Term::Error(bool_sort)][rng.below(3)].clone()
+            } else {
+                // A value of N over the bound variables, possibly through
+                // a lower operation, possibly under a condition on `B`.
+                let value = |rng: &mut DetRng| {
+                    let arg = if bound.is_empty() {
+                        pattern(rng, 1, &ctors, &[Term::App(z, vec![])])
+                    } else {
+                        pattern(rng, 1, &ctors, &bound)
+                    };
+                    match rng.below(4) {
+                        0 if level == 2 => Term::App(ops[1], vec![arg]),
+                        1 => Term::Error(n),
+                        _ => arg,
+                    }
+                };
+                let then_value = value(&mut rng);
+                let else_value = value(&mut rng);
+                if rng.below(2) == 0 {
+                    let cond = Term::App(ops[0], vec![else_value.clone()]);
+                    Term::ite(cond, then_value, else_value)
+                } else {
+                    then_value
+                }
+            };
+            b.axiom(format!("{}{k}", b.sig().op(op).name()), lhs, rhs);
+        }
+    }
+    b.build().expect("seeded specs are well-formed")
+}
+
+/// A normalization outcome with its step count, as a comparable value.
+type Outcome = Result<(Term, u64), RewriteError>;
+
+#[test]
+fn probes_on_ids_match_the_tree_rewrites() {
+    // The consistency probes run on ids in one reused store: the term is
+    // interned once, `one_step_reducts` lists its reducts and
+    // `normalize_in` normalizes each in place. The oracle is the tree
+    // rewrite (match the left side at each `subterms` position, apply
+    // the substitution, `replace_at`) and a fresh run per reduct
+    // (`normalize_full`). Reducts must agree in order; normal forms,
+    // steps and exhaustion receipts at every step budget up to one past
+    // the steps taken.
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let mut files: Vec<_> = std::fs::read_dir(&fixtures)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "adt"))
+        .collect();
+    files.sort();
+    let mut specs: Vec<(String, Spec)> = sources::all()
+        .into_iter()
+        .map(|(name, source)| (name.to_owned(), adt_dsl::parse(source).unwrap()))
+        .collect();
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        specs.push((path.display().to_string(), adt_dsl::parse(&text).unwrap()));
+    }
+    specs.extend((1..=8).map(|seed| (format!("seeded {seed}"), seeded_spec(seed))));
+
+    let mut store = TermStore::new();
+    let (mut reducts_checked, mut multi_reduct_probes) = (0usize, 0usize);
+    for (name, spec) in &specs {
+        let rw = Rewriter::new(spec);
+        let observers: Vec<_> = spec.derived_ops().collect();
+        let mut rng = DetRng::new(ProbeConfig::default().seed);
+        for _ in 0..if observers.is_empty() { 0 } else { 100 } {
+            let op = observers[rng.below(observers.len())];
+            let args: Option<Vec<Term>> = spec
+                .sig()
+                .op(op)
+                .args()
+                .iter()
+                .map(|&sort| random_ctor_term(spec.sig(), sort, 5, &mut rng))
+                .collect();
+            let Some(args) = args else { continue };
+            let probe = Term::App(op, args);
+            let shown = display::term(spec.sig(), &probe);
+
+            let mut trees = Vec::new();
+            for (pos, sub) in probe.subterms() {
+                let Term::App(head, _) = sub else { continue };
+                for rule in rw.rules().for_head(*head) {
+                    if let Some(subst) = match_pattern(rule.lhs(), sub) {
+                        trees.push(probe.replace_at(&pos, subst.apply(rule.rhs())).unwrap());
+                    }
+                }
+            }
+            store.clear();
+            let root = store.arena_mut().intern(&probe);
+            let ids = rw.one_step_reducts(store.arena_mut(), root);
+            let materialized: Vec<Term> = ids.iter().map(|&id| store.arena().to_term(id)).collect();
+            assert_eq!(materialized, trees, "{name}: reducts of `{shown}`");
+            multi_reduct_probes += usize::from(ids.len() > 1);
+
+            for (&id, tree) in ids.iter().zip(&trees) {
+                let fresh: Outcome = rw.normalize_full(tree).map(|n| (n.term, n.steps));
+                let in_store = |rw: &Rewriter<'_>, store: &mut TermStore| -> Outcome {
+                    rw.normalize_in(store, id)
+                        .map(|(nf, steps)| (store.arena().to_term(nf), steps))
+                };
+                assert_eq!(in_store(&rw, &mut store), fresh, "{name}: `{shown}`");
+                let Ok((_, steps)) = fresh else { continue };
+                for budget in 1..=steps + 1 {
+                    let tight = Rewriter::new(spec).with_fuel(budget);
+                    let fresh: Outcome = tight.normalize_full(tree).map(|n| (n.term, n.steps));
+                    assert_eq!(
+                        in_store(&tight, &mut store),
+                        fresh,
+                        "{name}: `{shown}` at fuel {budget}"
+                    );
+                }
+                reducts_checked += 1;
+            }
+        }
+    }
+    assert!(reducts_checked > 1500, "only {reducts_checked} reducts");
+    assert!(
+        multi_reduct_probes > 100,
+        "only {multi_reduct_probes} probes with two or more reducts"
+    );
 }
