@@ -331,8 +331,9 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     }
 
     // consistency (layer row): the consistency check of all 12 shipped
-    // specs at one job, as `adt check` runs it after parsing; the ground
-    // probes are nearly all of it.
+    // specs at one job, as `adt check` runs it after parsing. Every one is
+    // orthogonal, so this is the superposition search and the
+    // certificate; no pair or probe runs.
     {
         let g = group("consistency");
         let shipped: Vec<_> = adt_structures::sources::all()

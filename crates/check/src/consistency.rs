@@ -5,7 +5,12 @@
 //! rewrite one ground term to two distinguishable values (`true` and
 //! `false`, two different constructor terms, `error` and a non-error).
 //!
-//! Two complementary analyses are used:
+//! A specification whose axioms are orthogonal needs no search at all:
+//! when every left-hand side is linear and headed by a derived operation,
+//! and no two left-hand sides superpose, the axioms are confluent, so no
+//! ground term has two values ([`ConsistencyCertificate`]; DESIGN.md,
+//! "Orthogonal specifications are consistent"). Every other specification
+//! goes through two complementary analyses:
 //!
 //! 1. **Critical-pair analysis** (via [`adt_rewrite::superpositions`] and
 //!    [`adt_rewrite::classify_superposition`]): every overlap of two
@@ -22,9 +27,11 @@ use std::collections::HashSet;
 
 use adt_core::{
     display, DetRng, ExhaustionCause, FuelSpent, Interrupt, OpId, Session, Signature, SortId, Spec,
-    Term, TermId, TermStore,
+    Term, TermId, TermStore, VarId,
 };
-use adt_rewrite::{classify_superposition, superpositions, PairStatus, RewriteError, Rewriter};
+use adt_rewrite::{
+    classify_superposition, superpositions, PairStatus, RewriteError, Rewriter, SuperpositionSet,
+};
 
 use crate::config::CheckConfig;
 use crate::fault::{PAIRS, PROBES};
@@ -46,8 +53,10 @@ pub struct Contradiction {
 /// Overall verdict of a consistency check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsistencyVerdict {
-    /// All critical pairs join and no probe diverged: no inconsistency is
-    /// derivable by the analyses performed.
+    /// The axioms are proved consistent
+    /// ([`ConsistencyReport::certificate`]), or all critical pairs join
+    /// and no probe diverged: no inconsistency is derivable by the
+    /// analyses performed.
     Consistent,
     /// A contradiction was exhibited.
     Inconsistent,
@@ -65,6 +74,26 @@ pub enum ConsistencyVerdict {
     /// nor produced distinguishable values (e.g. symbolic divergence), so
     /// consistency could not be confirmed.
     Unknown,
+}
+
+/// A proof of consistency read off the shape of the axioms, issued
+/// instead of running the critical-pair and probe phases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConsistencyCertificate {
+    /// Every left-hand side is linear and headed by a derived operation,
+    /// and no two left-hand sides superpose: the axioms are orthogonal,
+    /// hence confluent, and no ground term has two normal forms. The
+    /// argument, under strict `error` and the built-in conditional, is in
+    /// DESIGN.md ("Orthogonal specifications are consistent").
+    Orthogonal,
+}
+
+impl std::fmt::Display for ConsistencyCertificate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConsistencyCertificate::Orthogonal => f.write_str("left-linear, 0 critical pairs"),
+        }
+    }
 }
 
 /// A ground probe whose normalization ran out of fuel.
@@ -101,6 +130,7 @@ impl Default for ProbeConfig {
 #[derive(Debug, Clone)]
 pub struct ConsistencyReport {
     verdict: ConsistencyVerdict,
+    certificate: Option<ConsistencyCertificate>,
     contradictions: Vec<Contradiction>,
     unresolved_pairs: usize,
     pairs_checked: usize,
@@ -128,6 +158,12 @@ impl ConsistencyReport {
     /// Whether the specification passed.
     pub fn is_consistent(&self) -> bool {
         self.verdict == ConsistencyVerdict::Consistent
+    }
+
+    /// The proof the verdict rests on, if consistency was proved rather
+    /// than searched for. A proved report ran no pair and no probe.
+    pub fn certificate(&self) -> Option<ConsistencyCertificate> {
+        self.certificate
     }
 
     /// All contradictions found.
@@ -202,6 +238,9 @@ impl ConsistencyReport {
     /// Human-readable summary. Clean runs render exactly as they always
     /// have; exhaustion and engine-fault lines appear only when present.
     pub fn summary(&self) -> String {
+        if let Some(certificate) = self.certificate {
+            return format!("consistency: {:?} (proved: {certificate})\n", self.verdict);
+        }
         let mut out = format!(
             "consistency: {:?} ({} critical pairs, {} unresolved, {} probes)\n",
             self.verdict, self.pairs_checked, self.unresolved_pairs, self.probes_run
@@ -297,6 +336,11 @@ pub fn check_consistency_session(
 /// normalization, so the report is a function of (spec, probe, budget)
 /// alone — byte-identical at any job count.
 ///
+/// A specification [`ConsistencyCertificate::Orthogonal`] covers is
+/// proved consistent before either phase starts: it samples no probe,
+/// runs no item, and its report is the same under any fuel, supervisor
+/// or fault plan, since the proof rewrites nothing.
+///
 /// Robustness guarantees:
 ///
 /// * Normalizations run under `config.fuel`; a probe that runs out is
@@ -310,6 +354,25 @@ pub fn check_consistency_with_config(
     probe: &ProbeConfig,
     config: &CheckConfig,
 ) -> ConsistencyReport {
+    let set = superpositions(spec);
+    if let Some(certificate) = certify(spec, &set) {
+        return ConsistencyReport {
+            verdict: ConsistencyVerdict::Consistent,
+            certificate: Some(certificate),
+            contradictions: Vec::new(),
+            unresolved_pairs: 0,
+            pairs_checked: 0,
+            probes_run: 0,
+            exhausted_probes: Vec::new(),
+            exhausted_pairs: 0,
+            interrupted_items: 0,
+            failures: Vec::new(),
+            pair_verdicts: Vec::new(),
+            probe_verdicts: Vec::new(),
+            stats: CheckStats::default(),
+            spec: set.spec,
+        };
+    }
     let mut contradictions = Vec::new();
     let mut unresolved = 0;
     let mut stats = CheckStats::default();
@@ -321,7 +384,6 @@ pub fn check_consistency_with_config(
     let mut probe_verdicts: Vec<String> = Vec::new();
 
     // Phase 1: critical pairs — sequential enumeration, parallel joining.
-    let set = superpositions(spec);
     let pairs_checked = set.superpositions.len();
     let pair_outcomes = run_supervised(
         config,
@@ -483,6 +545,7 @@ pub fn check_consistency_with_config(
 
     ConsistencyReport {
         verdict,
+        certificate: None,
         contradictions,
         unresolved_pairs: unresolved,
         pairs_checked,
@@ -496,6 +559,34 @@ pub fn check_consistency_with_config(
         stats,
         spec: set.spec,
     }
+}
+
+/// The certificate for `spec`, whose superpositions are `set`, if the
+/// axioms are orthogonal: no superposition, and every left-hand side
+/// linear and headed by a derived operation. (A constructor-headed axiom
+/// would make two constructor terms equal, and put redexes inside the
+/// constructor arguments the probes sample.)
+fn certify(spec: &Spec, set: &SuperpositionSet) -> Option<ConsistencyCertificate> {
+    fn linear(term: &Term, seen: &mut Vec<VarId>) -> bool {
+        match term {
+            Term::Var(v) if seen.contains(v) => false,
+            Term::Var(v) => {
+                seen.push(*v);
+                true
+            }
+            _ => term.children().into_iter().all(|t| linear(t, seen)),
+        }
+    }
+    let mut seen = Vec::new();
+    let orthogonal = set.superpositions.is_empty()
+        && spec.axioms().iter().all(|ax| {
+            seen.clear();
+            linear(ax.lhs(), &mut seen)
+                && ax
+                    .head_op()
+                    .is_some_and(|op| !spec.sig().op(op).is_constructor())
+        });
+    orthogonal.then_some(ConsistencyCertificate::Orthogonal)
 }
 
 /// Whether the retry ladder applies: only plain *step* exhaustion is
@@ -513,7 +604,7 @@ fn retryable_probe(out: &ProbeOutcome) -> bool {
 
 /// Builds a random ground application of `op` to constructor terms.
 /// Returns `None` if some argument sort has no constructors.
-pub fn random_application(
+fn random_application(
     sig: &Signature,
     op: OpId,
     max_depth: usize,
@@ -678,6 +769,39 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// [`consistent_spec`] with a redundant special case `IS_ZERO?(SUCC(ZERO))
+    /// = false`, which overlaps `z2` at the root and joins: consistent,
+    /// but not orthogonal, so the pairs and the probes still run.
+    fn joinable_overlap_spec() -> Spec {
+        let mut b = SpecBuilder::new("NatOverlap");
+        let s = b.sort("Nat");
+        let zero = b.ctor("ZERO", [], s);
+        let succ = b.ctor("SUCC", [s], s);
+        let is_zero = b.op("IS_ZERO?", [s], b.bool_sort());
+        let x = Term::Var(b.var("x", s));
+        let tt = b.tt();
+        let ff = b.ff();
+        b.axiom("z1", b.app(is_zero, [b.app(zero, [])]), tt);
+        b.axiom("z2", b.app(is_zero, [b.app(succ, [x])]), ff.clone());
+        let one = b.app(succ, [b.app(zero, [])]);
+        b.axiom("z3", b.app(is_zero, [one]), ff);
+        b.build().unwrap()
+    }
+
+    /// `F(x) = F(x)` and the overlapping `F(C) = C`: every normalization
+    /// of an `F` term diverges, and the overlap keeps the pairs and the
+    /// probes running.
+    fn divergent_overlap_spec() -> Spec {
+        let mut b = SpecBuilder::new("LoopOverlap");
+        let s = b.sort("L");
+        let c = b.ctor("C", [], s);
+        let f = b.op("F", [s], s);
+        let x = Term::Var(b.var("x", s));
+        b.axiom("loop", b.app(f, [x.clone()]), b.app(f, [x]));
+        b.axiom("base", b.app(f, [b.app(c, [])]), b.app(c, []));
+        b.build().unwrap()
+    }
+
     fn inconsistent_spec() -> Spec {
         // F(x) = C for all x, but F(C) = D: contradictory on F(C).
         let mut b = SpecBuilder::new("Bad");
@@ -694,7 +818,7 @@ mod tests {
 
     #[test]
     fn consistent_spec_passes() {
-        let report = check_consistency(&consistent_spec());
+        let report = check_consistency(&joinable_overlap_spec());
         assert!(report.is_consistent(), "{}", report.summary());
         assert!(report.contradictions().is_empty());
         assert!(report.probes_run() > 0);
@@ -802,13 +926,7 @@ mod tests {
         // F(x) = F(x): every probe normalization loops forever. The check
         // must terminate with a partial (Exhausted) verdict at exactly the
         // configured budget, at any job count.
-        let mut b = SpecBuilder::new("Loop");
-        let s = b.sort("S");
-        let _c = b.ctor("C", [], s);
-        let f = b.op("F", [s], s);
-        let x = Term::Var(b.var("x", s));
-        b.axiom("loop", b.app(f, [x.clone()]), b.app(f, [x]));
-        let spec = b.build().unwrap();
+        let spec = divergent_overlap_spec();
         let probe = ProbeConfig {
             samples: 10,
             max_depth: 3,
@@ -845,7 +963,7 @@ mod tests {
     #[test]
     fn injected_panic_leaves_other_verdicts_identical() {
         use crate::fault::FaultSpec;
-        let spec = consistent_spec();
+        let spec = joinable_overlap_spec();
         let probe = ProbeConfig::default();
         let clean = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(1));
         let faults = FaultSpec {
@@ -887,6 +1005,60 @@ mod tests {
                     assert_eq!(a, b, "probe #{idx} (jobs {jobs})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn orthogonal_specs_are_proved_without_running_an_item() {
+        let spec = consistent_spec();
+        let tight = CheckConfig::jobs(4).with_fuel(Fuel::steps(1));
+        for config in [CheckConfig::default(), tight] {
+            let report = check_consistency_with_config(&spec, &ProbeConfig::default(), &config);
+            assert!(report.is_consistent());
+            assert_eq!(
+                report.certificate(),
+                Some(ConsistencyCertificate::Orthogonal)
+            );
+            assert_eq!(report.pairs_checked(), 0);
+            assert_eq!(report.probes_run(), 0);
+            assert_eq!(report.stats().items, 0);
+            assert_eq!(report.stats().rewrite_steps, 0);
+            assert!(report.pair_verdicts().is_empty() && report.probe_verdicts().is_empty());
+            assert_eq!(
+                report.summary(),
+                "consistency: Consistent (proved: left-linear, 0 critical pairs)\n"
+            );
+        }
+    }
+
+    #[test]
+    fn overlaps_nonlinear_sides_and_constructor_heads_are_not_certified() {
+        // One root overlap that joins.
+        let overlap = joinable_overlap_spec();
+        // EQ?(x, x) = true: orthogonal in shape, but not left-linear.
+        let mut b = SpecBuilder::new("Eq");
+        let s = b.sort("S");
+        let c = b.ctor("C", [], s);
+        let eq = b.op("EQ?", [s, s], b.bool_sort());
+        let x = Term::Var(b.var("x", s));
+        let tt = b.tt();
+        b.axiom("refl", b.app(eq, [x.clone(), x]), tt);
+        let _ = c;
+        let nonlinear = b.build().unwrap();
+        // An axiom headed by a constructor: S(C) = C.
+        let mut b = SpecBuilder::new("CtorHead");
+        let s = b.sort("S");
+        let c = b.ctor("C", [], s);
+        let succ = b.ctor("S", [s], s);
+        let f = b.op("F", [s], s);
+        let x = Term::Var(b.var("x", s));
+        b.axiom("f", b.app(f, [x.clone()]), x);
+        b.axiom("collapse", b.app(succ, [b.app(c, [])]), b.app(c, []));
+        let ctor_head = b.build().unwrap();
+        for spec in [overlap, nonlinear, ctor_head] {
+            let report = check_consistency(&spec);
+            assert_eq!(report.certificate(), None, "{}", spec.name());
+            assert!(report.probes_run() > 0, "{}", spec.name());
         }
     }
 

@@ -14,10 +14,12 @@
 //!   derived operation and synthesizes a *witness term* for every missing
 //!   case — the prompt the paper describes (drop Queue's axiom 4 and the
 //!   checker answers `FRONT(ADD(x1, x2)) = ?`).
-//! * [`check_consistency`] looks for contradictory axioms two ways: by
-//!   critical-pair analysis (two axioms rewriting one term to different
-//!   normal forms) and by randomized ground probing (one-step divergence on
-//!   sampled ground terms).
+//! * [`check_consistency`] proves orthogonal axioms consistent
+//!   ([`ConsistencyCertificate`]) and looks for contradictory axioms in
+//!   every other specification two ways: by critical-pair analysis (two
+//!   axioms rewriting one term to different normal forms) and by
+//!   randomized ground probing (one-step divergence on sampled ground
+//!   terms).
 //! * [`infer_constructors`] recovers the constructor/derived-operation
 //!   split when a front end did not mark it explicitly.
 //!
@@ -65,7 +67,8 @@ pub use completeness::{
 pub use config::{CheckConfig, RetryFuel};
 pub use consistency::{
     check_consistency, check_consistency_session, check_consistency_with_config, random_ctor_term,
-    ConsistencyReport, ConsistencyVerdict, Contradiction, ExhaustedProbe, ProbeConfig,
+    ConsistencyCertificate, ConsistencyReport, ConsistencyVerdict, Contradiction, ExhaustedProbe,
+    ProbeConfig,
 };
 pub use fault::{ArmedFaults, FaultSpec};
 pub use lint::{

@@ -6,8 +6,10 @@
 //! specification smell: either the axioms are redundant (same meaning) or
 //! the rule order silently decides which one fires.
 
-use adt_core::{unify, Spec, Term};
-use adt_rewrite::rename_apart;
+use std::collections::HashMap;
+
+use adt_core::{match_pattern, Spec, Term};
+use adt_rewrite::superpositions;
 
 /// A pair of axioms whose left-hand sides overlap at the root: some term
 /// is matched by both.
@@ -25,39 +27,31 @@ pub struct OverlapPair {
 /// Finds all pairs of same-head axioms whose left-hand sides overlap, in
 /// declaration order (earlier axiom first, then later axiom).
 ///
-/// Overlap is detected by unification after renaming apart; full
-/// shadowing by a one-way match of the earlier pattern onto the later
-/// one. Only axioms in one head bucket
-/// ([`Spec::axiom_indices_by_head`]) are compared.
+/// These are the root-position superpositions of [`superpositions`],
+/// each pair of axioms taken once, with the earlier axiom outer. Full
+/// shadowing is a one-way match of the earlier pattern onto the later
+/// one.
 pub fn overlapping_axioms(spec: &Spec) -> Vec<OverlapPair> {
-    // The later axiom of each pair is renamed apart from the earlier one.
-    let (_, renaming) = rename_apart(spec);
     let axioms = spec.axioms();
-    // (earlier, later, fully shadowed), sorted back into declaration
-    // order after the per-bucket scan.
-    let mut found = Vec::new();
-    for bucket in spec.axiom_indices_by_head() {
-        for (k, &j) in bucket.iter().enumerate().skip(1) {
-            let b_lhs = renaming.apply(axioms[j].lhs());
-            for &i in &bucket[..k] {
-                let a_lhs = axioms[i].lhs();
-                if unify(a_lhs, &b_lhs).is_none() {
-                    continue;
-                }
-                // The later axiom is dead iff the earlier one's pattern is
-                // at least as general (matches everything it matches).
-                let fully_shadowed = adt_core::match_pattern(a_lhs, &b_lhs).is_some();
-                found.push((i, j, fully_shadowed));
-            }
-        }
-    }
-    found.sort_unstable();
-    found
-        .into_iter()
-        .map(|(i, j, fully_shadowed)| OverlapPair {
+    let index: HashMap<&str, usize> = axioms
+        .iter()
+        .enumerate()
+        .map(|(i, ax)| (ax.label(), i))
+        .collect();
+    // Superpositions come outer axiom first, then inner axiom, so the
+    // root pairs with the earlier axiom outer are in declaration order.
+    superpositions(spec)
+        .superpositions
+        .iter()
+        .filter(|sp| sp.position.is_empty())
+        .map(|sp| (index[sp.outer_rule.as_str()], index[sp.inner_rule.as_str()]))
+        .filter(|(i, j)| i < j)
+        .map(|(i, j)| OverlapPair {
             first: axioms[i].label().to_owned(),
             second: axioms[j].label().to_owned(),
-            fully_shadowed,
+            // The later axiom is dead iff the earlier one's pattern is at
+            // least as general (matches everything it matches).
+            fully_shadowed: match_pattern(axioms[i].lhs(), axioms[j].lhs()).is_some(),
         })
         .collect()
 }

@@ -389,12 +389,17 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> (Outcome, BatchVerdict) {
             let mut section = String::new();
             let phase_failed = match report.verdict() {
                 ConsistencyVerdict::Consistent => {
-                    let _ = writeln!(
-                        section,
-                        "consistent: yes ({} critical pairs, {} probes)",
-                        report.pairs_checked(),
-                        report.probes_run()
-                    );
+                    let _ = match report.certificate() {
+                        Some(certificate) => {
+                            writeln!(section, "consistent: yes (proved: {certificate})")
+                        }
+                        None => writeln!(
+                            section,
+                            "consistent: yes ({} critical pairs, {} probes)",
+                            report.pairs_checked(),
+                            report.probes_run()
+                        ),
+                    };
                     false
                 }
                 ConsistencyVerdict::Exhausted => {
@@ -508,13 +513,23 @@ fn opens_undetermined(section: &str) -> bool {
         .is_some_and(|header| header.contains(": UNDETERMINED"))
 }
 
+/// The revision of the checks' analyses, part of every checkpoint's
+/// fingerprint. Raise it whenever a phase may render a different section
+/// for the same spec and configuration, so that a checkpoint an earlier
+/// analysis wrote is ignored instead of replayed. Revision 2: orthogonal
+/// specs are proved consistent instead of probed.
+const ANALYSIS_REVISION: u32 = 2;
+
 /// The configuration fingerprint checkpoints are validated against.
 fn config_fingerprint(config: &CheckConfig) -> String {
     let retry = match &config.retry {
         Some(r) => format!("factor={},rungs={},cap={}", r.factor, r.rungs, r.cap_steps),
         None => "none".to_owned(),
     };
-    format!("fuel={};retry={retry}", config.fuel.steps)
+    format!(
+        "fuel={};retry={retry};analysis={ANALYSIS_REVISION}",
+        config.fuel.steps
+    )
 }
 
 /// `adt check --faults`: run the fault-isolation harness instead of the
@@ -828,7 +843,7 @@ end
 
     #[test]
     fn check_jobs_and_stats_flags_are_parsed() {
-        let path = fixture("flags", QUEUE);
+        let path = fixture("flags", PAIRS);
         let out = run(&args(&[
             "check",
             "--jobs",
@@ -877,8 +892,14 @@ end
         assert!(out.output.contains("--jobs needs a number"));
     }
 
+    /// A divergent rule overlapping a special case, so the critical pairs
+    /// and the probes run (and exhaust).
     const LOOP: &str =
-        "type L\nops\n  C: -> L ctor\n  F: L -> L\nvars\n  x: L\naxioms\n  [1] F(x) = F(x)\nend\n";
+        "type L\nops\n  C: -> L ctor\n  F: L -> L\nvars\n  x: L\naxioms\n  [1] F(x) = F(x)\n  [2] F(C) = C\nend\n";
+
+    /// Consistent, with two joinable critical pairs and 200 probes: a
+    /// spec whose consistency check runs items.
+    const PAIRS: &str = include_str!("../../../tests/fixtures/f_h_pairs.adt");
 
     #[test]
     fn check_fuel_flag_surfaces_divergence_as_undetermined() {
@@ -1087,7 +1108,7 @@ end
 
     #[test]
     fn check_expired_deadline_degrades_to_undetermined() {
-        let path = fixture("deadline0", QUEUE);
+        let path = fixture("deadline0", PAIRS);
         let mut reports = Vec::new();
         for jobs in ["1", "4"] {
             let out = run(&args(&[
@@ -1368,7 +1389,7 @@ end
 
     #[test]
     fn expired_deadline_caches_no_phases() {
-        let path = fixture("ckptdead", QUEUE);
+        let path = fixture("ckptdead", PAIRS);
         let mut ck = std::env::temp_dir();
         ck.push(format!("adt_cli_test_{}_dead.json", std::process::id()));
         let _ = fs::remove_file(&ck);

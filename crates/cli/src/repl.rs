@@ -423,10 +423,13 @@ end
     }
 
     fn drive(script: &str) -> String {
-        let spec = queue_spec();
+        drive_on(&queue_spec(), script)
+    }
+
+    fn drive_on(spec: &Spec, script: &str) -> String {
         let mut input = Cursor::new(script.to_owned());
         let mut output = Vec::new();
-        run_repl(&spec, &mut input, &mut output).unwrap();
+        run_repl(spec, &mut input, &mut output).unwrap();
         String::from_utf8(output).unwrap()
     }
 
@@ -573,7 +576,11 @@ end
 
     #[test]
     fn deadline_applies_to_check_too() {
-        let out = drive(":deadline 0s\n:check\n:quit\n");
+        // The queue is proved consistent without running an item, so the
+        // deadline is observed on a spec whose critical pairs and probes
+        // run.
+        let spec = adt_dsl::parse(include_str!("../../../tests/fixtures/f_h_pairs.adt")).unwrap();
+        let out = drive_on(&spec, ":deadline 0s\n:check\n:quit\n");
         assert!(out.contains("sufficiently complete: UNDETERMINED"), "{out}");
         assert!(out.contains("consistent: UNDETERMINED"), "{out}");
     }

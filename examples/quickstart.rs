@@ -52,12 +52,18 @@ end
         completeness.is_sufficiently_complete()
     );
     let consistency = check_consistency(&spec);
-    println!(
-        "consistent: {} ({} critical pairs, {} ground probes)",
-        consistency.is_consistent(),
-        consistency.pairs_checked(),
-        consistency.probes_run()
-    );
+    match consistency.certificate() {
+        Some(proof) => println!(
+            "consistent: {} (proved: {proof})",
+            consistency.is_consistent()
+        ),
+        None => println!(
+            "consistent: {} ({} critical pairs, {} ground probes)",
+            consistency.is_consistent(),
+            consistency.pairs_checked(),
+            consistency.probes_run()
+        ),
+    }
 
     // 3. The axioms are executable: rewrite a term and watch the
     //    derivation.

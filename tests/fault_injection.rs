@@ -7,10 +7,11 @@
 //!    deterministically) leaves every other item's verdict byte-identical
 //!    to a fault-free run, at any job count, and the sabotaged item is
 //!    flagged rather than lost.
-//! 2. **Fuel bounds** — a divergent axiom set (`F(x) = F(x)`) terminates
-//!    with an `Exhausted` receipt at *exactly* the configured step budget
-//!    in the rewriter, surfaces as a partial verdict in the checker, and
-//!    as `UNDETERMINED` (exit 0) in the CLI.
+//! 2. **Fuel bounds** — a divergent axiom set (`F(x) = F(x)`, with an
+//!    overlapping `F(C) = C` so the checker has pairs and probes to run)
+//!    terminates with an `Exhausted` receipt at *exactly* the configured
+//!    step budget in the rewriter, surfaces as a partial verdict in the
+//!    checker, and as `UNDETERMINED` (exit 0) in the CLI.
 //! 3. **Partial verdicts** — a deliberately incomplete specification
 //!    (`queue_incomplete`, the paper's dropped axiom 4) produces a
 //!    partial verdict and a clean exit-1 report; it never panics.
@@ -39,7 +40,8 @@ const PAIRS_FIXTURE: &str = include_str!("fixtures/f_h_pairs.adt");
 /// different pair in the clean and the faulted run would show.
 const OVERLAP_HEADS: &str = include_str!("fixtures/overlap_heads.adt");
 
-/// A one-rule divergent system: every probe loops forever without fuel.
+/// A divergent rule overlapping a special case: every probe loops
+/// forever without fuel, and so do both critical pairs.
 const LOOP: &str = "type L
 ops
   C: -> L ctor
@@ -48,6 +50,7 @@ vars
   x: L
 axioms
   [1] F(x) = F(x)
+  [2] F(C) = C
 end
 ";
 

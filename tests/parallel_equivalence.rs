@@ -64,8 +64,13 @@ fn superpositions_come_out_in_declaration_order() {
 #[test]
 fn consistency_reports_are_identical_across_job_counts() {
     let probe = ProbeConfig::default();
-    let fixture = ("overlap_heads", OVERLAP_HEADS);
-    for (name, source) in sources::all().into_iter().chain([fixture]) {
+    // The shipped specs are proved consistent without running an item;
+    // the fixtures' pairs and probes run.
+    let fixtures = [
+        ("overlap_heads", OVERLAP_HEADS),
+        ("f_h_pairs", include_str!("fixtures/f_h_pairs.adt")),
+    ];
+    for (name, source) in sources::all().into_iter().chain(fixtures) {
         let spec =
             adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let seq = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(1));

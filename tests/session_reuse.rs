@@ -53,12 +53,22 @@ fn consistency_fingerprint(r: &ConsistencyReport) -> String {
     )
 }
 
+/// The shipped specs, which are proved consistent without running an
+/// item, and the two fixtures whose critical pairs and probes run (and
+/// terminate at the default fuel).
+fn corpus() -> Vec<(&'static str, &'static str)> {
+    let mut specs = sources::all();
+    specs.push(("f_h_pairs", include_str!("fixtures/f_h_pairs.adt")));
+    specs.push(("overlap_heads", include_str!("fixtures/overlap_heads.adt")));
+    specs
+}
+
 #[test]
 fn shared_session_reports_match_fresh_runs_on_every_spec() {
     for jobs in [1, 4] {
         let config = CheckConfig::jobs(jobs);
         let probe = ProbeConfig::default();
-        for (name, source) in sources::all() {
+        for (name, source) in corpus() {
             let spec =
                 adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
 
@@ -99,7 +109,7 @@ fn tight_fuel_verdicts_do_not_depend_on_session_warmth() {
     const FUELS: [u64; 12] = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
     let probe = ProbeConfig::default();
     let mut differing = Vec::new();
-    for (name, source) in sources::all() {
+    for (name, source) in corpus() {
         let spec =
             adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
         let session = Session::new(spec.clone());
@@ -119,7 +129,7 @@ fn tight_fuel_verdicts_do_not_depend_on_session_warmth() {
         differing.is_empty(),
         "{} of {} cases differ from a cold run: {}",
         differing.len(),
-        sources::all().len() * FUELS.len(),
+        corpus().len() * FUELS.len(),
         differing.join(", ")
     );
 }
@@ -130,7 +140,9 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     // a consistency check adds one normalization per probe and exactly
     // the rewrite steps its report states, and the arena grows only by
     // what callers intern.
-    let spec = sources::load("symboltable").unwrap();
+    // The shipped specs are proved consistent without a probe, so the
+    // telemetry is read on a fixture whose probes run.
+    let spec = adt_dsl::parse(include_str!("fixtures/f_h_pairs.adt")).unwrap();
     let session = Session::new(spec.clone());
     let config = CheckConfig::jobs(1);
 
@@ -152,11 +164,10 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     // An id-native normalization evaluates in the session store, growing
     // it, and counts one more normalization.
     let sig = session.sig();
-    let args = vec![
-        sig.apply("INIT", vec![]).unwrap(),
-        sig.apply("ID_X", vec![]).unwrap(),
-    ];
-    let id = session.intern(&sig.apply("IS_INBLOCK?", args).unwrap());
+    let one = sig
+        .apply("SUCC", vec![sig.apply("ZERO", vec![]).unwrap()])
+        .unwrap();
+    let id = session.intern(&sig.apply("H", vec![one]).unwrap());
     Rewriter::for_session(&session)
         .normalize_id(&session, id)
         .unwrap();

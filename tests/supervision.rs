@@ -46,6 +46,11 @@ fn cli(args: &[&str]) -> adt_cli::Outcome {
     adt_cli::run(&owned)
 }
 
+/// Consistent, with two joinable critical pairs and 200 probes. The
+/// shipped specs are proved consistent without running an item, so the
+/// consistency phase is supervised on this fixture.
+const PAIRS: &str = include_str!("fixtures/f_h_pairs.adt");
+
 fn cancelled_after(polls: u64) -> CheckConfig {
     CheckConfig::jobs(1)
         .with_supervisor(Supervisor::none().with_cancel(CancelToken::after_polls(polls)))
@@ -53,7 +58,7 @@ fn cancelled_after(polls: u64) -> CheckConfig {
 
 #[test]
 fn seeded_cancellation_stops_consistency_at_the_same_point_every_time() {
-    let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
+    let spec = adt_dsl::parse(PAIRS).expect("fixture parses");
     let probe = ProbeConfig::default();
     let mut summaries = Vec::new();
     for _ in 0..2 {
@@ -105,7 +110,7 @@ fn seeded_cancellation_downgrades_completeness_without_failing_it() {
 
 #[test]
 fn immediate_cancellation_interrupts_everything_deterministically() {
-    let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
+    let spec = adt_dsl::parse(PAIRS).expect("fixture parses");
     let probe = ProbeConfig::default();
     // A token cancelled before the run starts is observed by the very
     // first poll of every worker, so even parallel runs are identical.
@@ -123,7 +128,7 @@ fn immediate_cancellation_interrupts_everything_deterministically() {
 
 #[test]
 fn expired_deadline_degrades_the_cli_identically_at_any_job_count() {
-    let path = temp_spec("deadline", sources::QUEUE);
+    let path = temp_spec("deadline", PAIRS);
     let mut outcomes = Vec::new();
     for jobs in ["1", "4"] {
         let out = cli(&[
@@ -205,7 +210,7 @@ fn batch_supervises_a_directory_of_specs() {
     fs::write(dir.join("queue.adt"), sources::QUEUE).expect("spec is writable");
     fs::write(
         dir.join("loop.adt"),
-        "type L\nops\n  C: -> L ctor\n  F: L -> L\nvars\n  x: L\naxioms\n  [1] F(x) = F(x)\nend\n",
+        "type L\nops\n  C: -> L ctor\n  F: L -> L\nvars\n  x: L\naxioms\n  [1] F(x) = F(x)\n  [2] F(C) = C\nend\n",
     )
     .expect("spec is writable");
 
@@ -231,4 +236,46 @@ fn batch_supervises_a_directory_of_specs() {
         out.output
     );
     let _ = fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_checkpoint_from_an_earlier_analysis_runs_fresh() {
+    // Written by `adt check --checkpoint` on specs/queue.adt before
+    // orthogonal specs were proved consistent: it holds the probed
+    // section `consistent: yes (0 critical pairs, 200 probes)` under a
+    // fingerprint without the analysis revision. A resume must not
+    // replay it.
+    let path = temp_spec("stale", sources::QUEUE);
+    let ck = temp_path("stale", ".json");
+    fs::write(
+        &ck,
+        include_str!("fixtures/checkpoints/queue_revision1.json"),
+    )
+    .expect("checkpoint is writable");
+    let stale = Checkpoint::load(&ck).expect("the old checkpoint parses");
+    let section = &stale.phase("consistency").expect("cached").section;
+    assert!(section.contains("200 probes"), "{section}");
+
+    let fresh = cli(&["check", path.to_str().unwrap()]);
+    assert!(
+        fresh
+            .output
+            .contains("consistent: yes (proved: left-linear, 0 critical pairs)"),
+        "{}",
+        fresh.output
+    );
+    let resumed = cli(&[
+        "check",
+        "--checkpoint",
+        ck.to_str().unwrap(),
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(resumed, fresh);
+    // The fresh run replaced the stale checkpoint with its own.
+    let rewritten = Checkpoint::load(&ck).expect("checkpoint rewritten");
+    assert_ne!(rewritten.config, stale.config);
+    assert_eq!(rewritten.spec, stale.spec);
+
+    let _ = fs::remove_file(path);
+    let _ = fs::remove_file(ck);
 }
