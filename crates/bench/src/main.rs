@@ -288,7 +288,7 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             normalize_row(format!("drain/{n}"), queue_term(&spec, n, n, 7));
         }
         // 32 alternating observers over one shared state; each
-        // normalization runs cold, with only its own run-local cache.
+        // normalization runs cold, in the thread's emptied cold store.
         let queries = 32;
         let state = queue_term(&spec, 64, 32, 7);
         let observations: Vec<_> = (0..queries)

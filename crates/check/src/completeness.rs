@@ -346,13 +346,14 @@ struct OpAnalysis {
     time: std::time::Duration,
 }
 
-/// Whether the analysis consumed its whole partition budget *and* left
-/// cases unexplored — the only exhaustion a bigger budget can rescue (a
-/// frontier behind the witness cap is not retried: more fuel cannot
-/// raise the cap).
-fn budget_exhausted(analysis: &OpAnalysis) -> bool {
-    analysis.partitions >= analysis.budget
-        && (!analysis.frontier_cases.is_empty() || analysis.frontier_truncated > 0)
+/// The step budget, if the analysis consumed its whole partition budget
+/// *and* left cases unexplored — the only exhaustion a bigger budget can
+/// rescue (a frontier behind the witness cap is not retried: more fuel
+/// cannot raise the cap).
+fn budget_exhausted(analysis: &OpAnalysis) -> Option<ExhaustionCause> {
+    (analysis.partitions >= analysis.budget
+        && (!analysis.frontier_cases.is_empty() || analysis.frontier_truncated > 0))
+        .then_some(ExhaustionCause::Steps)
 }
 
 /// Builds the pattern matrix for `op` and enumerates its missing cases,

@@ -22,15 +22,15 @@
 //!    compare. This catches contradictions that only manifest on
 //!    particular value combinations.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 
 use adt_core::{
     display, DetRng, ExhaustionCause, FuelSpent, Interrupt, OpId, Session, Signature, SortId, Spec,
-    Term, TermId, TermStore, VarId,
+    Term, TermId, VarId,
 };
 use adt_rewrite::{
-    classify_superposition, superpositions, PairStatus, RewriteError, Rewriter, SuperpositionSet,
+    classify_superposition, superpositions, with_cold_store, PairStatus, RewriteError, Rewriter,
+    SuperpositionSet,
 };
 
 use crate::config::CheckConfig;
@@ -329,12 +329,12 @@ pub fn check_consistency_session(
 /// defines the contradiction list order) and only *classified* in
 /// parallel; probe terms are sampled sequentially from the seeded RNG and
 /// only *normalized* in parallel. Both merges restore input order. Each
-/// pair's classification builds its own store; each probe runs in its
-/// worker thread's one store, which is cleared at the start of every
-/// attempt, and each of the probe's normalizations forgets that store's
-/// normal-form table before it starts. No normal form outlives one
-/// normalization, so the report is a function of (spec, probe, budget)
-/// alone — byte-identical at any job count.
+/// pair's proof and each probe runs in its worker thread's cold store
+/// ([`with_cold_store`]), which is emptied at the start of every attempt,
+/// and each of their normalizations forgets that store's normal-form
+/// table before it starts. No normal form outlives one normalization, so
+/// the report is a function of (spec, probe, budget) alone —
+/// byte-identical at any job count.
 ///
 /// A specification [`ConsistencyCertificate::Orthogonal`] covers is
 /// proved consistent before either phase starts: it samples no probe,
@@ -395,7 +395,7 @@ pub fn check_consistency_with_config(
                 .supervised(supervisor.clone())
         },
         |rw, sp, _| classify_superposition(rw, sp),
-        retryable_pair,
+        pair_exhaustion,
         |idx, sp| {
             format!(
                 "critical pair #{idx} ({} / {})",
@@ -485,7 +485,7 @@ pub fn check_consistency_with_config(
                 ..out
             }
         },
-        retryable_probe,
+        probe_exhaustion,
         |idx, term| format!("probe #{idx} ({})", display::term(spec.sig(), term)),
         &mut stats,
     );
@@ -589,17 +589,28 @@ fn certify(spec: &Spec, set: &SuperpositionSet) -> Option<ConsistencyCertificate
     orthogonal.then_some(ConsistencyCertificate::Orthogonal)
 }
 
-/// Whether the retry ladder applies: only plain *step* exhaustion is
-/// rescued by more fuel. Depth bounds, deadlines, and interrupts are not.
-fn retryable_pair(status: &PairStatus) -> bool {
-    matches!(status, PairStatus::Exhausted { spent, .. } if spent.cause == ExhaustionCause::Steps)
+/// Which bound a pair's classification ran out of, if it did. Only
+/// step exhaustion climbs the retry ladder: a depth bound, a deadline or
+/// an interrupt is not rescued by more fuel.
+fn pair_exhaustion(status: &PairStatus) -> Option<ExhaustionCause> {
+    match status {
+        PairStatus::Exhausted { spent, .. } => Some(spent.cause),
+        _ => None,
+    }
 }
 
-/// [`retryable_pair`] for probe outcomes.
-fn retryable_probe(out: &ProbeOutcome) -> bool {
-    out.found.is_none()
-        && out.interrupted.is_none()
-        && matches!(&out.exhausted, Some(spent) if spent.cause == ExhaustionCause::Steps)
+/// [`pair_exhaustion`] for probe outcomes: a probe that found a
+/// contradiction or was interrupted did not end exhausted.
+fn probe_exhaustion(out: &ProbeOutcome) -> Option<ExhaustionCause> {
+    match out {
+        ProbeOutcome {
+            found: None,
+            interrupted: None,
+            exhausted: Some(spent),
+            ..
+        } => Some(spent.cause),
+        _ => None,
+    }
 }
 
 /// Builds a random ground application of `op` to constructor terms.
@@ -675,27 +686,17 @@ impl ProbeOutcome {
     }
 }
 
-thread_local! {
-    /// The store each worker thread runs its probes in. A probe clears
-    /// it before it starts, so no attempt reads what an earlier probe,
-    /// or a panicked or retried attempt, left; clearing keeps the
-    /// allocations, so a worker's probes stop allocating once it has
-    /// seen its largest.
-    static PROBE_STORE: RefCell<TermStore> = RefCell::new(TermStore::new());
-}
-
 /// Enumerates every one-step reduct of `term` (any rule, any position),
 /// normalizes each, and reports the first distinguishable disagreement.
 /// A normalization that exhausts its budget is recorded — not swallowed —
 /// so divergent axiom sets surface as a partial verdict; other rewrite
 /// errors (ill-sorted reducts) skip that reduct.
 ///
-/// The probe runs on ids in the worker's store: the term is interned
-/// once, each reduct is normalized in place, and `Term`s are built only
-/// for a contradiction.
+/// The probe runs on ids in its thread's cold store
+/// ([`with_cold_store`]): the term is interned once, each reduct is
+/// normalized in place, and `Term`s are built only for a contradiction.
 fn probe_divergence(rw: &Rewriter<'_>, sig: &Signature, term: &Term) -> ProbeOutcome {
-    PROBE_STORE.with_borrow_mut(|store| {
-        store.clear();
+    with_cold_store(|store| {
         let root = store.arena_mut().intern(term);
         let mut steps = 0;
         let mut exhausted: Option<FuelSpent> = None;
@@ -958,6 +959,76 @@ mod tests {
         );
         assert_eq!(seq.summary(), par.summary());
         assert_eq!(seq.probe_verdicts(), par.probe_verdicts());
+    }
+
+    /// `F(x) = S(F(x))` and the overlapping `F(C) = C`: every
+    /// normalization of an `F` term nests one level deeper per step, so
+    /// with enough steps it stops at the depth bound.
+    fn deepening_overlap_spec() -> Spec {
+        let mut b = SpecBuilder::new("DeepeningOverlap");
+        let s = b.sort("L");
+        let c = b.ctor("C", [], s);
+        let succ = b.ctor("S", [s], s);
+        let f = b.op("F", [s], s);
+        let x = Term::Var(b.var("x", s));
+        b.axiom("1", b.app(f, [x.clone()]), b.app(succ, [b.app(f, [x])]));
+        b.axiom("2", b.app(f, [b.app(c, [])]), b.app(c, []));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_laddered_item_that_ends_at_the_depth_bound_is_not_rescued() {
+        use crate::config::RetryFuel;
+        let spec = deepening_overlap_spec();
+        let retry = RetryFuel {
+            factor: 4,
+            rungs: 2,
+            ..RetryFuel::default()
+        };
+        // 16 steps run out before depth 64; 256 steps reach it.
+        let fuel = Fuel {
+            steps: 16,
+            max_depth: Some(64),
+        };
+        let config = CheckConfig::jobs(1).with_fuel(fuel).with_retry(retry);
+        let report = check_consistency_with_config(&spec, &ProbeConfig::default(), &config);
+        assert_eq!(report.verdict(), &ConsistencyVerdict::Exhausted);
+        let retries = &report.stats().retries;
+        let depth_ended: Vec<&String> = retries
+            .iter()
+            .filter(|line| line.contains(": depth bound exhausted at rung "))
+            .collect();
+        assert!(!depth_ended.is_empty(), "{retries:#?}");
+        for line in retries {
+            assert!(!line.contains("rescued"), "{line}");
+        }
+        // Each depth-exhausted line names an item whose verdict is depth
+        // exhaustion.
+        for (idx, verdict) in report.probe_verdicts().iter().enumerate() {
+            let prefix = format!("probe #{idx} (");
+            if let Some(line) = retries.iter().find(|l| l.starts_with(&prefix)) {
+                assert_eq!(
+                    line.contains("depth bound exhausted"),
+                    verdict.starts_with("exhausted: depth bound"),
+                    "{line} / {verdict}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pool_workers_reach_the_default_depth_bound_without_overflowing() {
+        // At the default fuel every normalization of this spec stops at
+        // DEFAULT_MAX_DEPTH, deeper than a debug build fits on a default
+        // 2 MiB thread stack.
+        let spec = deepening_overlap_spec();
+        let report =
+            check_consistency_with_config(&spec, &ProbeConfig::default(), &CheckConfig::jobs(2));
+        assert_eq!(report.verdict(), &ConsistencyVerdict::Exhausted);
+        assert!(report
+            .probe_verdicts()
+            .iter()
+            .all(|v| v.starts_with("exhausted: depth bound")));
     }
 
     #[test]

@@ -29,10 +29,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use adt_core::{EngineError, Fuel, Interrupt, Supervisor};
+use adt_core::{EngineError, ExhaustionCause, Fuel, Interrupt, Supervisor};
 
 use crate::config::CheckConfig;
 use crate::fault::{ArmedFaults, COMPLETENESS};
+
+/// The stack of each pool worker [`run_isolated`] spawns: twice what a
+/// debug build needs to evaluate to [`adt_core::DEFAULT_MAX_DEPTH`],
+/// which would overflow the 2 MiB a spawned thread gets by default. A
+/// jobs-1 run stays on the caller's stack.
+const WORKER_STACK_BYTES: usize = 16 << 20;
 
 /// Resolves a requested job count: `0` means "use every available core"
 /// (per `std::thread::available_parallelism`), anything else is taken
@@ -131,8 +137,8 @@ where
 /// The `AssertUnwindSafe` is justified: a panicked chunk's partial
 /// results are discarded wholesale and its items retried from scratch,
 /// and no checker attempt reads what an earlier one left: a critical
-/// pair's normalizations each build and drop their own store, and a
-/// probe clears its worker thread's store before it starts, so a panic
+/// pair's proof and a probe each run in their thread's cold store, which
+/// `adt_rewrite::with_cold_store` empties before every use, so a panic
 /// that leaves that store half-built costs the next attempt nothing.
 pub fn run_isolated<T, R, W, L>(
     jobs: usize,
@@ -169,33 +175,38 @@ where
     let cursor = AtomicUsize::new(0);
     let work = &work;
     let per_worker: Vec<(Vec<(usize, R)>, Duration)> = std::thread::scope(|scope| {
+        // A worker that cannot be spawned claims nothing: its share is
+        // left to the others, or recovered inline below.
         let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let t0 = Instant::now();
-                    let mut out = Vec::new();
-                    loop {
-                        let base = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if base >= items.len() {
-                            break;
-                        }
-                        let end = (base + chunk).min(items.len());
-                        // One catch_unwind per chunk: a panic forfeits the
-                        // chunk's partial results (recovered below) but the
-                        // worker itself survives to claim the next chunk.
-                        let attempt = catch_unwind(AssertUnwindSafe(|| {
-                            let mut got = Vec::new();
-                            for (idx, item) in items.iter().enumerate().take(end).skip(base) {
-                                got.push((idx, work(idx, item)));
+            .filter_map(|_| {
+                let worker = std::thread::Builder::new().stack_size(WORKER_STACK_BYTES);
+                worker
+                    .spawn_scoped(scope, || {
+                        let t0 = Instant::now();
+                        let mut out = Vec::new();
+                        loop {
+                            let base = cursor.fetch_add(chunk, Ordering::Relaxed);
+                            if base >= items.len() {
+                                break;
                             }
-                            got
-                        }));
-                        if let Ok(got) = attempt {
-                            out.extend(got);
+                            let end = (base + chunk).min(items.len());
+                            // One catch_unwind per chunk: a panic forfeits the
+                            // chunk's partial results (recovered below) but the
+                            // worker itself survives to claim the next chunk.
+                            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                                let mut got = Vec::new();
+                                for (idx, item) in items.iter().enumerate().take(end).skip(base) {
+                                    got.push((idx, work(idx, item)));
+                                }
+                                got
+                            }));
+                            if let Ok(got) = attempt {
+                                out.extend(got);
+                            }
                         }
-                    }
-                    (out, t0.elapsed())
-                })
+                        (out, t0.elapsed())
+                    })
+                    .ok()
             })
             .collect();
         // A worker thread can only die outside the catch_unwind (e.g. an
@@ -282,9 +293,11 @@ pub(crate) enum Supervised<R> {
 /// runs with (a rewriter, a case budget); it is called once per rung
 /// before any item starts, and for the one-step sabotage budget only when
 /// an exhaust fault is armed. `attempt` also receives the previous
-/// rung's result, if any. The ladder is climbed while `retryable` holds.
-/// Pool timing is folded into `stats`, and every item that climbed the
-/// ladder adds one retry line, labelled by `label`.
+/// rung's result, if any. `exhaustion` reads which bound a result ran
+/// out of, if any; the ladder is climbed while that is the step budget,
+/// the only bound more fuel raises. Pool timing is folded into `stats`,
+/// and every item that climbed the ladder adds one retry line, labelled
+/// by `label` and by how its last rung ended.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_supervised<T, C, R>(
     config: &CheckConfig,
@@ -292,7 +305,7 @@ pub(crate) fn run_supervised<T, C, R>(
     items: &[T],
     budget: impl Fn(Fuel, &Supervisor) -> C,
     attempt: impl Fn(&C, &T, Option<R>) -> R + Sync,
-    retryable: impl Fn(&R) -> bool + Sync,
+    exhaustion: impl Fn(&R) -> Option<ExhaustionCause> + Sync,
     label: impl Fn(usize, &T) -> String,
     stats: &mut CheckStats,
 ) -> Vec<Supervised<R>>
@@ -336,7 +349,7 @@ where
             let mut out = attempt(&first, item, None);
             let mut reached = None;
             for (rung, steps, cx) in &ladder {
-                if !retryable(&out) {
+                if exhaustion(&out) != Some(ExhaustionCause::Steps) {
                     break;
                 }
                 out = attempt(cx, item, Some(out));
@@ -359,10 +372,10 @@ where
         .map(|(idx, outcome)| match outcome {
             ItemOutcome::Done(Ok((out, reached))) => {
                 if let Some((rung, steps)) = reached {
-                    let end = if retryable(&out) {
-                        "still exhausted"
-                    } else {
-                        "rescued"
+                    let end = match exhaustion(&out) {
+                        None => "rescued",
+                        Some(ExhaustionCause::Steps) => "still exhausted",
+                        Some(ExhaustionCause::Depth) => "depth bound exhausted",
                     };
                     stats.retries.push(format!(
                         "{}: {end} at rung {rung} ({unit} {steps})",
@@ -404,7 +417,8 @@ pub struct CheckStats {
     /// operation-declaration order.
     pub op_times: Vec<(String, Duration)>,
     /// One line per item the retry ladder re-ran ("… rescued at rung 2
-    /// (fuel 16000)"), in item order. Deterministic for a given
+    /// (fuel 16000)", "… still exhausted …" or "… depth bound exhausted
+    /// …"), in item order. Deterministic for a given
     /// configuration, unlike the timing fields.
     pub retries: Vec<String>,
 }

@@ -710,8 +710,9 @@ fn cmd_eval(session: &Session, term_src: &str, trace: bool) -> Outcome {
 }
 
 /// The reply of `adt eval`/`adt trace` and of the REPL's bare-term and
-/// `:trace` lines: `term` normalized cold, on a run-local store, so the
-/// reply never depends on earlier work in `session`. `Err` is the error line.
+/// `:trace` lines: `term` normalized cold, in the thread's cold store,
+/// so the reply never depends on earlier work in `session`. `Err` is
+/// the error line.
 pub(crate) fn query(
     session: &Session,
     term: &Term,

@@ -25,12 +25,11 @@
 //!
 //! The arena is append-only and unsynchronized by design. The engine's
 //! working state is a [`TermStore`]: an arena plus a dense, id-indexed
-//! normal-form table. A `Term`-level normalization builds a fresh store
-//! and drops it when the run completes; a `Session` owns exactly one
-//! store, behind a mutex, and session-id normalizations evaluate in it
-//! in place; the consistency checker's ground probes run in one store
-//! per worker thread, which [`TermStore::clear`] empties before every
-//! probe while keeping its allocations.
+//! normal-form table. Each thread has one cold store for `Term`-level
+//! normalizations, proofs and the consistency checker's ground probes,
+//! which [`TermStore::clear`] empties before every use while keeping its
+//! allocations; a `Session` owns exactly one store, behind a mutex, and
+//! session-id normalizations evaluate in it in place.
 //!
 //! A hash-cons hit allocates nothing: an application is looked up by
 //! `(op, &[TermId])`, and its argument slice is boxed only when the node

@@ -216,13 +216,12 @@ fn deep_apply(subst: &Subst, term: &Term) -> Term {
     current
 }
 
+/// Proves the two reducts equal; a joinable pair's normal form is the
+/// proof's normal form of `left` outside any case split.
 fn join(rw: &Rewriter<'_>, left: &Term, right: &Term) -> PairStatus {
-    match rw.prove_equal(left, right, 6) {
-        Ok(crate::Proof::Proved { .. }) => match rw.normalize(left) {
-            Ok(nf) => PairStatus::Joinable(nf),
-            Err(e) => undetermined(e),
-        },
-        Ok(crate::Proof::Undecided { lhs_nf, rhs_nf, .. }) => PairStatus::Diverged {
+    match rw.prove_with_left_nf(left, right, 6) {
+        Ok((crate::Proof::Proved { .. }, nf)) => PairStatus::Joinable(nf),
+        Ok((crate::Proof::Undecided { lhs_nf, rhs_nf, .. }, _)) => PairStatus::Diverged {
             left_nf: lhs_nf,
             right_nf: rhs_nf,
         },

@@ -21,21 +21,27 @@
 //! right-hand side is instantiated straight into the store, as the
 //! paper's symbolic interpretation reads the axioms as the program.
 //!
-//! Every `Term`-level call ([`Rewriter::normalize`] and friends) builds a
-//! fresh store and drops it when the run ends: ids never escape the run
-//! (normal forms are converted back to [`Term`] at the boundary), so the
-//! rewriter stays `Sync` without any locking on the evaluation path, and
-//! observable behaviour — normal forms, step counts, traces, exhaustion
-//! receipts — is byte-identical to the tree-walking evaluator it
-//! replaced.
+//! Every `Term`-level call ([`Rewriter::normalize`] and friends) runs
+//! in its thread's *cold store*, one [`TermStore`] per thread that
+//! [`with_cold_store`] empties before each run and then reuses, so a run
+//! allocates only once its thread has seen a larger one. Ids never escape
+//! the run (normal forms are converted back to [`Term`] at the
+//! boundary), so the rewriter stays `Sync` without any locking on the
+//! evaluation path, and observable behaviour — normal forms, step counts,
+//! traces, exhaustion receipts — is byte-identical to the tree-walking
+//! evaluator it replaced and does not depend on what the thread ran
+//! before. Emptying the store costs time in proportion to the capacity
+//! its largest run left behind, not to the run at hand.
 //!
-//! A caller that holds its own store works on ids throughout:
+//! A caller that holds a store works on ids throughout:
 //! [`Rewriter::one_step_reducts`] lists a term's one-step reducts in it,
 //! and [`Rewriter::normalize_in`] normalizes each in place. The latter
 //! forgets the store's normal-form table first, so every such
 //! normalization runs cold and reports what [`Rewriter::normalize_full`]
 //! would, steps and exhaustion receipts included, however often the
-//! store is reused.
+//! store is reused. [`Rewriter::prove_equal`] works the same way: it
+//! interns both sides once in the cold store and runs its whole case
+//! split on ids there, each normalization cold.
 //!
 //! # The session surface
 //!
@@ -49,6 +55,7 @@
 //! on that lock.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 use adt_core::{
     ExhaustionCause, Fuel, FuelSpent, OpId, RuleSet, Session, Spec, Supervisor, Term, TermArena,
@@ -118,6 +125,33 @@ fn lookup(asms: &Assumptions, cond: TermId) -> Option<bool> {
 /// would put a clock read in the hot loop; every 1024th step bounds the
 /// overshoot while keeping the common (unsupervised) path branch-only.
 const DEADLINE_CHECK_INTERVAL: u64 = 1024;
+
+thread_local! {
+    /// The thread's cold store (see the module docs). Only
+    /// [`with_cold_store`] reaches it.
+    static COLD_STORE: RefCell<TermStore> = RefCell::new(TermStore::new());
+}
+
+/// Runs `f` on this thread's cold store, emptied first: the store every
+/// `Term`-level normalization and proof of a [`Rewriter`] runs in.
+///
+/// Emptying keeps the allocations, so a thread stops allocating once it
+/// has seen its largest run, and nothing `f` finds was left by earlier
+/// work on the thread, even work that panicked or was interrupted
+/// mid-run. Ids `f` obtains are invalid once it returns. Normalize ids
+/// in the store with [`Rewriter::normalize_in`], which keeps each
+/// normalization cold.
+///
+/// # Panics
+///
+/// Panics if called again while `f` runs, directly or through a
+/// `Term`-level method of [`Rewriter`].
+pub fn with_cold_store<R>(f: impl FnOnce(&mut TermStore) -> R) -> R {
+    COLD_STORE.with_borrow_mut(|store| {
+        store.clear();
+        f(store)
+    })
+}
 
 pub(crate) struct EvalState {
     remaining: u64,
@@ -515,9 +549,21 @@ impl<'a> Rewriter<'a> {
     ///
     /// Panics if `id` did not come from `store`.
     pub fn normalize_in(&self, store: &mut TermStore, id: TermId) -> Result<(TermId, u64)> {
+        self.eval_cold(store, id, &Vec::new())
+    }
+
+    /// Normalizes `id` under `asms` with the store's normal-form table
+    /// forgotten first: the cold run [`Rewriter::normalize_in`] and every
+    /// normalization of [`Rewriter::prove_equal`] make.
+    fn eval_cold(
+        &self,
+        store: &mut TermStore,
+        id: TermId,
+        asms: &Assumptions,
+    ) -> Result<(TermId, u64)> {
         store.forget_nfs();
         let mut st = EvalState::new(&self.budget, self.supervisor.clone(), None);
-        let nf = self.eval(store, id, &mut st, &Vec::new())?;
+        let nf = self.eval(store, id, &mut st, asms)?;
         Ok((nf, st.steps))
     }
 
@@ -596,7 +642,7 @@ impl<'a> Rewriter<'a> {
 
     /// Normalizes a term, recording every step in a [`Trace`].
     ///
-    /// This routes through the same run-local store hot path as
+    /// This routes through the same cold-store hot path as
     /// [`Rewriter::normalize`] — terms are interned and rewritten by id,
     /// not tree-walked — so traced and untraced runs reach the same
     /// normal form by construction. What tracing changes is caching: a
@@ -615,7 +661,7 @@ impl<'a> Rewriter<'a> {
     /// Normalizes a term under contextual truth assumptions about stuck
     /// boolean terms.
     ///
-    /// Assumptions are interned into the same run-local store as the
+    /// Assumptions are interned into the thread's cold store with the
     /// subject term, and evaluation runs on the identical id-native hot
     /// path as [`Rewriter::normalize`]. Subterms evaluated under a
     /// non-empty assumption context are excluded from the normal-form
@@ -639,61 +685,81 @@ impl<'a> Rewriter<'a> {
     /// `ISSAME?(id, id1)`, the prover considers both truth values of the
     /// first stuck condition and recursively closes each case.
     ///
-    /// Every normalization inside the proof search runs on a fresh
-    /// run-local store (see [`Rewriter::normalize_under`] for how
-    /// assumption contexts interact with its normal-form table), so the
-    /// proof a session-backed rewriter finds is identical to a plain
-    /// one's: no state is carried between proofs.
+    /// Both terms are interned once into the thread's cold store (see
+    /// [`with_cold_store`]), and the whole case split runs on ids there.
+    /// Each normalization forgets the store's normal-form table first
+    /// (see [`Rewriter::normalize_under`] for how assumption contexts
+    /// interact with it), so it takes the steps and exhaustion receipts
+    /// of a fresh run, and the proof a session-backed rewriter finds is
+    /// identical to a plain one's. `Term`s are built only for
+    /// [`Proof::Undecided`].
     ///
     /// # Errors
     ///
     /// As for [`Rewriter::normalize`].
     pub fn prove_equal(&self, a: &Term, b: &Term, max_splits: usize) -> Result<Proof> {
-        self.prove_under(a, b, &mut Vec::new(), max_splits)
+        with_cold_store(|store| {
+            let (a, b) = (store.arena_mut().intern(a), store.arena_mut().intern(b));
+            Ok(self.prove_in(store, a, b, &mut Vec::new(), max_splits)?.0)
+        })
     }
 
-    fn prove_under(
+    /// [`Rewriter::prove_equal`], also returning `a`'s normal form
+    /// outside any case split: a joinable critical pair's normal form,
+    /// read off the proof.
+    pub(crate) fn prove_with_left_nf(
         &self,
         a: &Term,
         b: &Term,
-        asms: &mut Vec<(Term, bool)>,
+        max_splits: usize,
+    ) -> Result<(Proof, Term)> {
+        with_cold_store(|store| {
+            let (a, b) = (store.arena_mut().intern(a), store.arena_mut().intern(b));
+            let (proof, na) = self.prove_in(store, a, b, &mut Vec::new(), max_splits)?;
+            Ok((proof, store.arena().to_term(na)))
+        })
+    }
+
+    /// Normalizes `a` and `b` cold under `asms` and, while their normal
+    /// forms differ and splits are left, closes both cases of the first
+    /// stuck condition. Returns the proof with `a`'s normal form under
+    /// `asms`.
+    fn prove_in(
+        &self,
+        store: &mut TermStore,
+        a: TermId,
+        b: TermId,
+        asms: &mut Assumptions,
         splits_left: usize,
-    ) -> Result<Proof> {
-        let (na, _) = self.run(a, None, asms)?;
-        let (nb, _) = self.run(b, None, asms)?;
-        let na = na.term;
-        let nb = nb.term;
+    ) -> Result<(Proof, TermId)> {
+        let (na, _) = self.eval_cold(store, a, asms)?;
+        let (nb, _) = self.eval_cold(store, b, asms)?;
         if na == nb {
-            return Ok(Proof::Proved { cases: 1 });
+            return Ok((Proof::Proved { cases: 1 }, na));
         }
-        if splits_left == 0 {
-            return Ok(Proof::Undecided {
-                assumptions: asms.clone(),
-                lhs_nf: na,
-                rhs_nf: nb,
-            });
-        }
-        let cond = first_stuck_cond(&na)
-            .or_else(|| first_stuck_cond(&nb))
-            .cloned();
+        let arena = store.arena();
+        let cond = (splits_left > 0)
+            .then(|| first_stuck_cond(arena, na).or_else(|| first_stuck_cond(arena, nb)))
+            .flatten();
         let Some(cond) = cond else {
-            return Ok(Proof::Undecided {
-                assumptions: asms.clone(),
-                lhs_nf: na,
-                rhs_nf: nb,
-            });
+            let undecided = Proof::Undecided {
+                assumptions: asms.iter().map(|&(c, v)| (arena.to_term(c), v)).collect(),
+                lhs_nf: arena.to_term(na),
+                rhs_nf: arena.to_term(nb),
+            };
+            return Ok((undecided, na));
         };
         let mut cases = 0;
         for value in [true, false] {
-            asms.push((cond.clone(), value));
-            let sub = self.prove_under(&na, &nb, asms, splits_left - 1)?;
+            asms.push((cond, value));
+            let (sub, _) = self.prove_in(store, na, nb, asms, splits_left - 1)?;
             asms.pop();
             match sub {
                 Proof::Proved { cases: c } => cases += c,
-                undecided @ Proof::Undecided { .. } => return Ok(undecided),
+                undecided @ Proof::Undecided { .. } => return Ok((undecided, na)),
             }
         }
-        Ok(Proof::Proved { cases })
+        Ok((Proof::Proved { cases }, na))
     }
 
     fn run(
@@ -706,20 +772,21 @@ impl<'a> Rewriter<'a> {
         if let Some(t) = &mut st.trace {
             t.set_initial(term);
         }
-        let mut store = TermStore::new();
-        let root = store.arena_mut().intern(term);
-        let asms: Assumptions = asms
-            .iter()
-            .map(|(t, b)| (store.arena_mut().intern(t), *b))
-            .collect();
-        let nf = self.eval(&mut store, root, &mut st, &asms)?;
-        Ok((
-            Normalization {
-                term: store.arena().to_term(nf),
-                steps: st.steps,
-            },
-            st.trace,
-        ))
+        with_cold_store(move |store| {
+            let root = store.arena_mut().intern(term);
+            let asms: Assumptions = asms
+                .iter()
+                .map(|(t, b)| (store.arena_mut().intern(t), *b))
+                .collect();
+            let nf = self.eval(store, root, &mut st, &asms)?;
+            Ok((
+                Normalization {
+                    term: store.arena().to_term(nf),
+                    steps: st.steps,
+                },
+                st.trace,
+            ))
+        })
     }
 
     fn eval(
@@ -944,11 +1011,11 @@ impl<'a> Rewriter<'a> {
 
 /// Finds the first stuck boolean condition in a normalized term (the
 /// condition of the outermost conditional, in pre-order).
-fn first_stuck_cond(term: &Term) -> Option<&Term> {
-    match term {
-        Term::Ite(ite) => Some(&ite.cond),
-        Term::App(_, args) => args.iter().find_map(first_stuck_cond),
-        _ => None,
+fn first_stuck_cond(arena: &TermArena, id: TermId) -> Option<TermId> {
+    match arena.node(id) {
+        &TermNode::Ite(cond, _, _) => Some(cond),
+        TermNode::App(_, args) => args.iter().find_map(|&a| first_stuck_cond(arena, a)),
+        TermNode::Var(_) | TermNode::Error(_) => None,
     }
 }
 

@@ -68,7 +68,7 @@ pub use critical::{
     classify_superposition, rename_apart, superpositions, PairStatus, Superposition,
     SuperpositionSet,
 };
-pub use engine::{residual_conditionals, Normalization, Proof, Rewriter};
+pub use engine::{residual_conditionals, with_cold_store, Normalization, Proof, Rewriter};
 pub use error::RewriteError;
 pub use symbolic::SymbolicSession;
 pub use trace::{Step, Trace};

@@ -222,7 +222,7 @@ fn first_ite_cond(term: &Term) -> Option<&Term> {
 
 #[test]
 fn traced_runs_reach_the_same_normal_form_on_every_engine() {
-    // `normalize_traced` shares the run-local store hot path with
+    // `normalize_traced` shares the cold-store hot path with
     // `normalize`; tracing only switches the normal-form table off so
     // every derivation step is re-derived and recorded. The observable
     // contract: the traced normal form equals the untraced one on the
