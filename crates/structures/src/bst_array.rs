@@ -112,10 +112,10 @@ impl<V: Clone> ScopeArray<V> for BstArray<V> {
         }
     }
 
-    fn read(&self, id: &Ident) -> Option<&V> {
+    fn read(&self, id: &str) -> Option<&V> {
         let mut cur = self.root.as_deref();
         while let Some(node) = cur {
-            cur = match id.cmp(&node.id) {
+            cur = match id.cmp(node.id.as_str()) {
                 std::cmp::Ordering::Equal => return Some(&node.value),
                 std::cmp::Ordering::Less => node.left.as_deref(),
                 std::cmp::Ordering::Greater => node.right.as_deref(),

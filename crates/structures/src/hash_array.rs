@@ -4,7 +4,11 @@
 //! * [`HashArray`] — the paper's §4 implementation: a fixed table of
 //!   buckets, each a chain of entries, with new entries *prepended* so a
 //!   re-declaration shadows the old one (exactly the PL/I code's
-//!   `new_entry -> next := hash_tab(HASH(indx))`).
+//!   `new_entry -> next := hash_tab(HASH(indx))`). The chains are
+//!   shared: an entry is never changed once it is linked, so a clone
+//!   copies only the bucket spine (one pointer per bucket) and the
+//!   entries stay shared between the copies. `ASSIGN` on either copy
+//!   conses a new head onto its own spine.
 //! * [`LinearArray`] — the naive association list, the representation a
 //!   designer might freeze prematurely (§5: "The premature choice of a
 //!   storage structure … is a common cause of inefficiencies"). The
@@ -15,37 +19,48 @@
 //! change, which is the paper's point.
 
 use std::fmt;
+use std::sync::Arc;
 
-use crate::ident::Ident;
+use crate::ident::{hash_bucket, Ident};
 
 /// The operations of the paper's `Array` type (axioms 17–20), as a trait
 /// so the symbol table can be instantiated with any representation.
+///
+/// Lookups take the identifier's spelling: an `&Ident` coerces to it.
 pub trait ScopeArray<V>: Clone {
     /// The paper's `EMPTY`.
     fn empty() -> Self;
 
-    /// The paper's `ASSIGN` (in-place; the algebraic reading clones
-    /// first).
+    /// The paper's `ASSIGN`, in place. The algebraic reading (a new
+    /// array, the argument unchanged) is a clone followed by `assign`;
+    /// what that clone copies is up to the representation
+    /// ([`HashArray`] copies only its bucket spine).
     fn assign(&mut self, id: Ident, value: V);
 
     /// The paper's `READ`, `None` for the specification's `error` case.
-    fn read(&self, id: &Ident) -> Option<&V>;
+    fn read(&self, id: &str) -> Option<&V>;
 
     /// The paper's `IS_UNDEFINED?`.
-    fn is_undefined(&self, id: &Ident) -> bool {
+    fn is_undefined(&self, id: &str) -> bool {
         self.read(id).is_none()
     }
 }
 
-/// One chained entry — the PL/I `entry based` structure.
-#[derive(Debug, Clone)]
+/// One chained entry — the PL/I `entry based` structure. Linked once
+/// and never changed, so chains can be shared between arrays.
+#[derive(Debug)]
 struct Entry<V> {
     id: Ident,
     value: V,
-    next: Option<Box<Entry<V>>>,
+    next: Chain<V>,
 }
 
+/// A bucket: the newest entry first.
+type Chain<V> = Option<Arc<Entry<V>>>;
+
 /// A fixed-size chained hash table keyed by [`Ident`].
+///
+/// Cloning copies the bucket spine and shares every entry.
 ///
 /// ```
 /// use adt_structures::{HashArray, Ident, ScopeArray};
@@ -58,7 +73,7 @@ struct Entry<V> {
 /// ```
 #[derive(Clone)]
 pub struct HashArray<V> {
-    buckets: Vec<Option<Box<Entry<V>>>>,
+    buckets: Vec<Chain<V>>,
 }
 
 /// Default number of buckets (the paper's `n`).
@@ -127,14 +142,14 @@ impl<V: Clone> ScopeArray<V> for HashArray<V> {
         let n = self.buckets.len();
         let bucket = id.hash_bucket(n);
         let next = self.buckets[bucket].take();
-        self.buckets[bucket] = Some(Box::new(Entry { id, value, next }));
+        self.buckets[bucket] = Some(Arc::new(Entry { id, value, next }));
     }
 
-    fn read(&self, id: &Ident) -> Option<&V> {
-        let bucket = id.hash_bucket(self.buckets.len());
+    fn read(&self, id: &str) -> Option<&V> {
+        let bucket = hash_bucket(id, self.buckets.len());
         let mut cur = self.buckets[bucket].as_deref();
         while let Some(e) = cur {
-            if e.id.same(id) {
+            if *e.id == *id {
                 return Some(&e.value);
             }
             cur = e.next.as_deref();
@@ -176,10 +191,10 @@ impl<V: Clone> ScopeArray<V> for LinearArray<V> {
         self.entries.insert(0, (id, value));
     }
 
-    fn read(&self, id: &Ident) -> Option<&V> {
+    fn read(&self, id: &str) -> Option<&V> {
         self.entries
             .iter()
-            .find(|(i, _)| i.same(id))
+            .find(|(i, _)| **i == *id)
             .map(|(_, v)| v)
     }
 }

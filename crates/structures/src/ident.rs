@@ -5,6 +5,7 @@
 //! `AttributeList` is the payload a compiler attaches to a declaration.
 
 use std::fmt;
+use std::ops::Deref;
 
 /// An identifier of the compiled language.
 ///
@@ -16,6 +17,7 @@ use std::fmt;
 /// assert!(a.same(&b));            // ISSAME?
 /// let bucket = a.hash_bucket(64); // HASH: Identifier -> [0, 64)
 /// assert!(bucket < 64);
+/// assert_eq!(&*a, "x");           // an `Ident` derefs to its spelling
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ident(String);
@@ -43,12 +45,33 @@ impl Ident {
     ///
     /// Panics if `n` is zero.
     pub fn hash_bucket(&self, n: usize) -> usize {
-        assert!(n > 0, "hash table size must be positive");
-        let mut h: u64 = 5381;
-        for b in self.0.bytes() {
-            h = h.wrapping_mul(33).wrapping_add(u64::from(b));
-        }
+        hash_bucket(&self.0, n)
+    }
+}
+
+/// [`Ident::hash_bucket`] on a spelling, so lookups by `&str` hash
+/// without building an [`Ident`].
+pub(crate) fn hash_bucket(name: &str, n: usize) -> usize {
+    assert!(n > 0, "hash table size must be positive");
+    let mut h: u64 = 5381;
+    for b in name.bytes() {
+        h = h.wrapping_mul(33).wrapping_add(u64::from(b));
+    }
+    // The same residue; a mask where the size allows it, since a
+    // division costs more than the rest of a short lookup.
+    if n.is_power_of_two() {
+        (h & (n as u64 - 1)) as usize
+    } else {
         (h % n as u64) as usize
+    }
+}
+
+/// Lookups take `&str`; an `&Ident` coerces to one.
+impl Deref for Ident {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
     }
 }
 

@@ -20,9 +20,14 @@ use crate::linked_stack::LinkedStack;
 use crate::ring::RingQueue;
 use crate::symbol_table::SymbolTable;
 
-/// The structure inside a model value. Observers read it in place; a
-/// constructor clones it before changing it, because the value may be
-/// shared (the axiom checker evaluates each enumerated argument once).
+/// The structure inside a model value. Observers read it in place. A
+/// constructor never changes it, because the value may be shared (the
+/// axiom checker evaluates each enumerated argument once): it clones it
+/// and changes the clone, or, on the persistent [`LinkedStack`], builds
+/// a new stack that shares it. What a clone copies is the structure's
+/// own business: a [`SymbolTable`] shares its blocks (`ADD` then copies
+/// the top one), a [`HashArray`] copies its bucket spine and shares the
+/// chain entries, and the queues, the set and the list are copied whole.
 ///
 /// # Panics
 ///
@@ -30,6 +35,17 @@ use crate::symbol_table::SymbolTable;
 /// non-`error` arguments.
 fn data<T: 'static>(v: &MValue) -> &T {
     v.downcast::<T>().expect("a well-sorted model value")
+}
+
+/// The primitive inside an argument (`v.as_str()`, `v.as_int()`).
+///
+/// # Panics
+///
+/// Panics on `None`: the checkers pass only well-sorted, non-`error`
+/// arguments, so a parameter-sort argument is always the primitive its
+/// constants build.
+fn well_sorted<T>(v: Option<T>) -> T {
+    v.expect("a well-sorted model value")
 }
 
 /// A model of the Queue specification ([`crate::specs::queue_spec`]) over
@@ -40,7 +56,7 @@ pub fn fifo_model(spec: &Spec) -> TableModel<'_> {
         .op("NEW", |_| MValue::data(Q::new()))
         .op("ADD", |args| {
             let mut q = data::<Q>(&args[0]).clone();
-            q.add(args[1].as_str().unwrap().to_owned());
+            q.add(well_sorted(args[1].as_str()).to_owned());
             MValue::data(q)
         })
         .op("FRONT", |args| match data::<Q>(&args[0]).front() {
@@ -95,7 +111,7 @@ pub fn ring_model(spec: &Spec, capacity: usize) -> TableModel<'_> {
         .op("NEW", move |_| MValue::data(Q::new(capacity)))
         .op("ADD", |args| {
             let mut q = data::<Q>(&args[0]).clone();
-            match q.add(args[1].as_str().unwrap().to_owned()) {
+            match q.add(well_sorted(args[1].as_str()).to_owned()) {
                 Ok(()) => MValue::data(q),
                 Err(_) => MValue::Error,
             }
@@ -155,7 +171,7 @@ pub fn two_stack_model(spec: &Spec) -> TableModel<'_> {
         .op("NEW", |_| MValue::data(Q::new()))
         .op("ADD", |args| {
             let mut q = data::<Q>(&args[0]).clone();
-            q.add(args[1].as_str().unwrap().to_owned());
+            q.add(well_sorted(args[1].as_str()).to_owned());
             MValue::data(q)
         })
         .op("FRONT", |args| {
@@ -240,7 +256,7 @@ pub fn stack_model(spec: &Spec) -> TableModel<'_> {
     let mut b = ModelBuilder::new(spec)
         .op("NEWSTACK", |_| MValue::data(S::new()))
         .op("PUSH", |args| {
-            MValue::data(data::<S>(&args[0]).push(args[1].as_str().unwrap().to_owned()))
+            MValue::data(data::<S>(&args[0]).push(well_sorted(args[1].as_str()).to_owned()))
         })
         .op("POP", |args| match data::<S>(&args[0]).pop() {
             Some(s) => MValue::data(s),
@@ -254,7 +270,7 @@ pub fn stack_model(spec: &Spec) -> TableModel<'_> {
             MValue::Bool(data::<S>(&args[0]).is_new())
         })
         .op("REPLACE", |args| {
-            match data::<S>(&args[0]).replace(args[1].as_str().unwrap().to_owned()) {
+            match data::<S>(&args[0]).replace(well_sorted(args[1].as_str()).to_owned()) {
                 Some(s) => MValue::data(s),
                 None => MValue::Error,
             }
@@ -312,19 +328,19 @@ where
         .op("ASSIGN", |args| {
             let mut a = data::<A>(&args[0]).clone();
             a.assign(
-                Ident::new(args[1].as_str().unwrap()),
-                args[2].as_str().unwrap().to_owned(),
+                Ident::new(well_sorted(args[1].as_str())),
+                well_sorted(args[2].as_str()).to_owned(),
             );
             MValue::data(a)
         })
         .op("READ", |args| {
-            match data::<A>(&args[0]).read(&Ident::new(args[1].as_str().unwrap())) {
+            match data::<A>(&args[0]).read(well_sorted(args[1].as_str())) {
                 Some(v) => MValue::Str(v.clone()),
                 None => MValue::Error,
             }
         })
         .op("IS_UNDEFINED?", |args| {
-            MValue::Bool(data::<A>(&args[0]).is_undefined(&Ident::new(args[1].as_str().unwrap())))
+            MValue::Bool(data::<A>(&args[0]).is_undefined(well_sorted(args[1].as_str())))
         })
         .op("ISSAME?", |args| {
             MValue::Bool(args[0].as_str() == args[1].as_str())
@@ -361,15 +377,15 @@ pub fn set_model(spec: &Spec) -> TableModel<'_> {
         .op("EMPTYSET", |_| MValue::data(S::new()))
         .op("INSERT", |args| {
             let mut s = data::<S>(&args[0]).clone();
-            s.insert(args[1].as_str().unwrap().to_owned());
+            s.insert(well_sorted(args[1].as_str()).to_owned());
             MValue::data(s)
         })
         .op("MEMBER?", |args| {
-            MValue::Bool(data::<S>(&args[0]).contains(&args[1].as_str().unwrap().to_owned()))
+            MValue::Bool(data::<S>(&args[0]).contains(&well_sorted(args[1].as_str()).to_owned()))
         })
         .op("DELETE", |args| {
             let mut s = data::<S>(&args[0]).clone();
-            s.remove(&args[1].as_str().unwrap().to_owned());
+            s.remove(&well_sorted(args[1].as_str()).to_owned());
             MValue::data(s)
         })
         .op("IS_EMPTYSET?", |args| {
@@ -397,7 +413,7 @@ pub fn list_model(spec: &Spec) -> TableModel<'_> {
     let mut b = ModelBuilder::new(spec)
         .op("NIL", |_| MValue::data(L::new()))
         .op("CONS", |args| {
-            let mut l = vec![args[0].as_str().unwrap().to_owned()];
+            let mut l = vec![well_sorted(args[0].as_str()).to_owned()];
             l.extend_from_slice(data::<L>(&args[1]));
             MValue::data(l)
         })
@@ -422,9 +438,11 @@ pub fn list_model(spec: &Spec) -> TableModel<'_> {
             MValue::data(data::<L>(&args[0]).iter().rev().cloned().collect::<L>())
         })
         .op("ZERO", |_| MValue::Int(0))
-        .op("SUCC", |args| MValue::Int(args[0].as_int().unwrap() + 1))
+        .op("SUCC", |args| {
+            MValue::Int(well_sorted(args[0].as_int()) + 1)
+        })
         .op("PLUS", |args| {
-            MValue::Int(args[0].as_int().unwrap() + args[1].as_int().unwrap())
+            MValue::Int(well_sorted(args[0].as_int()) + well_sorted(args[1].as_int()))
         })
         .eq("List", |a, b| a.downcast::<L>() == b.downcast::<L>());
     for name in ["E1", "E2", "E3"] {
@@ -440,7 +458,7 @@ pub fn list_model(spec: &Spec) -> TableModel<'_> {
 /// [`SymbolTable::observationally_eq`] over the sample identifiers.
 pub fn symtab_model(spec: &Spec) -> TableModel<'_> {
     type St = SymbolTable<HashArray<AttrList>>;
-    let attr_of = |v: &MValue| AttrList::new().with("name", v.as_str().unwrap());
+    let attr_of = |v: &MValue| AttrList::new().with("name", well_sorted(v.as_str()));
     let universe = sample_ident_universe();
     let mut b = ModelBuilder::new(spec)
         .op("INIT", |_| MValue::data(St::init()))
@@ -458,14 +476,14 @@ pub fn symtab_model(spec: &Spec) -> TableModel<'_> {
         })
         .op("ADD", move |args| {
             let mut t = data::<St>(&args[0]).clone();
-            t.add(Ident::new(args[1].as_str().unwrap()), attr_of(&args[2]));
+            t.add(Ident::new(well_sorted(args[1].as_str())), attr_of(&args[2]));
             MValue::data(t)
         })
         .op("IS_INBLOCK?", |args| {
-            MValue::Bool(data::<St>(&args[0]).is_in_block(&Ident::new(args[1].as_str().unwrap())))
+            MValue::Bool(data::<St>(&args[0]).is_in_block(well_sorted(args[1].as_str())))
         })
         .op("RETRIEVE", |args| {
-            match data::<St>(&args[0]).retrieve(&Ident::new(args[1].as_str().unwrap())) {
+            match data::<St>(&args[0]).retrieve(well_sorted(args[1].as_str())) {
                 Ok(attrs) => MValue::Str(attrs.get("name").expect("encoded attribute").to_owned()),
                 Err(_) => MValue::Error,
             }

@@ -1,8 +1,17 @@
 //! The symbol table of a block-structured language: a stack of scope
 //! arrays, the paper's §4 representation made into a real compiler
 //! component.
+//!
+//! The blocks are shared between copies of a table, as the paper's
+//! `Stack` of pointers to `Array`s shares them: cloning a table copies
+//! one pointer per block, `ENTERBLOCK` pushes a new one and `LEAVEBLOCK`
+//! pops one. `ADD` changes the top block in place when no other table
+//! holds it, and otherwise copies that one block first (what the copy
+//! costs is the array representation's; [`HashArray`] copies only its
+//! bucket spine). The blocks below the top are never copied.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::hash_array::{HashArray, ScopeArray};
 use crate::ident::{AttrList, Ident};
@@ -51,20 +60,21 @@ impl std::error::Error for ScopeError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct SymbolTable<A: ScopeArray<AttrList> = HashArray<AttrList>> {
-    blocks: Vec<A>,
+    /// Outermost first; each block shared with the clones that hold it.
+    blocks: Vec<Arc<A>>,
 }
 
 impl<A: ScopeArray<AttrList>> SymbolTable<A> {
     /// The paper's `INIT`: a table with one (outermost) scope.
     pub fn init() -> Self {
         SymbolTable {
-            blocks: vec![A::empty()],
+            blocks: vec![Arc::new(A::empty())],
         }
     }
 
     /// The paper's `ENTERBLOCK`: opens a new local naming scope.
     pub fn enter_block(&mut self) {
-        self.blocks.push(A::empty());
+        self.blocks.push(Arc::new(A::empty()));
     }
 
     /// The paper's `LEAVEBLOCK`: discards the most recent scope.
@@ -86,13 +96,15 @@ impl<A: ScopeArray<AttrList>> SymbolTable<A> {
     /// fact — `init` creates a scope and `leave_block` refuses to drop the
     /// last one, so the check inside `add` would be "needless
     /// inefficiency").
+    ///
+    /// Copies the top block first if another table shares it.
     pub fn add(&mut self, id: Ident, attrs: AttrList) {
         debug_assert!(!self.blocks.is_empty(), "Assumption 1 violated");
         let last = self
             .blocks
             .last_mut()
             .expect("at least one scope exists by construction");
-        last.assign(id, attrs);
+        Arc::make_mut(last).assign(id, attrs);
     }
 
     /// The paper's *defensive* `ADD` variant: "adding to the
@@ -104,12 +116,12 @@ impl<A: ScopeArray<AttrList>> SymbolTable<A> {
             self.enter_block();
         }
         let last = self.blocks.last_mut().expect("just ensured a scope");
-        last.assign(id, attrs);
+        Arc::make_mut(last).assign(id, attrs);
     }
 
     /// The paper's `IS_INBLOCK?`: has `id` already been declared in the
     /// *current* scope? ("Used to avoid duplicate declarations.")
-    pub fn is_in_block(&self, id: &Ident) -> bool {
+    pub fn is_in_block(&self, id: &str) -> bool {
         self.blocks
             .last()
             .map(|b| !b.is_undefined(id))
@@ -123,7 +135,7 @@ impl<A: ScopeArray<AttrList>> SymbolTable<A> {
     ///
     /// Returns [`ScopeError::Undeclared`] if no visible scope declares
     /// `id` — the specification's `RETRIEVE(INIT, id) = error`.
-    pub fn retrieve(&self, id: &Ident) -> Result<&AttrList, ScopeError> {
+    pub fn retrieve(&self, id: &str) -> Result<&AttrList, ScopeError> {
         for block in self.blocks.iter().rev() {
             if let Some(attrs) = block.read(id) {
                 return Ok(attrs);
@@ -135,12 +147,6 @@ impl<A: ScopeArray<AttrList>> SymbolTable<A> {
     /// Current block-nesting depth (1 = just the outermost scope).
     pub fn depth(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// A view of the scope arrays, outermost first (used by Φ and the
-    /// observational-equality helper).
-    pub fn blocks(&self) -> &[A] {
-        &self.blocks
     }
 
     /// Observational equality over a finite identifier universe: two

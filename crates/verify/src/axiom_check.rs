@@ -8,13 +8,11 @@
 //! mechanical check that catches real implementation bugs immediately and
 //! pairs with the term-level proofs in [`crate::rep`].
 
-use std::collections::HashMap;
-
 use adt_check::parallel::{run_indexed, CheckStats};
 use adt_check::random_ctor_term;
 use adt_core::{display, DetRng, SortId, Term, VarId};
 
-use crate::eval::{eval_ground, eval_with_env};
+use crate::eval::eval;
 use crate::gen::TermPool;
 use crate::model::Model;
 use crate::value::MValue;
@@ -112,7 +110,8 @@ impl AxiomCheckReport {
 /// What an instance binds its axiom's variables to, in variable order.
 enum Binding {
     /// An index into the pool of each variable's sort (exhaustive
-    /// instances): the value was evaluated once, before phase B.
+    /// instances): the value was evaluated once, before phase B, and the
+    /// instance reads it in place.
     Pool(Vec<usize>),
     /// Sampled deep terms (random instances), evaluated per instance.
     Sampled(Vec<Term>),
@@ -185,8 +184,11 @@ pub fn check_axioms_jobs(
     let mut instances: Vec<Instance> = Vec::new();
     let mut skipped = Vec::new();
     // The value of a ground term depends only on the term: each pool term
-    // of a sort some instance binds is evaluated once, here.
-    let mut values: HashMap<SortId, Vec<MValue>> = HashMap::new();
+    // of a sort some instance binds is evaluated once, here. Indexed by
+    // `SortId::index`; empty for a sort no instance binds (a bound sort
+    // is inhabited).
+    let mut values: Vec<Vec<MValue>> = vec![Vec::new(); sig.sort_count()];
+    let mut stack = Vec::new();
     for (ai, (axiom, plan)) in axioms.iter().zip(&plans).enumerate() {
         let var_sorts = &plan.var_sorts;
         if !pool.inhabits_all(var_sorts.iter().copied()) {
@@ -194,12 +196,13 @@ pub fn check_axioms_jobs(
             continue;
         }
         for &s in var_sorts {
-            values.entry(s).or_insert_with(|| {
-                pool.terms(s)
+            if values[s.index()].is_empty() {
+                values[s.index()] = pool
+                    .terms(s)
                     .iter()
-                    .map(|t| eval_ground(model, t))
-                    .collect()
-            });
+                    .map(|t| eval(model, t, &|_| None, &mut stack))
+                    .collect();
+            }
         }
 
         // Exhaustive product over the pools, truncated.
@@ -245,27 +248,29 @@ pub fn check_axioms_jobs(
         }
     }
 
-    // Phase B (parallel): evaluate every instance against the model.
+    // Phase B (parallel): evaluate every instance against the model. A
+    // variable reads its value in place, from the pool values or from the
+    // instance's sampled values, by its slot in the axiom's variable list.
     let run = run_indexed(jobs, &instances, |_, inst| {
         let axiom = &axioms[inst.axiom];
         let plan = &plans[inst.axiom];
-        let env: HashMap<VarId, MValue> = match &inst.binding {
-            Binding::Pool(indices) => plan
-                .vars
+        let mut stack = Vec::new();
+        let sampled: Vec<MValue> = match &inst.binding {
+            Binding::Pool(_) => Vec::new(),
+            Binding::Sampled(terms) => terms
                 .iter()
-                .zip(&plan.var_sorts)
-                .zip(indices)
-                .map(|((&v, s), &i)| (v, values[s][i].clone()))
-                .collect(),
-            Binding::Sampled(terms) => plan
-                .vars
-                .iter()
-                .zip(terms)
-                .map(|(&v, t)| (v, eval_ground(model, t)))
+                .map(|t| eval(model, t, &|_| None, &mut stack))
                 .collect(),
         };
-        let lhs_value = eval_with_env(model, axiom.lhs(), &env);
-        let rhs_value = eval_with_env(model, axiom.rhs(), &env);
+        let var = |v: VarId| {
+            let k = plan.vars.iter().position(|&x| x == v)?;
+            Some(match &inst.binding {
+                Binding::Pool(indices) => &values[plan.var_sorts[k].index()][indices[k]],
+                Binding::Sampled(_) => &sampled[k],
+            })
+        };
+        let lhs_value = eval(model, axiom.lhs(), &var, &mut stack);
+        let rhs_value = eval(model, axiom.rhs(), &var, &mut stack);
         if model.values_equal(plan.sort, &lhs_value, &rhs_value) {
             return None;
         }

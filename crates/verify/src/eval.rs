@@ -17,7 +17,7 @@ use crate::value::MValue;
 /// Panics if the term contains a variable; use [`eval_with_env`] for open
 /// terms.
 pub fn eval_ground(model: &dyn Model, term: &Term) -> MValue {
-    eval_with_env(model, term, &HashMap::new())
+    eval(model, term, &|_| None, &mut Vec::new())
 }
 
 /// Evaluates a term in a model, reading variable values from `env`.
@@ -28,19 +28,42 @@ pub fn eval_ground(model: &dyn Model, term: &Term) -> MValue {
 /// condition evaluates to a non-boolean, non-error value — both indicate
 /// misuse by the caller, not a property of the implementation under test.
 pub fn eval_with_env(model: &dyn Model, term: &Term, env: &HashMap<VarId, MValue>) -> MValue {
+    eval(model, term, &|v| env.get(&v), &mut Vec::new())
+}
+
+/// The evaluator behind [`eval_ground`] and [`eval_with_env`]: variables
+/// are read through `var`, and the arguments of each application are
+/// pushed onto `stack` (left as it was on return), so a caller that
+/// evaluates many terms allocates one argument stack for all of them.
+///
+/// # Panics
+///
+/// As [`eval_with_env`], with "absent from `env`" read as "`var` gives
+/// `None`".
+pub(crate) fn eval<'e>(
+    model: &dyn Model,
+    term: &Term,
+    var: &impl Fn(VarId) -> Option<&'e MValue>,
+    stack: &mut Vec<MValue>,
+) -> MValue {
     match term {
-        Term::Var(v) => env
-            .get(v)
+        Term::Var(v) => var(*v)
             .cloned()
             .unwrap_or_else(|| panic!("unbound variable {v:?} during model evaluation")),
         Term::Error(_) => MValue::Error,
         Term::App(op, args) => {
-            let values: Vec<MValue> = args.iter().map(|a| eval_with_env(model, a, env)).collect();
-            model.apply(*op, &values)
+            let base = stack.len();
+            for a in args {
+                let value = eval(model, a, var, stack);
+                stack.push(value);
+            }
+            let value = model.apply(*op, &stack[base..]);
+            stack.truncate(base);
+            value
         }
-        Term::Ite(ite) => match eval_with_env(model, &ite.cond, env) {
-            MValue::Bool(true) => eval_with_env(model, &ite.then_branch, env),
-            MValue::Bool(false) => eval_with_env(model, &ite.else_branch, env),
+        Term::Ite(ite) => match eval(model, &ite.cond, var, stack) {
+            MValue::Bool(true) => eval(model, &ite.then_branch, var, stack),
+            MValue::Bool(false) => eval(model, &ite.else_branch, var, stack),
             MValue::Error => MValue::Error,
             other => panic!("condition evaluated to non-boolean {other:?}"),
         },

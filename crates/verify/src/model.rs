@@ -2,7 +2,6 @@
 //! operations, plus the table-driven [`ModelBuilder`] for assembling one
 //! from closures.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use adt_core::{OpId, SortId, Spec};
@@ -23,9 +22,12 @@ use crate::value::MValue;
 /// operation on equal arguments gives an equal value, and a call changes
 /// no state that a later call reads. The axiom checker relies on this: it
 /// evaluates each enumerated argument once and shares that value across
-/// every instance that binds it. A `Data` value may therefore be seen by
-/// many calls at once; an operation that changes a structure must change
-/// a copy of it.
+/// every instance that binds it, by reference, with no copy. A `Data`
+/// value may therefore be seen by many calls at once, so an operation
+/// must leave its arguments as they were. One that builds a changed
+/// structure changes a copy; the copy may share the unchanged parts of
+/// the argument (as a persistent stack shares its tail), provided that
+/// nothing shared is changed afterwards.
 pub trait Model {
     /// The specification this model implements.
     fn spec(&self) -> &Spec;
@@ -67,8 +69,10 @@ type EqFn = Arc<dyn Fn(&MValue, &MValue) -> bool + Send + Sync>;
 /// automatically.
 pub struct TableModel<'a> {
     spec: &'a Spec,
-    ops: HashMap<OpId, OpFn>,
-    eqs: HashMap<SortId, EqFn>,
+    /// Indexed by [`OpId::index`]: `build` proves every operation present.
+    ops: Vec<OpFn>,
+    /// Indexed by [`SortId::index`].
+    eqs: Vec<Option<EqFn>>,
 }
 
 impl std::fmt::Debug for TableModel<'_> {
@@ -76,7 +80,7 @@ impl std::fmt::Debug for TableModel<'_> {
         f.debug_struct("TableModel")
             .field("spec", &self.spec.name())
             .field("ops", &self.ops.len())
-            .field("eqs", &self.eqs.len())
+            .field("eqs", &self.eqs.iter().flatten().count())
             .finish()
     }
 }
@@ -87,17 +91,11 @@ impl Model for TableModel<'_> {
     }
 
     fn apply_op(&self, op: OpId, args: &[MValue]) -> MValue {
-        match self.ops.get(&op) {
-            Some(f) => f(args),
-            None => panic!(
-                "no implementation registered for operation `{}`",
-                self.spec.sig().op(op).name()
-            ),
-        }
+        (self.ops[op.index()])(args)
     }
 
     fn values_equal(&self, sort: SortId, a: &MValue, b: &MValue) -> bool {
-        if let Some(eq) = self.eqs.get(&sort) {
+        if let Some(eq) = &self.eqs[sort.index()] {
             if let Some(prim) = a.prim_eq(b) {
                 // Error vs non-error is decided uniformly.
                 if a.is_error() || b.is_error() {
@@ -136,8 +134,10 @@ impl Model for TableModel<'_> {
 /// ```
 pub struct ModelBuilder<'a> {
     spec: &'a Spec,
-    ops: HashMap<OpId, OpFn>,
-    eqs: HashMap<SortId, EqFn>,
+    /// Indexed by [`OpId::index`].
+    ops: Vec<Option<OpFn>>,
+    /// Indexed by [`SortId::index`].
+    eqs: Vec<Option<EqFn>>,
     missing: Vec<String>,
 }
 
@@ -145,7 +145,7 @@ impl std::fmt::Debug for ModelBuilder<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ModelBuilder")
             .field("spec", &self.spec.name())
-            .field("ops", &self.ops.len())
+            .field("ops", &self.ops.iter().flatten().count())
             .finish()
     }
 }
@@ -153,13 +153,14 @@ impl std::fmt::Debug for ModelBuilder<'_> {
 impl<'a> ModelBuilder<'a> {
     /// Starts a model for `spec` with the booleans pre-wired.
     pub fn new(spec: &'a Spec) -> Self {
-        let mut ops: HashMap<OpId, OpFn> = HashMap::new();
-        ops.insert(spec.sig().true_op(), Arc::new(|_| MValue::Bool(true)));
-        ops.insert(spec.sig().false_op(), Arc::new(|_| MValue::Bool(false)));
+        let sig = spec.sig();
+        let mut ops: Vec<Option<OpFn>> = vec![None; sig.op_count()];
+        ops[sig.true_op().index()] = Some(Arc::new(|_| MValue::Bool(true)));
+        ops[sig.false_op().index()] = Some(Arc::new(|_| MValue::Bool(false)));
         ModelBuilder {
             spec,
             ops,
-            eqs: HashMap::new(),
+            eqs: vec![None; sig.sort_count()],
             missing: Vec::new(),
         }
     }
@@ -174,9 +175,7 @@ impl<'a> ModelBuilder<'a> {
         f: impl Fn(&[MValue]) -> MValue + Send + Sync + 'static,
     ) -> Self {
         match self.spec.sig().find_op(name) {
-            Some(id) => {
-                self.ops.insert(id, Arc::new(f));
-            }
+            Some(id) => self.ops[id.index()] = Some(Arc::new(f)),
             None => self.missing.push(format!("unknown operation `{name}`")),
         }
         self
@@ -191,9 +190,7 @@ impl<'a> ModelBuilder<'a> {
         f: impl Fn(&MValue, &MValue) -> bool + Send + Sync + 'static,
     ) -> Self {
         match self.spec.sig().find_sort(name) {
-            Some(id) => {
-                self.eqs.insert(id, Arc::new(f));
-            }
+            Some(id) => self.eqs[id.index()] = Some(Arc::new(f)),
             None => self.missing.push(format!("unknown sort `{name}`")),
         }
         self
@@ -209,7 +206,7 @@ impl<'a> ModelBuilder<'a> {
     pub fn build(self) -> Result<TableModel<'a>, String> {
         let mut problems = self.missing;
         for op in self.spec.sig().op_ids() {
-            if !self.ops.contains_key(&op) {
+            if self.ops[op.index()].is_none() {
                 problems.push(format!(
                     "operation `{}` has no implementation",
                     self.spec.sig().op(op).name()
@@ -219,7 +216,7 @@ impl<'a> ModelBuilder<'a> {
         if problems.is_empty() {
             Ok(TableModel {
                 spec: self.spec,
-                ops: self.ops,
+                ops: self.ops.into_iter().flatten().collect(),
                 eqs: self.eqs,
             })
         } else {
